@@ -50,35 +50,19 @@ func Advise(table *storage.Table, cfg AdvisorConfig) []Proposal {
 	var out []Proposal
 	schema := table.Schema()
 	for colIdx, col := range schema.Columns {
-		totalRows, nucPatches, nscPatches, nscDescPatches := 0, 0, 0, 0
-		counts := make(map[string]int)
-		var buf []byte
-		// Global duplicate counting pass (NUC is global across partitions).
-		for p := 0; p < table.NumPartitions(); p++ {
-			v := sampled(table.Partition(p).Column(colIdx), cfg.MaxRows, table.NumPartitions())
+		// One prefix view per partition, shared by the global duplicate pass
+		// (NUC is global across partitions) and the per-partition NSC scans.
+		cols := make([]*vector.Vector, table.NumPartitions())
+		for p := range cols {
+			cols[p] = sampled(table.Partition(p).Column(colIdx), cfg.MaxRows, len(cols))
+		}
+		totalRows, nucCount, nscPatches, nscDescPatches := 0, 0, 0, 0
+		for _, patches := range nucPatches(cols, 1) {
+			nucCount += len(patches)
+		}
+		for _, v := range cols {
 			n := v.Len()
 			totalRows += n
-			for i := 0; i < n; i++ {
-				if v.IsNull(i) {
-					continue
-				}
-				buf = encodeElem(buf[:0], v, i)
-				counts[string(buf)]++
-			}
-		}
-		for p := 0; p < table.NumPartitions(); p++ {
-			v := sampled(table.Partition(p).Column(colIdx), cfg.MaxRows, table.NumPartitions())
-			n := v.Len()
-			for i := 0; i < n; i++ {
-				if v.IsNull(i) {
-					nucPatches++
-					continue
-				}
-				buf = encodeElem(buf[:0], v, i)
-				if counts[string(buf)] > 1 {
-					nucPatches++
-				}
-			}
 			nscPatches += n - LongestSortedSubsequenceLength(v, false)
 			if cfg.CheckDescending {
 				nscDescPatches += n - LongestSortedSubsequenceLength(v, true)
@@ -87,7 +71,7 @@ func Advise(table *storage.Table, cfg AdvisorConfig) []Proposal {
 		if totalRows == 0 {
 			continue
 		}
-		if rate := float64(nucPatches) / float64(totalRows); rate <= cfg.NUCThreshold {
+		if rate := float64(nucCount) / float64(totalRows); rate <= cfg.NUCThreshold {
 			out = append(out, proposal(table.Name(), col.Name, patch.NearlyUnique, false, rate, totalRows))
 		}
 		ascRate := float64(nscPatches) / float64(totalRows)

@@ -8,6 +8,7 @@ import (
 
 	"patchindex/internal/patch"
 	"patchindex/internal/storage"
+	"patchindex/internal/vector"
 )
 
 // BuildOptions configure PatchIndex creation.
@@ -110,30 +111,34 @@ func BuildIndex(table *storage.Table, column string, c patch.Constraint, opts Bu
 
 	nParts := table.NumPartitions()
 	workers := opts.buildWorkers(nParts)
-	var totalPatches, totalRows int
-	perPart := make([][]uint64, nParts)
+	cols := make([]*vector.Vector, nParts)
+	rows := make([]int, nParts)
+	totalRows := 0
+	for p := range cols {
+		cols[p] = table.Partition(p).Column(colIdx)
+		rows[p] = cols[p].Len()
+		totalRows += rows[p]
+	}
+	var perPart [][]uint64
 	switch c {
 	case patch.NearlySorted:
 		// NSC discovery is partition-local (Section VI-A2), so the longest
 		// sorted subsequence of each partition is an independent morsel.
-		results := make([]Result, nParts)
+		perPart = make([][]uint64, nParts)
 		forEachPartition(nParts, workers, func(p int) {
-			results[p] = DiscoverNSC(table.Partition(p).Column(colIdx), opts.Descending)
+			perPart[p] = DiscoverNSC(cols[p], opts.Descending).Patches
 		})
-		for p, res := range results {
-			perPart[p] = res.Patches
-			totalPatches += len(res.Patches)
-			totalRows += res.NumRows
-		}
 	case patch.NearlyUnique:
-		results := discoverNUCGlobal(table, colIdx, workers)
-		for p, res := range results {
-			perPart[p] = res.Patches
-			totalPatches += len(res.Patches)
-			totalRows += res.NumRows
-		}
+		// NUC duplicate detection is global: the grouping subquery of the
+		// discovery SQL spans the table, then "each partition's PatchIndex
+		// receives all tuple identifiers for its responsible partition".
+		perPart = nucPatches(cols, workers)
 	default:
 		return nil, fmt.Errorf("discovery: unknown constraint %v", c)
+	}
+	totalPatches := 0
+	for _, patches := range perPart {
+		totalPatches += len(patches)
 	}
 
 	rate := 0.0
@@ -146,70 +151,10 @@ func BuildIndex(table *storage.Table, column string, c patch.Constraint, opts Bu
 			Rate: rate, Threshold: opts.Threshold,
 		}
 	}
-	rows := make([]int, nParts)
-	for p := range rows {
-		rows[p] = table.Partition(p).NumRows()
-	}
 	if err := ix.SetPartitions(perPart, rows, workers); err != nil {
 		return nil, err
 	}
 	return ix, nil
-}
-
-// discoverNUCGlobal runs NUC discovery with a global duplicate count across
-// partitions: the grouping subquery of the discovery SQL is global, then
-// "each partition's PatchIndex receives all tuple identifiers for its
-// responsible partition".
-//
-// Parallel shape: each worker counts values of its claimed partitions into a
-// private map (no shared mutable state), the per-partition maps are merged
-// into the global count serially, then patch extraction — a read-only probe
-// of the merged map — fans out per partition again.
-func discoverNUCGlobal(table *storage.Table, colIdx int, workers int) []Result {
-	nParts := table.NumPartitions()
-	partCounts := make([]map[string]int, nParts)
-	forEachPartition(nParts, workers, func(p int) {
-		col := table.Partition(p).Column(colIdx)
-		n := col.Len()
-		local := make(map[string]int, n)
-		var buf []byte
-		for i := 0; i < n; i++ {
-			if col.IsNull(i) {
-				continue
-			}
-			buf = encodeElem(buf[:0], col, i)
-			local[string(buf)]++
-		}
-		partCounts[p] = local
-	})
-	counts := partCounts[0]
-	if nParts > 1 {
-		counts = make(map[string]int)
-		for _, local := range partCounts {
-			for k, c := range local {
-				counts[k] += c
-			}
-		}
-	}
-	out := make([]Result, nParts)
-	forEachPartition(nParts, workers, func(p int) {
-		col := table.Partition(p).Column(colIdx)
-		n := col.Len()
-		var patches []uint64
-		var buf []byte
-		for i := 0; i < n; i++ {
-			if col.IsNull(i) {
-				patches = append(patches, uint64(i))
-				continue
-			}
-			buf = encodeElem(buf[:0], col, i)
-			if counts[string(buf)] > 1 {
-				patches = append(patches, uint64(i))
-			}
-		}
-		out[p] = Result{Patches: patches, NumRows: n}
-	})
-	return out
 }
 
 // NUCDiscoverySQL returns the SQL-level discovery query of Section IV for a

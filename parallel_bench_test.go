@@ -3,12 +3,12 @@
 //
 //	go test -bench 'BenchmarkParallel' -cpu 1,4,8 .
 //
-// Each benchmark fixes the requested degree at the partition count; the
+// The query benchmarks fix the requested degree at the partition count; the
 // exchange bounds its actual worker pool at GOMAXPROCS, so the -cpu sweep is
 // what varies the real parallelism. The serial sub-benchmarks pin
 // Parallelism=1 as the baseline the speedup is computed against (see
 // EXPERIMENTS.md; cmd/patchbench -exp parallel emits the same comparison as
-// JSON).
+// JSON). BenchmarkParallelDiscovery names its worker counts itself.
 package patchindex
 
 import (
@@ -77,35 +77,36 @@ func BenchmarkParallelAgg(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelDiscovery measures CREATE PATCHINDEX end to end: per-
-// partition discovery plus patch-set construction, serial vs. worker pool.
+// BenchmarkParallelDiscovery measures discovery.BuildIndex (discovery plus
+// patch-set construction) at 200 k and 1 M rows with 1 and 2 workers, and
+// reports the cost per row: flat across the two sizes means the build stays
+// linear once its hash table has outgrown the cache.
 func BenchmarkParallelDiscovery(b *testing.B) {
-	e := benchParallelEngine(b)
-	tab, err := e.Catalog().Table("data")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range []struct {
-		name       string
-		constraint patch.Constraint
-		column     string
-	}{
-		{"nuc", patch.NearlyUnique, "u"},
-		{"nsc", patch.NearlySorted, "s"},
-	} {
-		for _, par := range []struct {
-			name    string
-			workers int
-		}{{"serial", 1}, {"parallel", benchPartitions}} {
-			b.Run(c.name+"/"+par.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := discovery.BuildIndex(tab, c.column, c.constraint, discovery.BuildOptions{
-						Kind: patch.Auto, Threshold: 1.0, Parallelism: par.workers,
-					}); err != nil {
-						b.Fatal(err)
+	for _, rows := range []int{200_000, 1_000_000} {
+		tab, err := datagen.LoadCustom("data", rows, benchPartitions, 0.05, 0.05, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range []struct {
+			name       string
+			constraint patch.Constraint
+			column     string
+		}{
+			{"nuc", patch.NearlyUnique, "u"},
+			{"nsc", patch.NearlySorted, "s"},
+		} {
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/rows=%d/workers=%d", c.name, rows, workers), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, err := discovery.BuildIndex(tab, c.column, c.constraint, discovery.BuildOptions{
+							Kind: patch.Auto, Threshold: 1.0, Parallelism: workers,
+						}); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-			})
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+				})
+			}
 		}
 	}
 }
