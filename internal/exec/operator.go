@@ -162,9 +162,7 @@ func materialize(op Operator, types []vector.Type) ([]*vector.Vector, int, error
 		}
 		bl := b.Len()
 		for c := range cols {
-			for i := 0; i < bl; i++ {
-				cols[c].Append(b.Vecs[c], i)
-			}
+			cols[c].AppendRange(b.Vecs[c], 0, bl)
 		}
 		n += bl
 	}

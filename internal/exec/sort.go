@@ -176,9 +176,7 @@ func (s *Sort) openSpilling(ctx context.Context) error {
 		}
 		bl := b.Len()
 		for c := range acc {
-			for i := 0; i < bl; i++ {
-				acc[c].Append(b.Vecs[c], i)
-			}
+			acc[c].AppendRange(b.Vecs[c], 0, bl)
 			accBytes += b.Vecs[c].ByteSize() // upper bound; re-priced per run
 		}
 		s.sortedRows += int64(bl)
@@ -212,26 +210,32 @@ func (s *Sort) openSpilling(ctx context.Context) error {
 	return nil
 }
 
-// sortPermutation returns the row permutation ordering cols under keys,
-// using the fast path for a single non-null integer key.
+// sortPermutation returns the row permutation ordering cols under keys. A
+// single non-NULL Int64/Date key sorts (key, row) pairs with no comparator
+// closure; every other key shape sorts row indices through compareRows. Both
+// run the same quicksort and so return the same permutation.
 func sortPermutation(cols []*vector.Vector, n int, keys []SortKey) []int {
 	idx := make([]int, n)
+	if key := cols[keys[0].Col]; len(keys) == 1 &&
+		(key.Typ == vector.Int64 || key.Typ == vector.Date) && !key.HasNulls() {
+		var flip int64 // ^key orders descending keys ascending
+		if keys[0].Desc {
+			flip = ^0
+		}
+		kr := make([]keyRow, n)
+		for i := range kr {
+			kr[i] = keyRow{key: key.I64[i] ^ flip, row: i}
+		}
+		quicksortKeyRows(kr)
+		for i := range kr {
+			idx[i] = kr[i].row
+		}
+		return idx
+	}
 	for i := range idx {
 		idx[i] = i
 	}
-	if key := cols[keys[0].Col]; len(keys) == 1 &&
-		(key.Typ == vector.Int64 || key.Typ == vector.Date) && !key.HasNulls() {
-		// Single non-null integer key: sort without interface dispatch.
-		vals := key.I64
-		if keys[0].Desc {
-			quicksort(idx, func(a, b int) bool { return vals[a] > vals[b] })
-		} else {
-			quicksort(idx, func(a, b int) bool { return vals[a] < vals[b] })
-		}
-	} else {
-		less := func(a, b int) bool { return compareRows(cols, keys, a, b) < 0 }
-		quicksort(idx, less)
-	}
+	quicksort(idx, func(a, b int) bool { return compareRows(cols, keys, a, b) < 0 })
 	return idx
 }
 
@@ -401,5 +405,99 @@ func heapsortRange(idx []int, lo, hi int, less func(a, b int) bool) {
 	for i := n - 1; i > 0; i-- {
 		idx[lo], idx[lo+i] = idx[lo+i], idx[lo]
 		sift(0, i)
+	}
+}
+
+// keyRow is one row of a single-integer-key sort: its key and position.
+type keyRow struct {
+	key int64
+	row int
+}
+
+// quicksortKeyRows is quicksort specialised to keyRow by ascending key: the
+// same pivots, partitioning, insertion-sort cutoff and heapsort guard, with
+// the key compare inlined, so it permutes rows exactly as quicksort does
+// under the equivalent comparator.
+func quicksortKeyRows(kr []keyRow) {
+	quicksortKeyRowsRange(kr, 0, len(kr), maxDepth(len(kr)))
+}
+
+func quicksortKeyRowsRange(kr []keyRow, lo, hi, depth int) {
+	for hi-lo > 16 {
+		if depth == 0 {
+			heapsortKeyRows(kr[lo:hi])
+			return
+		}
+		depth--
+		p := partitionKeyRows(kr, lo, hi)
+		if p-lo < hi-p-1 {
+			quicksortKeyRowsRange(kr, lo, p, depth)
+			lo = p + 1
+		} else {
+			quicksortKeyRowsRange(kr, p+1, hi, depth)
+			hi = p
+		}
+	}
+	for i := lo + 1; i < hi; i++ {
+		for j := i; j > lo && kr[j].key < kr[j-1].key; j-- {
+			kr[j], kr[j-1] = kr[j-1], kr[j]
+		}
+	}
+}
+
+func partitionKeyRows(kr []keyRow, lo, hi int) int {
+	mid := lo + (hi-lo)/2
+	last := hi - 1
+	if kr[mid].key < kr[lo].key {
+		kr[mid], kr[lo] = kr[lo], kr[mid]
+	}
+	if kr[last].key < kr[lo].key {
+		kr[last], kr[lo] = kr[lo], kr[last]
+	}
+	if kr[last].key < kr[mid].key {
+		kr[last], kr[mid] = kr[mid], kr[last]
+	}
+	kr[mid], kr[last-1] = kr[last-1], kr[mid]
+	pivot := kr[last-1].key
+	i := lo
+	j := last - 1
+	for {
+		for i++; kr[i].key < pivot; i++ {
+		}
+		for j--; pivot < kr[j].key; j-- {
+		}
+		if i >= j {
+			break
+		}
+		kr[i], kr[j] = kr[j], kr[i]
+	}
+	kr[i], kr[last-1] = kr[last-1], kr[i]
+	return i
+}
+
+func heapsortKeyRows(kr []keyRow) {
+	for i := len(kr)/2 - 1; i >= 0; i-- {
+		siftKeyRows(kr, i, len(kr))
+	}
+	for i := len(kr) - 1; i > 0; i-- {
+		kr[0], kr[i] = kr[i], kr[0]
+		siftKeyRows(kr, 0, i)
+	}
+}
+
+func siftKeyRows(kr []keyRow, root, n int) {
+	for {
+		child := 2*root + 1
+		if child >= n {
+			return
+		}
+		if child+1 < n && kr[child].key < kr[child+1].key {
+			child++
+		}
+		if !(kr[root].key < kr[child].key) {
+			return
+		}
+		kr[root], kr[child] = kr[child], kr[root]
+		root = child
 	}
 }

@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -218,5 +220,79 @@ func TestSortFloatAndStringKeys(t *testing.T) {
 	}
 	if rows[0][0].Str != "apple" || rows[2][0].Str != "pear" {
 		t.Errorf("string sort = %v", rows)
+	}
+}
+
+// nullMaskBatches returns three (key, payload) batches: one with no NULL
+// mask, one with NULLs in both columns, one with a mask but no NULL.
+func nullMaskBatches() []*vector.Batch {
+	types := []vector.Type{vector.Int64, vector.String}
+	plain := vector.NewBatch(types)
+	plain.Vecs[0].AppendInt64(5)
+	plain.Vecs[1].AppendString("e")
+	plain.Vecs[0].AppendInt64(3)
+	plain.Vecs[1].AppendString("c")
+	nulls := vector.NewBatch(types)
+	nulls.Vecs[0].AppendNull()
+	nulls.Vecs[1].AppendString("n")
+	nulls.Vecs[0].AppendInt64(4)
+	nulls.Vecs[1].AppendNull()
+	masked := vector.NewBatch(types)
+	masked.Vecs[0].AppendInt64(1)
+	masked.Vecs[1].AppendString("a")
+	for _, v := range masked.Vecs {
+		v.Nulls = make([]bool, v.Len())
+	}
+	return []*vector.Batch{plain, nulls, masked}
+}
+
+// nullMaskSorted is nullMaskBatches sorted on the key, as "key|payload".
+var nullMaskSorted = []string{"NULL|n", "1|a", "3|c", "4|NULL", "5|e"}
+
+// TestMaterializeNullMask: the bulk copy keeps every NULL and invents none,
+// whichever batches carry a mask.
+func TestMaterializeNullMask(t *testing.T) {
+	batches := nullMaskBatches()
+	op := newMemOp(batches[0].Types(), batches...)
+	if err := op.Open(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	cols, n, err := materialize(op, op.Types())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantNull := [][]bool{{false, false, true, false, false}, {false, false, false, true, false}}
+	if n != 5 {
+		t.Fatalf("materialized %d rows, want 5", n)
+	}
+	for c, col := range cols {
+		for i := 0; i < n; i++ {
+			if col.IsNull(i) != wantNull[c][i] {
+				t.Errorf("column %d row %d: null=%v", c, i, col.IsNull(i))
+			}
+		}
+	}
+	if cols[0].I64[4] != 1 || cols[1].Str[0] != "e" {
+		t.Errorf("values: %v %v", cols[0].I64, cols[1].Str)
+	}
+}
+
+// TestSortSpillAccumulatorNullMask: the spilling sort's accumulator keeps
+// NULLs across batches with and without masks, whether the input stays in
+// one run or spills to several.
+func TestSortSpillAccumulatorNullMask(t *testing.T) {
+	for _, limit := range []int64{1 << 20, 1} {
+		batches := nullMaskBatches()
+		s, err := NewSort(newMemOp(batches[0].Types(), batches...), []SortKey{{Col: 0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetSpill(SpillConfig{Dir: t.TempDir(), Limit: limit})
+		if got := collectRows(t, s); !reflect.DeepEqual(got, nullMaskSorted) {
+			t.Errorf("limit %d: got %v, want %v", limit, got, nullMaskSorted)
+		}
+		if limit == 1 && s.spilledRuns != 3 {
+			t.Errorf("limit 1: %d spilled runs, want 3", s.spilledRuns)
+		}
 	}
 }

@@ -131,98 +131,42 @@ func (r *spillRun) close() {
 	}
 }
 
-// runCursor is one sorted run's read position during the external merge.
-type runCursor struct {
-	run  *spillRun
-	cols []*vector.Vector // current frame
-	pos  int
-}
-
-// advance moves to the next row, refilling the frame as needed. Returns
-// false at end of run.
-func (c *runCursor) advance() (bool, error) {
-	c.pos++
-	if c.cols != nil && c.pos < c.cols[0].Len() {
-		return true, nil
-	}
-	cols, err := c.run.next()
-	if err != nil {
-		return false, err
-	}
-	if cols == nil {
-		c.cols = nil
-		return false, nil
-	}
-	c.cols, c.pos = cols, 0
-	return true, nil
-}
-
-// runMerger k-way merges sorted runs, emitting batches in key order.
+// runMerger k-way merges sorted spilled runs through the merge kernel
+// MergeUnion uses, so each run of rows is copied with one AppendRange.
 type runMerger struct {
-	cursors []*runCursor
-	keys    []SortKey
-	types   []vector.Type
-	out     *vector.Batch
+	*merger
+	runs []*spillRun
 }
 
 func newRunMerger(runs []*spillRun, keys []SortKey, types []vector.Type) (*runMerger, error) {
-	m := &runMerger{keys: keys, types: types, out: vector.NewBatch(types)}
-	for _, r := range runs {
-		c := &runCursor{run: r, pos: -1}
-		ok, err := c.advance()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			m.cursors = append(m.cursors, c)
-		} else {
-			r.close()
-		}
+	pulls := make([]func() ([]*vector.Vector, error), len(runs))
+	for i, r := range runs {
+		pulls[i] = pullRun(r)
 	}
-	return m, nil
+	m, err := newMerger(keys, types, pulls)
+	if err != nil {
+		return nil, err
+	}
+	return &runMerger{merger: m, runs: runs}, nil
 }
 
-// next emits the next merged batch, or nil when every run is drained. With
-// the run count bounded by workingset/limit a linear scan over cursors beats
-// heap bookkeeping for realistic run counts.
-func (m *runMerger) next() (*vector.Batch, error) {
-	if len(m.cursors) == 0 {
-		return nil, nil
+// pullRun adapts a spilled run to the merger's input, closing the run as
+// soon as it is drained.
+func pullRun(r *spillRun) func() ([]*vector.Vector, error) {
+	return func() ([]*vector.Vector, error) {
+		cols, err := r.next()
+		if cols == nil && err == nil {
+			r.close()
+		}
+		return cols, err
 	}
-	m.out.Reset()
-	for m.out.Len() < vector.BatchSize && len(m.cursors) > 0 {
-		best := 0
-		for i := 1; i < len(m.cursors); i++ {
-			a, b := m.cursors[i], m.cursors[best]
-			if compareRowsAcross(a.cols, a.pos, b.cols, b.pos, m.keys) < 0 {
-				best = i
-			}
-		}
-		c := m.cursors[best]
-		for col, v := range m.out.Vecs {
-			v.Append(c.cols[col], c.pos)
-		}
-		ok, err := c.advance()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			c.run.close()
-			m.cursors = append(m.cursors[:best], m.cursors[best+1:]...)
-		}
-	}
-	if m.out.Len() == 0 {
-		return nil, nil
-	}
-	return m.out, nil
 }
 
 // close releases any runs not yet drained.
 func (m *runMerger) close() {
-	for _, c := range m.cursors {
-		c.run.close()
+	for _, r := range m.runs {
+		r.close()
 	}
-	m.cursors = nil
 }
 
 // spillHash buckets row i of key vector v into one of n Grace partitions.

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"patchindex/internal/vector"
@@ -158,5 +159,29 @@ func TestLimitOperator(t *testing.T) {
 	rows, err = Collect(l0)
 	if err != nil || len(rows) != 0 {
 		t.Errorf("limit 0 = %v, %v", rows, err)
+	}
+}
+
+// TestUnionTimesOpen: a Sort child does all its work in Open, so a Union
+// that timed only Next would report less time than its own child.
+func TestUnionTimesOpen(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	vals := make([]int64, 200_000)
+	for i := range vals {
+		vals[i] = rng.Int63()
+	}
+	srt, err := NewSort(newMemOp([]vector.Type{vector.Int64}, intBatch(vals...)), []SortKey{{Col: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := NewUnion(srt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Drain(u); err != nil {
+		t.Fatal(err)
+	}
+	if un, sn := u.Stats().Nanos, srt.Stats().Nanos; un < sn {
+		t.Errorf("union reports %d ns, its sort child %d ns", un, sn)
 	}
 }

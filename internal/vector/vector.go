@@ -398,10 +398,39 @@ func (v *Vector) SliceInto(out *Vector, lo, hi int) {
 	}
 }
 
-// Gather appends the rows of src selected by idx onto v.
+// Gather appends the rows of src (same type) selected by idx onto v. As with
+// AppendRange, the typed slot of a NULL row keeps src's value.
 func (v *Vector) Gather(src *Vector, idx []int) {
-	for _, i := range idx {
-		v.Append(src, i)
+	switch v.Typ {
+	case Int64, Date:
+		for _, i := range idx {
+			v.I64 = append(v.I64, src.I64[i])
+		}
+	case Float64:
+		for _, i := range idx {
+			v.F64 = append(v.F64, src.F64[i])
+		}
+	case String:
+		for _, i := range idx {
+			v.Str = append(v.Str, src.Str[i])
+		}
+	case Bool:
+		for _, i := range idx {
+			v.B = append(v.B, src.B[i])
+		}
+	}
+	v.n += len(idx)
+	switch {
+	case src.Nulls == nil && v.Nulls == nil:
+	case src.Nulls == nil:
+		for range idx {
+			v.Nulls = append(v.Nulls, false)
+		}
+	default:
+		v.ensureNullsUpTo(v.n - len(idx))
+		for _, i := range idx {
+			v.Nulls = append(v.Nulls, src.Nulls[i])
+		}
 	}
 }
 

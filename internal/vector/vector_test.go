@@ -363,3 +363,36 @@ func TestGatherRandom(t *testing.T) {
 		}
 	}
 }
+
+// TestGatherNullMask: the typed gather keeps NULLs whether the source,
+// the destination, both or neither carry a mask.
+func TestGatherNullMask(t *testing.T) {
+	withNull := New(Int64, 0)
+	withNull.AppendInt64(10)
+	withNull.AppendNull()
+	withNull.AppendInt64(30)
+	noMask := New(Int64, 0)
+	noMask.AppendInt64(7)
+	noMask.AppendInt64(8)
+
+	dst := New(Int64, 0)
+	dst.Gather(noMask, []int{1, 0})
+	if dst.Nulls != nil {
+		t.Errorf("mask invented from mask-free source: %v", dst.Nulls)
+	}
+	dst.Gather(withNull, []int{2, 1, 0})
+	dst.Gather(noMask, []int{0})
+	wantVals := []int64{8, 7, 30, 0, 10, 7}
+	wantNull := []bool{false, false, false, true, false, false}
+	if dst.Len() != len(wantVals) || len(dst.Nulls) != dst.Len() {
+		t.Fatalf("len %d, mask len %d", dst.Len(), len(dst.Nulls))
+	}
+	for i := range wantVals {
+		if dst.IsNull(i) != wantNull[i] {
+			t.Errorf("row %d: null=%v", i, dst.IsNull(i))
+		}
+		if !wantNull[i] && dst.I64[i] != wantVals[i] {
+			t.Errorf("row %d: %d, want %d", i, dst.I64[i], wantVals[i])
+		}
+	}
+}
