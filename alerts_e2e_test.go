@@ -150,12 +150,14 @@ func TestAlertDriftFiresAndResolvesE2E(t *testing.T) {
 		t.Fatalf("zone staleness after rebuild = %+v, want 0", p)
 	}
 
-	// \alerts (the patchcli rendering) tells the same story as text.
+	// \alerts (the alerts surface's views) tells the same story as text.
 	var sb strings.Builder
-	obs.WriteAlertsText(&sb, m.Alerter().Alerts(), m.Alerter().History(20))
+	if err := WriteViews(&sb, SurfaceViews("alerts"), e.Exec); err != nil {
+		t.Fatal(err)
+	}
 	text := sb.String()
 	if !strings.Contains(text, "patch_ratio_drift") || !strings.Contains(text, "tuner_rebuild") {
-		t.Fatalf("WriteAlertsText output missing alert lines:\n%s", text)
+		t.Fatalf("alerts views missing alert lines:\n%s", text)
 	}
 }
 

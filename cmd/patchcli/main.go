@@ -1,6 +1,6 @@
-// Command patchcli is an interactive SQL shell for the patchindex engine.
-// It can pre-load the demo datasets so PatchIndex behaviour is explorable
-// interactively:
+// Command patchcli is an interactive SQL shell for the patchindex engine,
+// embedded or against a patchserver. It can pre-load the demo datasets so
+// PatchIndex behaviour is explorable interactively:
 //
 //	patchcli                       # empty engine
 //	patchcli -demo tpcds           # customer, catalog_sales, date_dim
@@ -11,16 +11,17 @@
 //	patchcli -connect host:5433    # remote shell against a patchserver
 //	patchcli -connect host:5433 -tenant dash   # ... as QoS tenant "dash"
 //
-// Inside the shell, statements end with ';', \stats prints the engine
-// metrics registry, \trace on|off toggles per-statement tracing (the trace
-// id is printed after each result), \queries lists the recent query history
-// from the tracer's ring, \workload prints the workload observatory report
-// (enable with -workload or \workload on), \indexes prints per-index
-// health with benefit attribution, \tune [on|off|now|rollback] controls
-// the background self-tuner (enable at startup with -tune), and
-// \alerts [on|off] prints the health watchdog's alert standings (on/off
-// starts or stops its sampler; SHOW ALERTS and SHOW TIMESERIES FOR <metric>
-// work as SQL too). Try:
+// Inside the shell, statements end with ';'. Backslash commands print the
+// engine's SHOW views, the same in both modes and the same as the server's
+// HTTP ?format=text: \stats (metrics), \queries (recent query history),
+// \workload (the workload observatory), \indexes (per-index health and
+// benefit attribution), \tune (the self-tuner) and \alerts (the health
+// watchdog). \trace on|off toggles per-statement tracing (the trace id is
+// printed after each result), \tune on|off|now|rollback controls the tuner,
+// and \set KEY VALUE adjusts remote session settings (timeout_ms, max_rows,
+// disable_rewrites, parallelism, tenant). \workload on|off and \alerts
+// on|off switch the profiler and the watchdog's sampler of an embedded
+// engine; a server sets those with its -workload and -monitor flags. Try:
 //
 //	SHOW TABLES;
 //	CREATE PATCHINDEX ON customer(c_email_address) UNIQUE THRESHOLD 0.1;
@@ -31,17 +32,19 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	"patchindex"
 	"patchindex/internal/datagen"
-	"patchindex/internal/obs"
 	"patchindex/internal/server"
 	"patchindex/internal/tuning"
+	"patchindex/internal/vector"
 )
 
 func main() {
@@ -64,412 +67,148 @@ func main() {
 	tenant := flag.String("tenant", "", "QoS tenant for the remote session (with -connect; also `\\set tenant ID` at runtime)")
 	flag.Parse()
 
+	var r runner
+	banner := "patchindex shell"
 	if *connect != "" {
-		if err := remoteShell(*connect, *tenant, *execStmt); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	eng, err := patchindex.New(patchindex.Config{
-		DefaultPartitions:    *partitions,
-		Parallel:             *parallel,
-		Parallelism:          *parallelism,
-		WALPath:              *walPath,
-		IndexDir:             *indexDir,
-		SlowQueryThreshold:   time.Duration(*slowMS) * time.Millisecond,
-		WorkloadProfile:      *workload,
-		WorkloadFingerprints: *workloadFPs,
-		AutoTune:             *tune,
-		Tuning:               tuning.Config{Interval: time.Duration(*tuneIntervalMS) * time.Millisecond},
-	})
-	if err != nil {
-		fatal(err)
-	}
-	defer eng.Close()
-
-	switch *demo {
-	case "":
-	case "tpcds":
-		cfg := datagen.TPCDSConfig{
-			CustomerRows: *rows / 8,
-			SalesRows:    *rows,
-			Partitions:   *partitions,
-			Seed:         1,
-		}
-		fmt.Fprintf(os.Stderr, "loading tpcds-lite (customer=%d, catalog_sales=%d, date_dim=%d)...\n",
-			cfg.CustomerRows, cfg.SalesRows, datagen.DateDimRows)
-		cust, err := datagen.GenCustomer(cfg)
+		cli, err := server.Dial(*connect)
 		if err != nil {
 			fatal(err)
 		}
-		if err := eng.Catalog().AddTable(cust); err != nil {
-			fatal(err)
+		defer cli.Close()
+		if *tenant != "" {
+			if err := cli.SetTenant(*tenant); err != nil {
+				fatal(err)
+			}
 		}
-		sales, err := datagen.GenCatalogSales(cfg)
+		r = remote{cli}
+		banner = fmt.Sprintf("patchindex shell — connected to %s (session %d)", *connect, cli.SessionID())
+	} else {
+		eng, err := patchindex.New(patchindex.Config{
+			DefaultPartitions:    *partitions,
+			Parallel:             *parallel,
+			Parallelism:          *parallelism,
+			WALPath:              *walPath,
+			IndexDir:             *indexDir,
+			SlowQueryThreshold:   time.Duration(*slowMS) * time.Millisecond,
+			WorkloadProfile:      *workload,
+			WorkloadFingerprints: *workloadFPs,
+			AutoTune:             *tune,
+			Tuning:               tuning.Config{Interval: time.Duration(*tuneIntervalMS) * time.Millisecond},
+		})
 		if err != nil {
 			fatal(err)
 		}
-		if err := eng.Catalog().AddTable(sales); err != nil {
+		defer eng.Close()
+		if err := datagen.LoadDemo(eng.Catalog().AddTable, os.Stderr, *demo, *rows, *partitions, *uniqueRate, *sortedRate); err != nil {
 			fatal(err)
 		}
-		dates, err := datagen.GenDateDim()
-		if err != nil {
-			fatal(err)
+		if *walPath != "" && *demo != "" {
+			if err := eng.Recover(); err != nil {
+				fmt.Fprintf(os.Stderr, "warning: WAL recovery failed: %v\n", err)
+			}
 		}
-		if err := eng.Catalog().AddTable(dates); err != nil {
-			fatal(err)
-		}
-	case "custom":
-		fmt.Fprintf(os.Stderr, "loading custom table data(u,s,payload) with %d rows...\n", *rows)
-		t, err := datagen.LoadCustom("data", *rows, *partitions, *uniqueRate, *sortedRate, 1)
-		if err != nil {
-			fatal(err)
-		}
-		if err := eng.Catalog().AddTable(t); err != nil {
-			fatal(err)
-		}
-	default:
-		fatal(fmt.Errorf("unknown demo %q (tpcds, custom)", *demo))
-	}
-
-	if *walPath != "" && *demo != "" {
-		if err := eng.Recover(); err != nil {
-			fmt.Fprintf(os.Stderr, "warning: WAL recovery failed: %v\n", err)
-		}
+		r = local{eng}
 	}
 
 	if *execStmt != "" {
-		if err := runStatement(eng, *execStmt, false); err != nil {
+		if err := runStatement(os.Stdout, r, *execStmt, false); err != nil {
 			fatal(err)
 		}
-		if flag.Arg(0) == "stats" {
-			eng.Metrics().WriteText(os.Stdout)
+	}
+	// A trailing `stats` argument dumps the embedded engine's registry in
+	// Prometheus text — after -e, or after -demo loading to see index build
+	// timings.
+	if l, ok := r.(local); ok && flag.Arg(0) == "stats" {
+		l.eng.Metrics().WriteText(os.Stdout)
+		return
+	}
+	if *execStmt != "" {
+		return
+	}
+
+	fmt.Println(banner + ` — statements end with ';', \q quits; \stats, \queries, \workload [on|off], \indexes, \tune [on|off|now|rollback], \alerts [on|off], \trace on|off, \set KEY VALUE`)
+	repl(os.Stdin, os.Stdout, os.Stderr, r)
+}
+
+// runner executes statements for the shell: the embedded engine or a
+// patchserver connection.
+type runner interface {
+	// exec runs one statement; trace asks for a span trace.
+	exec(sql string, trace bool) (*patchindex.Result, error)
+	// set adjusts a session setting.
+	set(key, value string) error
+	// engine is the embedded engine, nil when connected to a server.
+	engine() *patchindex.Engine
+}
+
+type local struct{ eng *patchindex.Engine }
+
+func (l local) exec(sql string, trace bool) (*patchindex.Result, error) {
+	return l.eng.ExecWith(sql, patchindex.ExecOptions{Trace: trace})
+}
+
+func (local) set(string, string) error {
+	return errors.New(`\set adjusts server session settings; use -connect`)
+}
+
+func (l local) engine() *patchindex.Engine { return l.eng }
+
+type remote struct{ cli *server.Client }
+
+// exec runs the statement on the server and rebuilds the result from its
+// rendered cells, so the shell prints it like a local one. A max_rows clip
+// is noted in Message, which the shell prints under the table.
+func (r remote) exec(sql string, trace bool) (*patchindex.Result, error) {
+	r.cli.Trace(trace)
+	cr, err := r.cli.Query(sql)
+	if err != nil {
+		return nil, err
+	}
+	res := &patchindex.Result{Columns: cr.Columns, Message: cr.Message, Duration: cr.Duration, TraceID: cr.TraceID}
+	for _, row := range cr.Rows {
+		vals := make([]vector.Value, len(row))
+		for i, cell := range row {
+			vals[i] = vector.StringValue(cell)
 		}
-		return
+		res.Rows = append(res.Rows, vals)
 	}
-
-	// `patchcli stats` without -e: run nothing, dump the (empty) registry —
-	// mostly useful after -demo loading to see index build timings.
-	if flag.Arg(0) == "stats" {
-		eng.Metrics().WriteText(os.Stdout)
-		return
+	if cr.Truncated {
+		res.Message = "(truncated by max_rows)"
 	}
+	return res, nil
+}
 
-	fmt.Println("patchindex shell — statements end with ';', \\q quits, \\stats prints metrics, \\trace on|off, \\queries, \\workload [on|off], \\indexes, \\tune [on|off|now|rollback], \\alerts [on|off]")
-	scanner := bufio.NewScanner(os.Stdin)
+func (r remote) set(key, value string) error { return r.cli.Set(map[string]string{key: value}) }
+
+func (remote) engine() *patchindex.Engine { return nil }
+
+// repl reads statements and backslash commands from in until EOF or \q.
+// Statements end with ';' and may span lines; a backslash command is only
+// recognized on a line of its own outside a statement. Output goes to out,
+// errors to errOut.
+func repl(in io.Reader, out, errOut io.Writer, r runner) {
+	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
-	traceOn := false
+	trace := false
 	prompt := "sql> "
 	for {
-		fmt.Print(prompt)
+		fmt.Fprint(out, prompt)
 		if !scanner.Scan() {
-			break
+			return
 		}
 		line := scanner.Text()
 		trimmed := strings.TrimSpace(line)
-		if buf.Len() == 0 && (trimmed == "\\q" || trimmed == "quit" || trimmed == "exit") {
-			break
-		}
-		if buf.Len() == 0 && trimmed == "\\stats" {
-			eng.Metrics().WriteText(os.Stdout)
-			continue
-		}
-		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\trace") {
-			if on, err := parseTraceArg(trimmed); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			} else {
-				traceOn = on
-				fmt.Printf("tracing %s\n", onOff(traceOn))
+		if buf.Len() == 0 {
+			if trimmed == `\q` || trimmed == "quit" || trimmed == "exit" {
+				return
 			}
-			continue
-		}
-		if buf.Len() == 0 && trimmed == "\\queries" {
-			printQueries(eng.Tracer().Recent(20))
-			continue
-		}
-		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\workload") {
-			switch strings.TrimSpace(strings.TrimPrefix(trimmed, "\\workload")) {
-			case "on":
-				eng.Profiler().SetEnabled(true)
-				fmt.Println("workload profiling on")
-			case "off":
-				eng.Profiler().SetEnabled(false)
-				fmt.Println("workload profiling off")
-			case "":
-				obs.WriteWorkloadText(os.Stdout, eng.Profiler().Snapshot(), 20)
-			default:
-				fmt.Fprintln(os.Stderr, "usage: \\workload [on|off]")
-			}
-			continue
-		}
-		if buf.Len() == 0 && trimmed == "\\indexes" {
-			printIndexes(eng)
-			continue
-		}
-		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\tune") {
-			if err := runTuneCommand(eng, strings.TrimSpace(strings.TrimPrefix(trimmed, "\\tune"))); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-			continue
-		}
-		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\alerts") {
-			switch strings.TrimSpace(strings.TrimPrefix(trimmed, "\\alerts")) {
-			case "on":
-				eng.Monitor().Start()
-				fmt.Println("health watchdog on")
-			case "off":
-				eng.Monitor().Stop()
-				fmt.Println("health watchdog off")
-			case "":
-				a := eng.Monitor().Alerter()
-				obs.WriteAlertsText(os.Stdout, a.Alerts(), a.History(20))
-			default:
-				fmt.Fprintln(os.Stderr, "usage: \\alerts [on|off]")
-			}
-			continue
-		}
-		buf.WriteString(line)
-		buf.WriteByte('\n')
-		if strings.HasSuffix(trimmed, ";") {
-			stmt := buf.String()
-			buf.Reset()
-			prompt = "sql> "
-			if err := runStatement(eng, stmt, traceOn); err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			}
-		} else if buf.Len() > 0 {
-			prompt = "...> "
-		}
-	}
-}
-
-// parseTraceArg parses "\trace on" / "\trace off".
-func parseTraceArg(cmd string) (bool, error) {
-	fields := strings.Fields(cmd)
-	if len(fields) != 2 || (fields[1] != "on" && fields[1] != "off") {
-		return false, fmt.Errorf("usage: \\trace on|off")
-	}
-	return fields[1] == "on", nil
-}
-
-func onOff(b bool) string {
-	if b {
-		return "on"
-	}
-	return "off"
-}
-
-// printQueries renders the local engine's recent query history.
-func printQueries(traces []*obs.Trace) {
-	if len(traces) == 0 {
-		fmt.Println("no completed queries recorded (enable with \\trace on or -trace-sample)")
-		return
-	}
-	fmt.Printf("%-8s  %-7s  %-12s  %8s  %10s  %s\n", "trace_id", "sampled", "duration", "rows", "patch_hits", "sql")
-	for _, t := range traces {
-		sqlText := strings.Join(strings.Fields(t.SQL), " ")
-		if len(sqlText) > 60 {
-			sqlText = sqlText[:60] + "..."
-		}
-		if t.Error != "" {
-			sqlText += " [error: " + t.Error + "]"
-		}
-		fmt.Printf("%-8d  %-7t  %-12s  %8d  %10d  %s\n",
-			t.ID, t.Sampled, t.Duration.Round(time.Microsecond), t.Rows, t.PatchHits, sqlText)
-	}
-}
-
-// printIndexes renders the local engine's per-index health with workload
-// benefit attribution (the embedded counterpart of the server's \indexes).
-func printIndexes(eng *patchindex.Engine) {
-	p := eng.Profiler()
-	tick := p.Tick()
-	health := eng.IndexHealth()
-	fmt.Printf("indexes: %d tick=%d\n", len(health), tick)
-	for _, h := range health {
-		fmt.Printf("  %s.%s %s kind=%s patches=%d rows=%d ratio=%.4f util=%.2f bytes=%d\n",
-			h.Table, h.Column, h.Constraint, h.Kinds, h.Patches, h.Rows,
-			h.PatchRatio, h.ThresholdUtilization, h.MemoryBytes)
-		if h.Rewrites > 0 || h.RowsSkipped > 0 || h.LastUsedTick > 0 {
-			fmt.Printf("    benefit: rewrites=%d rows_skipped=%.0f cost_saved=%.1f time_saved=%s last_used_tick=%d\n",
-				h.Rewrites, h.RowsSkipped, h.CostSaved,
-				time.Duration(h.TimeSavedNanos).Round(time.Microsecond), h.LastUsedTick)
-		}
-	}
-	benefits := p.Benefit().Snapshot(tick)
-	if len(benefits) > 0 {
-		fmt.Println("attribution:")
-		for _, b := range benefits {
-			name := b.Table + "[" + b.Constraint + "]"
-			if b.Column != "" {
-				name = b.Table + "." + b.Column + "[" + b.Constraint + "]"
-			}
-			fmt.Printf("  %s rewrites=%d rows_skipped=%.0f cost_saved=%.1f time_saved=%s last_used_tick=%d\n",
-				name, b.Rewrites, b.RowsSkipped, b.CostSaved,
-				time.Duration(b.TimeSavedNanos).Round(time.Microsecond), b.LastUsedTick)
-		}
-	}
-}
-
-// runTuneCommand drives the local engine's self-tuner: bare \tune prints
-// SHOW TUNER, the arguments map onto ALTER TUNER statements.
-func runTuneCommand(eng *patchindex.Engine, arg string) error {
-	stmt := ""
-	switch arg {
-	case "":
-		stmt = "SHOW TUNER"
-	case "on":
-		stmt = "ALTER TUNER START"
-	case "off":
-		stmt = "ALTER TUNER STOP"
-	case "now":
-		stmt = "ALTER TUNER NOW"
-	case "rollback":
-		stmt = "ALTER TUNER ROLLBACK"
-	default:
-		return fmt.Errorf("usage: \\tune [on|off|now|rollback]")
-	}
-	res, err := eng.Exec(stmt)
-	if err != nil {
-		return err
-	}
-	s := res.String()
-	fmt.Print(s)
-	if !strings.HasSuffix(s, "\n") {
-		fmt.Println()
-	}
-	return nil
-}
-
-// remoteShell runs the REPL (or a single -e statement) against a remote
-// patchserver. \stats fetches the server-side metrics registry; \set
-// KEY VALUE adjusts session settings (timeout_ms, max_rows,
-// disable_rewrites, tenant); \trace on|off requests a server-side trace for
-// every statement; \queries lists the server's recent query history. A
-// non-empty tenant moves the session to that QoS tenant before the first
-// statement.
-func remoteShell(addr, tenant, execStmt string) error {
-	cli, err := server.Dial(addr)
-	if err != nil {
-		return err
-	}
-	defer cli.Close()
-	if tenant != "" {
-		if err := cli.SetTenant(tenant); err != nil {
-			return err
-		}
-	}
-
-	if execStmt != "" {
-		return runRemote(cli, execStmt)
-	}
-
-	fmt.Printf("patchindex shell — connected to %s (session %d)\n", addr, cli.SessionID())
-	fmt.Println("statements end with ';', \\q quits, \\stats prints server metrics, \\set KEY VALUE adjusts settings (timeout_ms, max_rows, disable_rewrites, tenant), \\trace on|off, \\queries, \\workload, \\indexes, \\tune [on|off|now|rollback], \\alerts")
-	scanner := bufio.NewScanner(os.Stdin)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
-	var buf strings.Builder
-	prompt := "sql> "
-	for {
-		fmt.Print(prompt)
-		if !scanner.Scan() {
-			break
-		}
-		line := scanner.Text()
-		trimmed := strings.TrimSpace(line)
-		if buf.Len() == 0 && (trimmed == "\\q" || trimmed == "quit" || trimmed == "exit") {
-			break
-		}
-		if buf.Len() == 0 && trimmed == "\\stats" {
-			text, err := cli.Stats()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				continue
-			}
-			fmt.Print(text)
-			continue
-		}
-		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\set ") {
-			fields := strings.Fields(trimmed)
-			if len(fields) != 3 {
-				fmt.Fprintln(os.Stderr, "usage: \\set KEY VALUE")
-				continue
-			}
-			if err := cli.Set(map[string]string{fields[1]: fields[2]}); err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			}
-			continue
-		}
-		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\trace") {
-			if on, err := parseTraceArg(trimmed); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			} else {
-				cli.Trace(on)
-				fmt.Printf("tracing %s\n", onOff(on))
-			}
-			continue
-		}
-		if buf.Len() == 0 && trimmed == "\\queries" {
-			res, err := cli.Queries()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				continue
-			}
-			fmt.Print(res.String())
-			continue
-		}
-		if buf.Len() == 0 && trimmed == "\\workload" {
-			text, err := cli.Workload()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				continue
-			}
-			fmt.Print(text)
-			continue
-		}
-		if buf.Len() == 0 && trimmed == "\\indexes" {
-			text, err := cli.Indexes()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				continue
-			}
-			fmt.Print(text)
-			continue
-		}
-		if buf.Len() == 0 && trimmed == "\\alerts" {
-			text, err := cli.Alerts()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				continue
-			}
-			fmt.Print(text)
-			continue
-		}
-		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\tune") {
-			arg := strings.TrimSpace(strings.TrimPrefix(trimmed, "\\tune"))
-			if arg == "" {
-				text, err := cli.Tuner()
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "error: %v\n", err)
-					continue
+			if strings.HasPrefix(trimmed, `\`) {
+				if err := command(out, r, trimmed, &trace); err != nil {
+					fmt.Fprintf(errOut, "error: %v\n", err)
 				}
-				fmt.Print(text)
 				continue
 			}
-			stmt := map[string]string{
-				"on": "ALTER TUNER START", "off": "ALTER TUNER STOP",
-				"now": "ALTER TUNER NOW", "rollback": "ALTER TUNER ROLLBACK",
-			}[arg]
-			if stmt == "" {
-				fmt.Fprintln(os.Stderr, "usage: \\tune [on|off|now|rollback]")
-				continue
-			}
-			if err := runRemote(cli, stmt); err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			}
-			continue
 		}
 		buf.WriteString(line)
 		buf.WriteByte('\n')
@@ -477,49 +216,104 @@ func remoteShell(addr, tenant, execStmt string) error {
 			stmt := buf.String()
 			buf.Reset()
 			prompt = "sql> "
-			if err := runRemote(cli, stmt); err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
+			if err := runStatement(out, r, stmt, trace); err != nil {
+				fmt.Fprintf(errOut, "error: %v\n", err)
 			}
 		} else if buf.Len() > 0 {
 			prompt = "...> "
 		}
 	}
+}
+
+// tunerActions maps the \tune arguments to ALTER TUNER statements.
+var tunerActions = map[string]string{
+	"on": "ALTER TUNER START", "off": "ALTER TUNER STOP",
+	"now": "ALTER TUNER NOW", "rollback": "ALTER TUNER ROLLBACK",
+}
+
+// command runs one backslash command; trace is the shell's \trace state.
+// A bare \<surface> prints the surface's views (\tune prints tuner).
+func command(out io.Writer, r runner, line string, trace *bool) error {
+	args := strings.Fields(strings.TrimPrefix(line, `\`))
+	if len(args) == 0 {
+		return fmt.Errorf("unknown command %s", line)
+	}
+	name, args := args[0], args[1:]
+	switch {
+	case name == "trace":
+		if len(args) != 1 || (args[0] != "on" && args[0] != "off") {
+			return errors.New(`usage: \trace on|off`)
+		}
+		*trace = args[0] == "on"
+		fmt.Fprintf(out, "tracing %s\n", args[0])
+		return nil
+	case name == "set":
+		if len(args) != 2 {
+			return errors.New(`usage: \set KEY VALUE`)
+		}
+		return r.set(args[0], args[1])
+	case name == "tune" && len(args) == 1:
+		stmt, ok := tunerActions[args[0]]
+		if !ok {
+			return errors.New(`usage: \tune [on|off|now|rollback]`)
+		}
+		return runStatement(out, r, stmt, *trace)
+	case (name == "workload" || name == "alerts") && len(args) == 1:
+		return toggle(out, r.engine(), name, args[0])
+	case name == "tune":
+		name = "tuner"
+	}
+	views := patchindex.SurfaceViews(name)
+	if views == nil || len(args) > 0 {
+		return fmt.Errorf("unknown command %s", line)
+	}
+	return patchindex.WriteViews(out, views, func(sql string) (*patchindex.Result, error) {
+		return r.exec(sql, false)
+	})
+}
+
+// toggle runs \workload on|off and \alerts on|off, which switch an embedded
+// engine's profiler and watchdog sampler.
+func toggle(out io.Writer, eng *patchindex.Engine, name, arg string) error {
+	if arg != "on" && arg != "off" {
+		return fmt.Errorf(`usage: \%s [on|off]`, name)
+	}
+	if eng == nil {
+		return fmt.Errorf(`\%s %s: embedded mode only (start patchserver with -workload or -monitor)`, name, arg)
+	}
+	on := arg == "on"
+	if name == "workload" {
+		eng.Profiler().SetEnabled(on)
+		fmt.Fprintf(out, "workload profiling %s\n", arg)
+		return nil
+	}
+	if on {
+		eng.Monitor().Start()
+	} else {
+		eng.Monitor().Stop()
+	}
+	fmt.Fprintf(out, "health watchdog %s\n", arg)
 	return nil
 }
 
-// runRemote executes one statement over the wire and prints the result.
-func runRemote(cli *server.Client, stmt string) error {
-	res, err := cli.Query(stmt)
+// runStatement executes one statement and prints its result and timing.
+func runStatement(out io.Writer, r runner, stmt string, trace bool) error {
+	res, err := r.exec(stmt, trace)
 	if err != nil {
 		return err
 	}
 	s := res.String()
-	fmt.Print(s)
+	if len(res.Columns) > 0 && res.Message != "" {
+		s += res.Message
+	}
+	fmt.Fprint(out, s)
 	if !strings.HasSuffix(s, "\n") {
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
 	if res.TraceID != 0 {
-		fmt.Printf("-- %s (trace %d)\n", res.Duration.Round(time.Microsecond), res.TraceID)
+		fmt.Fprintf(out, "-- %s (trace %d)\n", res.Duration.Round(time.Microsecond), res.TraceID)
 	} else {
-		fmt.Printf("-- %s\n", res.Duration.Round(time.Microsecond))
-	}
-	return nil
-}
-
-func runStatement(eng *patchindex.Engine, stmt string, trace bool) error {
-	res, err := eng.ExecWith(stmt, patchindex.ExecOptions{Trace: trace})
-	if err != nil {
-		return err
-	}
-	s := res.String()
-	fmt.Print(s)
-	if !strings.HasSuffix(s, "\n") {
-		fmt.Println()
-	}
-	if res.TraceID != 0 {
-		fmt.Printf("-- %s (trace %d)\n", res.Duration.Round(time.Microsecond), res.TraceID)
-	} else {
-		fmt.Printf("-- %s\n", res.Duration.Round(time.Microsecond))
+		fmt.Fprintf(out, "-- %s\n", res.Duration.Round(time.Microsecond))
 	}
 	return nil
 }

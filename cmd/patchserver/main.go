@@ -8,7 +8,10 @@
 // (-tune to enable background tuning), the health watchdog's time-series at
 // /timeseries and alerts at /alerts (-monitor to enable sampling;
 // -sample-interval-ms and -alert-rules tune it), and (with -pprof)
-// /debug/pprof/.
+// /debug/pprof/. The JSON endpoints /stats, /queries, /workload, /indexes,
+// /tuner and /alerts also answer ?format=text with the SHOW views they
+// correspond to (patchindex.SurfaceViews); over the wire protocol the same
+// views are plain SHOW statements.
 //
 //	patchserver -listen :5433 -demo tpcds -rows 1000000 -trace-sample 1
 //	patchcli -connect localhost:5433
@@ -158,7 +161,7 @@ func main() {
 		}, overrides, eng.Metrics())
 	}
 
-	if err := loadDemo(eng, *demo, *rows, *partitions, *uniqueRate, *sortedRate); err != nil {
+	if err := datagen.LoadDemo(eng.Catalog().AddTable, os.Stderr, *demo, *rows, *partitions, *uniqueRate, *sortedRate); err != nil {
 		fatal(err)
 	}
 	if *walPath != "" && *demo != "" {
@@ -206,51 +209,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintln(os.Stderr, "patchserver: bye")
-}
-
-// loadDemo preloads the same demo datasets patchcli offers.
-func loadDemo(eng *patchindex.Engine, demo string, rows, partitions int, uniqueRate, sortedRate float64) error {
-	switch demo {
-	case "":
-		return nil
-	case "tpcds":
-		cfg := datagen.TPCDSConfig{
-			CustomerRows: rows / 8,
-			SalesRows:    rows,
-			Partitions:   partitions,
-			Seed:         1,
-		}
-		fmt.Fprintf(os.Stderr, "loading tpcds-lite (customer=%d, catalog_sales=%d, date_dim=%d)...\n",
-			cfg.CustomerRows, cfg.SalesRows, datagen.DateDimRows)
-		cust, err := datagen.GenCustomer(cfg)
-		if err != nil {
-			return err
-		}
-		if err := eng.Catalog().AddTable(cust); err != nil {
-			return err
-		}
-		sales, err := datagen.GenCatalogSales(cfg)
-		if err != nil {
-			return err
-		}
-		if err := eng.Catalog().AddTable(sales); err != nil {
-			return err
-		}
-		dates, err := datagen.GenDateDim()
-		if err != nil {
-			return err
-		}
-		return eng.Catalog().AddTable(dates)
-	case "custom":
-		fmt.Fprintf(os.Stderr, "loading custom table data(u,s,payload) with %d rows...\n", rows)
-		t, err := datagen.LoadCustom("data", rows, partitions, uniqueRate, sortedRate, 1)
-		if err != nil {
-			return err
-		}
-		return eng.Catalog().AddTable(t)
-	default:
-		return fmt.Errorf("unknown demo %q (tpcds, custom)", demo)
-	}
 }
 
 func fatal(err error) {

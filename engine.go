@@ -1014,9 +1014,9 @@ func (e *Engine) explainAnalyze(ctx context.Context, query string, s *sql.Select
 	return sb.String(), nil
 }
 
-// benefitTag renders an index attribution key for EXPLAIN ANALYZE and the
-// /indexes text view: "table.column[constraint]", or "table[constraint]" for
-// table-level pseudo-indexes like zone maps.
+// benefitTag renders an index attribution key for EXPLAIN ANALYZE:
+// "table.column[constraint]", or "table[constraint]" for table-level
+// pseudo-indexes like zone maps.
 func benefitTag(table, column, constraint string) string {
 	if column == "" {
 		return table + "[" + constraint + "]"
@@ -1428,70 +1428,6 @@ func (e *Engine) materializedMatches(ix *patch.Index, t *storage.Table) bool {
 		}
 	}
 	return true
-}
-
-func (e *Engine) runShow(s *sql.ShowStmt) (*Result, error) {
-	switch s.What {
-	case "tables":
-		// TableNames is sorted, so the output is deterministic; each table is
-		// latched shared while its row is rendered so counts are consistent
-		// under concurrent writers.
-		res := &Result{Columns: []string{"table", "rows", "partitions", "sortkey"}}
-		for _, name := range e.cat.TableNames() {
-			t, err := e.cat.Table(name)
-			if err != nil {
-				continue // dropped concurrently
-			}
-			release := e.acquireLatches([]string{name}, nil)
-			res.Rows = append(res.Rows, []vector.Value{
-				vector.StringValue(name),
-				vector.IntValue(int64(t.NumRows())),
-				vector.IntValue(int64(t.NumPartitions())),
-				vector.StringValue(t.SortKey()),
-			})
-			release()
-		}
-		return res, nil
-	case "patchindexes":
-		// Indexes() is sorted by (table, column, constraint), so the output
-		// is deterministic and diffable; each index's table is latched shared
-		// while its row is rendered. origin distinguishes manual from
-		// tuner-created indexes; benefit is the decayed cost-saved from the
-		// workload observatory (0 when profiling is off or never used).
-		res := &Result{Columns: []string{"table", "column", "constraint", "kind", "patches", "rate", "bytes", "origin", "benefit", "last_used_tick"}}
-		tick := e.profiler.Tick()
-		for _, ix := range e.cat.Indexes() {
-			release := e.acquireLatches([]string{ix.Table()}, nil)
-			var benefit float64
-			var lastUsed int64
-			if b, ok := e.profiler.Benefit().Lookup(ix.Table(), ix.Column(), constraintTag(ix.Constraint()), tick); ok {
-				benefit = b.CostSaved
-				lastUsed = b.LastUsedTick
-			}
-			res.Rows = append(res.Rows, []vector.Value{
-				vector.StringValue(ix.Table()),
-				vector.StringValue(ix.Column()),
-				vector.StringValue(ix.Constraint().String()),
-				vector.StringValue(ix.RequestedKind().String()),
-				vector.IntValue(int64(ix.Cardinality())),
-				vector.FloatValue(ix.ExceptionRate()),
-				vector.IntValue(int64(ix.MemoryBytes())),
-				vector.StringValue(ix.Origin()),
-				vector.FloatValue(benefit),
-				vector.IntValue(lastUsed),
-			})
-			release()
-		}
-		return res, nil
-	case "tuner":
-		return e.runShowTuner()
-	case "alerts":
-		return e.runShowAlerts()
-	case "timeseries":
-		return e.runShowTimeseries(s.Arg)
-	default:
-		return nil, fmt.Errorf("patchindex: unknown SHOW target %q", s.What)
-	}
 }
 
 // IndexHealth is the health report of one PatchIndex: how many exceptions

@@ -137,19 +137,16 @@ func Workload(cfg Config, w io.Writer) error {
 			return err
 		}
 	}
-	prof := demo.Profiler()
 	fmt.Fprintln(w)
-	obs.WriteWorkloadText(w, prof.Snapshot(), 5)
-	tick := prof.Tick()
-	fmt.Fprintf(w, "benefit attribution (tick %d):\n", tick)
-	for _, b := range prof.Benefit().Snapshot(tick) {
+	if err := patchindex.WriteViews(w, append(patchindex.SurfaceViews("workload"), "benefits"), demo.Exec); err != nil {
+		return err
+	}
+	prof := demo.Profiler()
+	for _, b := range prof.Benefit().Snapshot(prof.Tick()) {
 		key := b.Table + "[" + b.Constraint + "]"
 		if b.Column != "" {
 			key = b.Table + "." + b.Column + "[" + b.Constraint + "]"
 		}
-		fmt.Fprintf(w, "  %-24s rewrites=%d rows_skipped=%.0f cost_saved=%.1f time_saved=%s\n",
-			key, b.Rewrites, b.RowsSkipped, b.CostSaved,
-			time.Duration(b.TimeSavedNanos).Round(time.Microsecond))
 		cfg.record(ExpWorkload, "benefit/"+key+"/cost_saved", 0, b.CostSaved, "cost")
 		cfg.record(ExpWorkload, "benefit/"+key+"/rows_skipped", 0, b.RowsSkipped, "rows")
 	}

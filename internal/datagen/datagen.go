@@ -16,6 +16,7 @@ package datagen
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 
 	"patchindex/internal/storage"
@@ -346,4 +347,43 @@ func GenCatalogSales(cfg TPCDSConfig) (*storage.Table, error) {
 		offset += n
 	}
 	return t, nil
+}
+
+// LoadDemo generates one of the demo datasets patchcli and patchserver
+// preload and hands each table to add: "tpcds" (customer, catalog_sales and
+// date_dim, with rows sales rows and rows/8 customers) or "custom" (table
+// data(u,s,payload) with the given exception rates). "" loads nothing.
+// Progress is announced on log.
+func LoadDemo(add func(*storage.Table) error, log io.Writer, demo string, rows, partitions int, uniqueRate, sortedRate float64) error {
+	switch demo {
+	case "":
+		return nil
+	case "tpcds":
+		cfg := TPCDSConfig{CustomerRows: rows / 8, SalesRows: rows, Partitions: partitions, Seed: 1}
+		fmt.Fprintf(log, "loading tpcds-lite (customer=%d, catalog_sales=%d, date_dim=%d)...\n",
+			cfg.CustomerRows, cfg.SalesRows, DateDimRows)
+		for _, gen := range []func() (*storage.Table, error){
+			func() (*storage.Table, error) { return GenCustomer(cfg) },
+			func() (*storage.Table, error) { return GenCatalogSales(cfg) },
+			GenDateDim,
+		} {
+			t, err := gen()
+			if err != nil {
+				return err
+			}
+			if err := add(t); err != nil {
+				return err
+			}
+		}
+		return nil
+	case "custom":
+		fmt.Fprintf(log, "loading custom table data(u,s,payload) with %d rows...\n", rows)
+		t, err := LoadCustom("data", rows, partitions, uniqueRate, sortedRate, 1)
+		if err != nil {
+			return err
+		}
+		return add(t)
+	default:
+		return fmt.Errorf("unknown demo %q (tpcds, custom)", demo)
+	}
 }

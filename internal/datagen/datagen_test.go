@@ -1,10 +1,12 @@
 package datagen
 
 import (
+	"io"
 	"math"
 	"testing"
 
 	"patchindex/internal/discovery"
+	"patchindex/internal/storage"
 )
 
 func approx(t *testing.T, name string, got, want, tol float64) {
@@ -251,5 +253,35 @@ func TestGenSortedColumnNullsArePatches(t *testing.T) {
 	}
 	if len(res.Patches) != nulls {
 		t.Errorf("patches %d, nulls %d (clean data: patches must be exactly the NULLs)", len(res.Patches), nulls)
+	}
+}
+
+// TestLoadDemo checks the demo loader both binaries share: each dataset
+// hands its tables to the callback, and an unknown name is an error.
+func TestLoadDemo(t *testing.T) {
+	for demo, want := range map[string][]string{
+		"":       nil,
+		"custom": {"data"},
+		"tpcds":  {"customer", "catalog_sales", "date_dim"},
+	} {
+		var got []string
+		add := func(tab *storage.Table) error {
+			got = append(got, tab.Name())
+			return nil
+		}
+		if err := LoadDemo(add, io.Discard, demo, 800, 2, 0.05, 0.05); err != nil {
+			t.Fatalf("LoadDemo(%q): %v", demo, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("LoadDemo(%q) added %v, want %v", demo, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("LoadDemo(%q) added %v, want %v", demo, got, want)
+			}
+		}
+	}
+	if err := LoadDemo(func(*storage.Table) error { return nil }, io.Discard, "bogus", 10, 1, 0, 0); err == nil {
+		t.Fatal("unknown demo must fail")
 	}
 }

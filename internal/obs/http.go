@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -135,18 +134,11 @@ func TraceHandler(t *Tracer) http.Handler {
 	})
 }
 
-// WorkloadHandler serves the workload profiler snapshot — mount at
-// /workload. The default response is JSON; ?format=text renders a top-N
-// summary (?n=N statements, default 20) for terminals.
+// WorkloadHandler serves the workload profiler snapshot as JSON — mount at
+// /workload. ?n=N bounds the statement list.
 func WorkloadHandler(p *Profiler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		snap := p.Snapshot()
-		if r.URL.Query().Get("format") == "text" {
-			n := clampN(r.URL.Query().Get("n"), 20)
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			WriteWorkloadText(w, snap, n)
-			return
-		}
 		n := clampN(r.URL.Query().Get("n"), maxQueryListing)
 		if len(snap.Statements) > n {
 			snap.Statements = snap.Statements[:n]
@@ -156,51 +148,6 @@ func WorkloadHandler(p *Profiler) http.Handler {
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(snap)
 	})
-}
-
-// WriteWorkloadText renders a workload snapshot as a top-N text report: the
-// heaviest statements by total time, then column access accounting, then
-// shadow "would-have-helped" tables.
-func WriteWorkloadText(w io.Writer, snap WorkloadSnapshot, n int) {
-	fmt.Fprintf(w, "workload: enabled=%v tick=%d fingerprints=%d/%d dropped=%d\n",
-		snap.Enabled, snap.Tick, len(snap.Statements), snap.MaxFingerprints, snap.Dropped)
-	fmt.Fprintf(w, "\ntop statements by total time:\n")
-	for i, st := range snap.Statements {
-		if i >= n {
-			fmt.Fprintf(w, "  ... %d more\n", len(snap.Statements)-n)
-			break
-		}
-		fmt.Fprintf(w, "  %s calls=%d errs=%d rows=%d total=%s ewma=%s",
-			st.Fingerprint, st.Count, st.Errors, st.RowsOut,
-			time.Duration(st.TotalNanos), time.Duration(st.EWMANanos))
-		if st.PatchHits > 0 {
-			fmt.Fprintf(w, " patch_hits=%d", st.PatchHits)
-		}
-		if st.PartitionsPruned > 0 {
-			fmt.Fprintf(w, " pruned=%d", st.PartitionsPruned)
-		}
-		if st.ShadowSavings > 0 {
-			fmt.Fprintf(w, " shadow_savings=%.1f", st.ShadowSavings)
-		}
-		fmt.Fprintf(w, "\n    %s\n", st.SQL)
-	}
-	if len(snap.Columns) > 0 {
-		fmt.Fprintf(w, "\ncolumn accesses:\n")
-		for _, c := range snap.Columns {
-			fmt.Fprintf(w, "  %s.%s pred=%d sort=%d group=%d join=%d",
-				c.Table, c.Column, c.PredicateCount, c.SortKeyCount, c.GroupByCount, c.JoinKeyCount)
-			if c.HasRange {
-				fmt.Fprintf(w, " range=[%g,%g]", c.MinSeen, c.MaxSeen)
-			}
-			fmt.Fprintln(w)
-		}
-	}
-	if len(snap.ShadowTables) > 0 {
-		fmt.Fprintf(w, "\nshadow (would-have-helped) tables:\n")
-		for _, sh := range snap.ShadowTables {
-			fmt.Fprintf(w, "  %s savings=%.1f count=%d\n", sh.Table, sh.Savings, sh.Count)
-		}
-	}
 }
 
 // timeseriesDoc is the /timeseries response: either the series catalog
@@ -263,52 +210,16 @@ type alertsDoc struct {
 	History []AlertEvent `json:"history,omitempty"`
 }
 
-// AlertsHandler serves the alert engine state — mount at /alerts. The
-// default response is JSON; ?format=text renders the terminal report shown
-// by patchcli \alerts. ?n=N bounds the history (default 50).
+// AlertsHandler serves the alert engine state as JSON — mount at /alerts.
+// ?n=N bounds the history (default 50).
 func AlertsHandler(a *Alerter) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		n := clampN(r.URL.Query().Get("n"), 50)
-		if r.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			WriteAlertsText(w, a.Alerts(), a.History(n))
-			return
-		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(alertsDoc{Alerts: a.Alerts(), History: a.History(n)})
 	})
-}
-
-// WriteAlertsText renders the alert state as a terminal report: firing and
-// resolved standings first, then the recent transition history.
-func WriteAlertsText(w io.Writer, alerts []Alert, history []AlertEvent) {
-	firing := 0
-	for _, al := range alerts {
-		if al.State == StateFiring {
-			firing++
-		}
-	}
-	fmt.Fprintf(w, "alerts: %d firing, %d tracked\n", firing, len(alerts))
-	for _, al := range alerts {
-		fmt.Fprintf(w, "  [%s] %-8s %s %s", al.Severity, al.State, al.Rule, al.Metric)
-		if al.Message != "" {
-			fmt.Fprintf(w, " — %s", al.Message)
-		}
-		fmt.Fprintln(w)
-	}
-	if len(history) > 0 {
-		fmt.Fprintf(w, "\nrecent transitions:\n")
-		for _, ev := range history {
-			t := time.Unix(0, ev.UnixNanos).UTC().Format("15:04:05")
-			fmt.Fprintf(w, "  %s %-8s [%s] %s %s", t, ev.State, ev.Alert.Severity, ev.Alert.Rule, ev.Alert.Metric)
-			if ev.Alert.Message != "" {
-				fmt.Fprintf(w, " — %s", ev.Alert.Message)
-			}
-			fmt.Fprintln(w)
-		}
-	}
 }
 
 // Handler mounts MetricsHandler at /metrics and StatsHandler at /stats on a

@@ -37,21 +37,6 @@ func monitoredServer(t *testing.T) *Server {
 	return s
 }
 
-func TestClientAlerts(t *testing.T) {
-	s := monitoredServer(t)
-	c := dial(t, s)
-	text, err := c.Alerts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(text, "alerts:") {
-		t.Fatalf("Alerts() = %q, want the text report", text)
-	}
-	if !strings.Contains(text, "patch_ratio_drift") || !strings.Contains(text, "index.emp.s.nsc.patch_ratio") {
-		t.Fatalf("alert report missing the firing drift alert:\n%s", text)
-	}
-}
-
 func TestHTTPAlertsEndpoint(t *testing.T) {
 	s := monitoredServer(t)
 

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -33,47 +32,8 @@ type ClientResult struct {
 	Truncated bool
 	Duration  time.Duration
 	// TraceID identifies the statement's server-side trace when it was
-	// traced; fetch it with Queries or HTTP /trace/<id>.
+	// traced; find it with SHOW QUERIES or fetch HTTP /trace/<id>.
 	TraceID uint64
-}
-
-// String renders the result as an aligned text table.
-func (r *ClientResult) String() string {
-	if len(r.Columns) == 0 {
-		return r.Message
-	}
-	widths := make([]int, len(r.Columns))
-	for i, c := range r.Columns {
-		widths[i] = len(c)
-	}
-	for _, row := range r.Rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	var sb strings.Builder
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			sb.WriteString(cell)
-			if i < len(cells)-1 {
-				sb.WriteString(strings.Repeat(" ", widths[i]-len(cell)))
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	writeRow(r.Columns)
-	for _, row := range r.Rows {
-		writeRow(row)
-	}
-	if r.Truncated {
-		sb.WriteString("(truncated)\n")
-	}
-	return sb.String()
 }
 
 // ServerError is an error response from the server. It unwraps to the
@@ -219,82 +179,6 @@ func (c *Client) Trace(on bool) {
 	c.mu.Lock()
 	c.trace = on
 	c.mu.Unlock()
-}
-
-// Queries fetches the server's recent query history (newest first).
-func (c *Client) Queries() (*ClientResult, error) {
-	resp, err := c.roundTrip(&protocol.Request{Type: protocol.TypeQueries})
-	if err != nil {
-		return nil, err
-	}
-	return toResult(resp)
-}
-
-// Workload fetches the workload observatory's top-N text report (statement
-// fingerprints, column accesses, shadow accounting).
-func (c *Client) Workload() (string, error) {
-	resp, err := c.roundTrip(&protocol.Request{Type: protocol.TypeWorkload})
-	if err != nil {
-		return "", err
-	}
-	res, err := toResult(resp)
-	if err != nil {
-		return "", err
-	}
-	return res.Message, nil
-}
-
-// Indexes fetches per-index health and benefit attribution as text.
-func (c *Client) Indexes() (string, error) {
-	resp, err := c.roundTrip(&protocol.Request{Type: protocol.TypeIndexes})
-	if err != nil {
-		return "", err
-	}
-	res, err := toResult(resp)
-	if err != nil {
-		return "", err
-	}
-	return res.Message, nil
-}
-
-// Tuner fetches the self-tuner's status and journal as text.
-func (c *Client) Tuner() (string, error) {
-	resp, err := c.roundTrip(&protocol.Request{Type: protocol.TypeTuner})
-	if err != nil {
-		return "", err
-	}
-	res, err := toResult(resp)
-	if err != nil {
-		return "", err
-	}
-	return res.Message, nil
-}
-
-// Alerts fetches the health watchdog's alert standings and recent
-// transition history as text.
-func (c *Client) Alerts() (string, error) {
-	resp, err := c.roundTrip(&protocol.Request{Type: protocol.TypeAlerts})
-	if err != nil {
-		return "", err
-	}
-	res, err := toResult(resp)
-	if err != nil {
-		return "", err
-	}
-	return res.Message, nil
-}
-
-// Stats fetches the server metrics as Prometheus-style text.
-func (c *Client) Stats() (string, error) {
-	resp, err := c.roundTrip(&protocol.Request{Type: protocol.TypeStats})
-	if err != nil {
-		return "", err
-	}
-	res, err := toResult(resp)
-	if err != nil {
-		return "", err
-	}
-	return res.Message, nil
 }
 
 // Close ends the session and closes the connection.

@@ -4,6 +4,11 @@
 // messages — a 4-byte big-endian payload length followed by one JSON
 // document. The protocol is request/response with one extension: a client
 // may send a "cancel" request while a query is in flight to abort it.
+//
+// There are five request types. Introspection has none of its own: the
+// engine's views (query history, metrics, workload, index health, tuner,
+// alerts) are SHOW statements sent as ordinary queries, so they pass the
+// same admission control and tracing as every statement.
 package protocol
 
 import (
@@ -32,21 +37,6 @@ const (
 	TypePing = "ping"
 	// TypeCancel aborts the in-flight query with id CancelID.
 	TypeCancel = "cancel"
-	// TypeStats returns the server's metric registry as text.
-	TypeStats = "stats"
-	// TypeQueries returns the recent query history (the tracer's ring) as a
-	// result set.
-	TypeQueries = "queries"
-	// TypeWorkload returns the workload observatory's top-N text report
-	// (fingerprint aggregates, column accesses, shadow accounting).
-	TypeWorkload = "workload"
-	// TypeIndexes returns per-index health and benefit attribution as text.
-	TypeIndexes = "indexes"
-	// TypeTuner returns the self-tuner's status and journal as text.
-	TypeTuner = "tuner"
-	// TypeAlerts returns the health watchdog's alert standings and recent
-	// transition history as text.
-	TypeAlerts = "alerts"
 	// TypeClose ends the session gracefully.
 	TypeClose = "close"
 )
@@ -82,7 +72,7 @@ type Request struct {
 	CancelID uint64 `json:"cancel_id,omitempty"`
 	// Trace, for TypeQuery, forces a full trace (span tree) of this
 	// statement; the trace id comes back in Response.TraceID and the
-	// profile is retrievable via TypeQueries or HTTP /trace/<id>.
+	// profile is retrievable via SHOW QUERIES or HTTP /trace/<id>.
 	Trace bool `json:"trace,omitempty"`
 	// Tenant identifies the session's QoS tenant. It may ride any request
 	// (typically the first one a client sends) and moves the session to
@@ -104,7 +94,7 @@ type Response struct {
 	// Columns and Rows carry a query result set (rows rendered as strings).
 	Columns []string   `json:"columns,omitempty"`
 	Rows    [][]string `json:"rows,omitempty"`
-	// Message carries non-result output ("table created", metrics text, ...).
+	// Message carries non-result output ("table created", EXPLAIN text, ...).
 	Message string `json:"message,omitempty"`
 	// Truncated is set when max_rows clipped the result.
 	Truncated bool `json:"truncated,omitempty"`

@@ -24,6 +24,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,7 +33,6 @@ import (
 	"patchindex/internal/obs"
 	"patchindex/internal/server/protocol"
 	"patchindex/internal/serving"
-	"patchindex/internal/tuning"
 )
 
 // ErrServerBusy is returned (and sent to clients with code "busy") when the
@@ -356,12 +356,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // at /workload, per-index benefit attribution at /indexes, the self-tuner
 // status and journal at /tuner, the health watchdog's retained history at
 // /timeseries and alert standings at /alerts, and — when enabled —
-// /debug/pprof/.
+// /debug/pprof/. The endpoints that name a patchindex.SurfaceViews surface
+// answer ?format=text with its SHOW views.
 func (s *Server) httpMux() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", obs.MetricsHandler(s.metrics))
-	mux.Handle("/stats", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		doc := struct {
+	mux.Handle("/stats", s.withViews("stats", jsonHandler(func() any {
+		return struct {
 			obs.Snapshot
 			PatchIndexes []patchindex.IndexHealth `json:"patchindexes"`
 			Workload     obs.WorkloadSnapshot     `json:"workload"`
@@ -369,40 +370,18 @@ func (s *Server) httpMux() http.Handler {
 			Tenants      []serving.TenantSnapshot `json:"tenants,omitempty"`
 		}{s.metrics.Snapshot(), s.eng.IndexHealth(), s.eng.Profiler().Snapshot(),
 			s.eng.ServingStats(), s.cfg.QoS.Snapshot()}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(doc)
-	}))
-	mux.Handle("/queries", obs.QueriesHandler(s.eng.Tracer()))
+	})))
+	mux.Handle("/queries", s.withViews("queries", obs.QueriesHandler(s.eng.Tracer())))
 	mux.Handle("/trace/", obs.TraceHandler(s.eng.Tracer()))
-	mux.Handle("/workload", obs.WorkloadHandler(s.eng.Profiler()))
-	mux.Handle("/tuner", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		st := s.eng.Tuner().Status()
-		if r.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			writeTunerText(w, st)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(st)
-	}))
+	mux.Handle("/workload", s.withViews("workload", obs.WorkloadHandler(s.eng.Profiler())))
+	mux.Handle("/tuner", s.withViews("tuner", jsonHandler(func() any { return s.eng.Tuner().Status() })))
 	mux.Handle("/timeseries", obs.TimeseriesHandler(s.eng.Monitor()))
-	mux.Handle("/alerts", obs.AlertsHandler(s.eng.Monitor().Alerter()))
-	mux.Handle("/indexes", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		doc := s.indexesDoc()
-		if r.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			writeIndexesText(w, doc)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(doc)
-	}))
+	mux.Handle("/alerts", s.withViews("alerts", obs.AlertsHandler(s.eng.Monitor().Alerter())))
+	mux.Handle("/indexes", s.withViews("indexes", jsonHandler(func() any {
+		p := s.eng.Profiler()
+		tick := p.Tick()
+		return indexesDoc{Tick: tick, Indexes: s.eng.IndexHealth(), Benefits: p.Benefit().Snapshot(tick)}
+	})))
 	if s.cfg.EnablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -428,92 +407,45 @@ func (s *Server) httpMux() http.Handler {
 	return mux
 }
 
-// indexesDoc is the /indexes (and \indexes) document: every PatchIndex's
-// health enriched with its decayed benefit attribution, plus the raw benefit
-// snapshot — which also carries pseudo-indexes like zone maps ("zonemap"
-// constraint) that have no catalog entry. Tick is the profiler's decay clock
+// withViews serves ?format=text as the surface's SHOW views, run through
+// the engine like any statement and buffered so a failing view yields a
+// clean error response, and hands every other request to h.
+func (s *Server) withViews(surface string, h http.Handler) http.Handler {
+	views := patchindex.SurfaceViews(surface)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("format") != "text" {
+			h.ServeHTTP(w, r)
+			return
+		}
+		var sb strings.Builder
+		if err := patchindex.WriteViews(&sb, views, s.eng.Exec); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		_, _ = io.WriteString(w, sb.String())
+	})
+}
+
+// jsonHandler serves doc() as indented JSON.
+func jsonHandler(doc func() any) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(doc())
+	})
+}
+
+// indexesDoc is the /indexes document: every PatchIndex's health enriched
+// with its decayed benefit attribution, plus the raw benefit snapshot —
+// which also carries pseudo-indexes like zone maps ("zonemap" constraint)
+// that have no catalog entry. Tick is the profiler's decay clock
 // (engine-relative statement ticks, monotonic across snapshots).
 type indexesDoc struct {
 	Tick     int64                    `json:"tick"`
 	Indexes  []patchindex.IndexHealth `json:"indexes"`
 	Benefits []obs.IndexBenefit       `json:"benefits"`
-}
-
-func (s *Server) indexesDoc() indexesDoc {
-	p := s.eng.Profiler()
-	tick := p.Tick()
-	return indexesDoc{
-		Tick:     tick,
-		Indexes:  s.eng.IndexHealth(),
-		Benefits: p.Benefit().Snapshot(tick),
-	}
-}
-
-// writeIndexesText renders the /indexes document for terminals.
-func writeIndexesText(w io.Writer, doc indexesDoc) {
-	fmt.Fprintf(w, "indexes: %d tick=%d\n", len(doc.Indexes), doc.Tick)
-	for _, h := range doc.Indexes {
-		fmt.Fprintf(w, "  %s.%s %s kind=%s patches=%d rows=%d ratio=%.4f util=%.2f bytes=%d\n",
-			h.Table, h.Column, h.Constraint, h.Kinds, h.Patches, h.Rows,
-			h.PatchRatio, h.ThresholdUtilization, h.MemoryBytes)
-		if h.Rewrites > 0 || h.RowsSkipped > 0 || h.LastUsedTick > 0 {
-			fmt.Fprintf(w, "    benefit: rewrites=%d rows_skipped=%.0f cost_saved=%.1f time_saved=%s last_used_tick=%d\n",
-				h.Rewrites, h.RowsSkipped, h.CostSaved,
-				time.Duration(h.TimeSavedNanos).Round(time.Microsecond), h.LastUsedTick)
-		}
-	}
-	if len(doc.Benefits) > 0 {
-		fmt.Fprintf(w, "attribution:\n")
-		for _, b := range doc.Benefits {
-			name := b.Table + "[" + b.Constraint + "]"
-			if b.Column != "" {
-				name = b.Table + "." + b.Column + "[" + b.Constraint + "]"
-			}
-			fmt.Fprintf(w, "  %s rewrites=%d rows_skipped=%.0f cost_saved=%.1f time_saved=%s last_used_tick=%d\n",
-				name, b.Rewrites, b.RowsSkipped, b.CostSaved,
-				time.Duration(b.TimeSavedNanos).Round(time.Microsecond), b.LastUsedTick)
-		}
-	}
-}
-
-// writeTunerText renders the /tuner document for terminals.
-func writeTunerText(w io.Writer, st tuning.Status) {
-	fmt.Fprintf(w, "tuner: running=%v cycles=%d creates=%d drops=%d rejects=%d rollbacks=%d tick=%d epoch=%d\n",
-		st.Running, st.Cycles, st.Creates, st.Drops, st.Rejects, st.Rollbacks, st.Tick, st.Epoch)
-	fmt.Fprintf(w, "budget: builds/cycle=%d max_auto=%d memory=%d B (used %d B by %d auto) min_score=%g\n",
-		st.MaxBuildsPerCycle, st.MaxAutoIndexes, st.MemoryBudgetBytes, st.AutoMemoryBytes, st.AutoLive, st.MinScore)
-	if len(st.Baseline) > 0 {
-		fmt.Fprintf(w, "baseline:\n")
-		for _, b := range st.Baseline {
-			fmt.Fprintf(w, "  %s.%s[%s] threshold=%.3f\n", b.Table, b.Column, b.Constraint, b.Threshold)
-		}
-	}
-	if len(st.LastCandidates) > 0 {
-		fmt.Fprintf(w, "candidates:\n")
-		for _, c := range st.LastCandidates {
-			fmt.Fprintf(w, "  %s.%s[%s] score=%.1f accesses=%d (%s)\n",
-				c.Table, c.Column, c.Constraint, c.Score, c.Accesses, c.Reason)
-		}
-	}
-	if len(st.Journal) > 0 {
-		fmt.Fprintf(w, "journal:\n")
-		for _, ev := range st.Journal {
-			fmt.Fprintf(w, "  #%d cycle=%d tick=%d %s", ev.Seq, ev.Cycle, ev.Tick, ev.Action)
-			if ev.Table != "" {
-				fmt.Fprintf(w, " %s.%s[%s]", ev.Table, ev.Column, ev.Constraint)
-			}
-			if ev.Score != 0 {
-				fmt.Fprintf(w, " score=%.1f", ev.Score)
-			}
-			if ev.Note != "" {
-				fmt.Fprintf(w, " (%s)", ev.Note)
-			}
-			if ev.Err != "" {
-				fmt.Fprintf(w, " err=%q", ev.Err)
-			}
-			fmt.Fprintln(w)
-		}
-	}
 }
 
 // bufferedConn replays bytes already buffered by the sniffing reader before

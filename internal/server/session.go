@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"patchindex"
-	"patchindex/internal/obs"
 	"patchindex/internal/server/protocol"
 	"patchindex/internal/serving"
 )
@@ -128,29 +127,6 @@ func (sess *session) handle(req *protocol.Request, reqCh chan *protocol.Request,
 		// Nothing in flight on this session (in-flight cancels are handled
 		// inside runQuery).
 		return sess.write(&protocol.Response{ID: req.ID, Message: "no query in flight"})
-	case protocol.TypeStats:
-		var sb strings.Builder
-		sess.srv.metrics.WriteText(&sb)
-		return sess.write(&protocol.Response{ID: req.ID, Message: sb.String()})
-	case protocol.TypeQueries:
-		return sess.write(sess.renderQueries(req.ID))
-	case protocol.TypeWorkload:
-		var sb strings.Builder
-		obs.WriteWorkloadText(&sb, sess.srv.eng.Profiler().Snapshot(), 20)
-		return sess.write(&protocol.Response{ID: req.ID, Message: sb.String()})
-	case protocol.TypeIndexes:
-		var sb strings.Builder
-		writeIndexesText(&sb, sess.srv.indexesDoc())
-		return sess.write(&protocol.Response{ID: req.ID, Message: sb.String()})
-	case protocol.TypeTuner:
-		var sb strings.Builder
-		writeTunerText(&sb, sess.srv.eng.Tuner().Status())
-		return sess.write(&protocol.Response{ID: req.ID, Message: sb.String()})
-	case protocol.TypeAlerts:
-		var sb strings.Builder
-		a := sess.srv.eng.Monitor().Alerter()
-		obs.WriteAlertsText(&sb, a.Alerts(), a.History(50))
-		return sess.write(&protocol.Response{ID: req.ID, Message: sb.String()})
 	case protocol.TypeClose:
 		_ = protocol.WriteMessage(sess.conn, &protocol.Response{ID: req.ID, Message: "bye"})
 		return false
@@ -341,32 +317,6 @@ func (sess *session) render(id uint64, res *patchindex.Result) *protocol.Respons
 			out[j] = v.String()
 		}
 		resp.Rows[i] = out
-	}
-	return resp
-}
-
-// renderQueries renders the server's recent query history (the engine
-// tracer's ring, newest first) as a result set — the `\queries` command.
-func (sess *session) renderQueries(id uint64) *protocol.Response {
-	resp := &protocol.Response{
-		ID:      id,
-		Columns: []string{"trace_id", "session", "duration", "rows", "patch_hits", "sampled", "error", "sql"},
-	}
-	for _, t := range sess.srv.eng.Tracer().Recent(50) {
-		sqlText := strings.Join(strings.Fields(t.SQL), " ")
-		if len(sqlText) > 80 {
-			sqlText = sqlText[:80] + "..."
-		}
-		resp.Rows = append(resp.Rows, []string{
-			strconv.FormatUint(t.ID, 10),
-			strconv.FormatUint(t.SessionID, 10),
-			t.Duration.Round(time.Microsecond).String(),
-			strconv.FormatInt(t.Rows, 10),
-			strconv.FormatInt(t.PatchHits, 10),
-			strconv.FormatBool(t.Sampled),
-			t.Error,
-			sqlText,
-		})
 	}
 	return resp
 }

@@ -69,10 +69,10 @@ func TestTunerStressMixedWorkload(t *testing.T) {
 					return
 				}
 			}
-			// One client exercises the wire-protocol tuner status.
+			// One client checks the tuner status over the wire.
 			if n == 0 {
-				if txt, err := c.Tuner(); err != nil || !strings.Contains(txt, "tuner:") {
-					t.Errorf("wire tuner status: %q, %v", txt, err)
+				if res, err := c.Query("SHOW TUNER"); err != nil || len(res.Rows) == 0 {
+					t.Errorf("wire tuner status: %+v, %v", res, err)
 				}
 			}
 		}(i)

@@ -123,8 +123,9 @@ type ExplainStmt struct {
 
 func (*ExplainStmt) stmt() {}
 
-// ShowStmt is SHOW TABLES, SHOW PATCHINDEXES, SHOW TUNER, SHOW ALERTS, or
-// SHOW TIMESERIES FOR <metric> (Arg carries the metric name).
+// ShowStmt is SHOW <view> [FOR <arg>]: What is the lowercased view name and
+// Arg the FOR argument (a metric name for SHOW TIMESERIES). The engine
+// resolves the view.
 type ShowStmt struct {
 	What string
 	Arg  string

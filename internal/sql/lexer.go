@@ -40,8 +40,8 @@ var keywords = map[string]bool{
 	"INTO": true, "VALUES": true, "PARTITIONS": true, "SORTKEY": true,
 	"PATCHINDEX": true, "UNIQUE": true, "SORTED": true, "THRESHOLD": true,
 	"KIND": true, "IDENTIFIER": true, "BITMAP": true, "AUTO": true,
-	"FORCE": true, "EXPLAIN": true, "ANALYZE": true, "SHOW": true, "TABLES": true,
-	"PATCHINDEXES": true, "TRUE": true, "FALSE": true, "LEFT": true,
+	"FORCE": true, "EXPLAIN": true, "ANALYZE": true, "SHOW": true,
+	"TRUE": true, "FALSE": true, "LEFT": true,
 	"OUTER": true, "DATE": true, "COPY": true, "HEADER": true, "WITH": true,
 	"ALTER": true, "TUNER": true,
 }

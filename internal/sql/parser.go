@@ -166,29 +166,7 @@ func (p *Parser) parseStatement() (Statement, error) {
 	case t.Kind == TokKeyword && t.Text == "COPY":
 		return p.parseCopy()
 	case t.Kind == TokKeyword && t.Text == "SHOW":
-		p.advance()
-		switch {
-		case p.acceptKeyword("TABLES"):
-			return &ShowStmt{What: "tables"}, nil
-		case p.acceptKeyword("PATCHINDEXES"):
-			return &ShowStmt{What: "patchindexes"}, nil
-		case p.acceptKeyword("TUNER"):
-			return &ShowStmt{What: "tuner"}, nil
-		case p.acceptIdentWord("alerts"):
-			return &ShowStmt{What: "alerts"}, nil
-		case p.acceptIdentWord("timeseries"):
-			// FOR is not a reserved word, so it arrives as an identifier.
-			if !p.acceptIdentWord("for") {
-				return nil, p.errorf("expected FOR after SHOW TIMESERIES")
-			}
-			metric, err := p.parseMetricName()
-			if err != nil {
-				return nil, err
-			}
-			return &ShowStmt{What: "timeseries", Arg: metric}, nil
-		default:
-			return nil, p.errorf("expected TABLES, PATCHINDEXES, TUNER, ALERTS or TIMESERIES after SHOW")
-		}
+		return p.parseShow()
 	case t.Kind == TokKeyword && t.Text == "ALTER":
 		return p.parseAlter()
 	case t.Kind == TokIdent && t.Text == "checkpoint":
@@ -198,6 +176,26 @@ func (p *Parser) parseStatement() (Statement, error) {
 	default:
 		return nil, p.errorf("expected a statement, got %q", t.Text)
 	}
+}
+
+// parseShow parses SHOW <view> [FOR <arg>]. Which views exist, and which
+// take an argument, is the engine's business.
+func (p *Parser) parseShow() (Statement, error) {
+	if err := p.expectKeyword("SHOW"); err != nil {
+		return nil, err
+	}
+	name, err := p.expectIdent()
+	if err != nil {
+		return nil, p.errorf("expected a view name after SHOW")
+	}
+	s := &ShowStmt{What: name}
+	// FOR is not a reserved word, so it arrives as an identifier.
+	if p.acceptIdentWord("for") {
+		if s.Arg, err = p.parseMetricName(); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
 }
 
 // parseAlter parses ALTER TUNER START|STOP|NOW|ROLLBACK. The actions are not

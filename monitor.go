@@ -1,14 +1,12 @@
 package patchindex
 
 import (
-	"fmt"
 	"strings"
 	"time"
 
 	"patchindex/internal/obs"
 	"patchindex/internal/patch"
 	"patchindex/internal/tuning"
-	"patchindex/internal/vector"
 )
 
 // Monitor returns the engine's health watchdog (never nil). It is created
@@ -100,45 +98,4 @@ func (e *Engine) onTunerEvent(tev tuning.Event) {
 			t.RecomputeZones()
 		}
 	}
-}
-
-// runShowAlerts renders SHOW ALERTS: every tracked alert standing, firing
-// first (the same document /alerts serves).
-func (e *Engine) runShowAlerts() (*Result, error) {
-	res := &Result{Columns: []string{"rule", "metric", "severity", "state", "value", "threshold", "crossover_seconds", "message"}}
-	for _, al := range e.monitor.Alerter().Alerts() {
-		res.Rows = append(res.Rows, []vector.Value{
-			vector.StringValue(al.Rule),
-			vector.StringValue(al.Metric),
-			vector.StringValue(al.Severity),
-			vector.StringValue(al.State),
-			vector.FloatValue(al.Value),
-			vector.FloatValue(al.Threshold),
-			vector.FloatValue(al.CrossoverSeconds),
-			vector.StringValue(al.Message),
-		})
-	}
-	return res, nil
-}
-
-// runShowTimeseries renders SHOW TIMESERIES FOR <metric>: the metric's raw
-// retained points, oldest first.
-func (e *Engine) runShowTimeseries(metric string) (*Result, error) {
-	set := e.monitor.Series()
-	s := set.Lookup(metric)
-	if s == nil {
-		return nil, fmt.Errorf("patchindex: unknown metric %q (%d series recorded; see /timeseries)", metric, len(set.Names()))
-	}
-	res := &Result{Columns: []string{"unix_nanos", "last", "min", "max", "mean", "count"}}
-	for _, p := range s.Points(obs.TierRaw) {
-		res.Rows = append(res.Rows, []vector.Value{
-			vector.IntValue(p.UnixNanos),
-			vector.FloatValue(p.Last),
-			vector.FloatValue(p.Min),
-			vector.FloatValue(p.Max),
-			vector.FloatValue(p.Mean()),
-			vector.IntValue(p.Count),
-		})
-	}
-	return res, nil
 }

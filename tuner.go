@@ -9,7 +9,6 @@ import (
 	"patchindex/internal/patch"
 	"patchindex/internal/sql"
 	"patchindex/internal/tuning"
-	"patchindex/internal/vector"
 	"patchindex/internal/wal"
 )
 
@@ -160,31 +159,4 @@ func (e *Engine) runAlterTuner(s *sql.AlterTunerStmt) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("patchindex: unknown ALTER TUNER action %q", s.Action)
 	}
-}
-
-// runShowTuner renders SHOW TUNER as a deterministic key/value table.
-func (e *Engine) runShowTuner() (*Result, error) {
-	st := e.tuner.Status()
-	res := &Result{Columns: []string{"setting", "value"}}
-	add := func(k, v string) {
-		res.Rows = append(res.Rows, []vector.Value{vector.StringValue(k), vector.StringValue(v)})
-	}
-	add("running", fmt.Sprintf("%v", st.Running))
-	add("interval_millis", fmt.Sprintf("%d", st.IntervalMillis))
-	add("cycles", fmt.Sprintf("%d", st.Cycles))
-	add("creates", fmt.Sprintf("%d", st.Creates))
-	add("drops", fmt.Sprintf("%d", st.Drops))
-	add("rejects", fmt.Sprintf("%d", st.Rejects))
-	add("rollbacks", fmt.Sprintf("%d", st.Rollbacks))
-	add("tick", fmt.Sprintf("%d", st.Tick))
-	add("epoch", fmt.Sprintf("%d", st.Epoch))
-	add("auto_live", fmt.Sprintf("%d", st.AutoLive))
-	add("auto_memory_bytes", fmt.Sprintf("%d", st.AutoMemoryBytes))
-	add("memory_budget_bytes", fmt.Sprintf("%d", st.MemoryBudgetBytes))
-	add("max_builds_per_cycle", fmt.Sprintf("%d", st.MaxBuildsPerCycle))
-	add("max_auto_indexes", fmt.Sprintf("%d", st.MaxAutoIndexes))
-	add("min_score", fmt.Sprintf("%g", st.MinScore))
-	add("baseline_indexes", fmt.Sprintf("%d", len(st.Baseline)))
-	add("journal_events", fmt.Sprintf("%d", len(st.Journal)))
-	return res, nil
 }
