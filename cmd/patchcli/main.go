@@ -5,7 +5,7 @@
 //	patchcli                       # empty engine
 //	patchcli -demo tpcds           # customer, catalog_sales, date_dim
 //	patchcli -demo custom -rows N  # the custom exception-rate table
-//	patchcli -wal engine.wal       # enable WAL logging / recovery
+//	patchcli -data-dir DIR         # durable engine: DIR is restored on restart
 //	patchcli -e "SELECT ..."       # execute one statement and exit
 //	patchcli -e "SELECT ..." stats # ... then dump engine metrics
 //	patchcli -connect host:5433    # remote shell against a patchserver
@@ -53,8 +53,7 @@ func main() {
 	partitions := flag.Int("partitions", 8, "partitions for preloaded tables")
 	uniqueRate := flag.Float64("unique-rate", 0.05, "uniqueness exception rate for -demo custom")
 	sortedRate := flag.Float64("sorted-rate", 0.05, "sortedness exception rate for -demo custom")
-	walPath := flag.String("wal", "", "write-ahead log path (enables durability of index definitions)")
-	indexDir := flag.String("indexdir", "", "directory for materialized PatchIndex payloads (fast recovery)")
+	dataDir := flag.String("data-dir", "", "data directory for durability: compressed column segments, manifest, WAL, materialized PatchIndexes")
 	execStmt := flag.String("e", "", "execute one statement and exit")
 	parallel := flag.Bool("parallel", false, "parallel partition scans (legacy; implies -parallelism 2*GOMAXPROCS)")
 	parallelism := flag.Int("parallelism", 0, "degree of intra-query parallelism (0 = serial, >1 = bounded worker pool)")
@@ -87,8 +86,7 @@ func main() {
 			DefaultPartitions:    *partitions,
 			Parallel:             *parallel,
 			Parallelism:          *parallelism,
-			WALPath:              *walPath,
-			IndexDir:             *indexDir,
+			DataDir:              *dataDir,
 			SlowQueryThreshold:   time.Duration(*slowMS) * time.Millisecond,
 			WorkloadProfile:      *workload,
 			WorkloadFingerprints: *workloadFPs,
@@ -99,13 +97,11 @@ func main() {
 			fatal(err)
 		}
 		defer eng.Close()
-		if err := datagen.LoadDemo(eng.Catalog().AddTable, os.Stderr, *demo, *rows, *partitions, *uniqueRate, *sortedRate); err != nil {
+		// A data dir restored from an earlier run already holds the demo.
+		if *demo != "" && len(eng.Catalog().TableNames()) > 0 {
+			fmt.Fprintf(os.Stderr, "-data-dir already holds tables; -demo %s not loaded\n", *demo)
+		} else if err := datagen.LoadDemo(eng.AddTable, os.Stderr, *demo, *rows, *partitions, *uniqueRate, *sortedRate); err != nil {
 			fatal(err)
-		}
-		if *walPath != "" && *demo != "" {
-			if err := eng.Recover(); err != nil {
-				fmt.Fprintf(os.Stderr, "warning: WAL recovery failed: %v\n", err)
-			}
 		}
 		r = local{eng}
 	}

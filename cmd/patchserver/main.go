@@ -35,11 +35,13 @@
 //
 //	patchserver -listen :5433 -result-cache -qos-rate 100 -tenants tenants.json
 //
-// Full durability: -data-dir stores compressed column segments, a catalog
-// manifest, and the WAL in one directory; -cache-mb bounds the decoded
-// column cache, -spill-mb bounds operator memory before Sort/HashJoin spill
-// to disk, and -checkpoint-interval runs background checkpoints (manual
-// CHECKPOINT always works):
+// Durability: -data-dir stores compressed column segments, a catalog
+// manifest, the WAL and the materialized PatchIndexes in one directory, and
+// a restart restores all of it (a -demo dataset is loaded and checkpointed
+// on the first run only); -cache-mb bounds the decoded column cache,
+// -spill-mb bounds operator memory before Sort/HashJoin spill to disk, and
+// -checkpoint-interval runs background checkpoints (manual CHECKPOINT always
+// works):
 //
 //	patchserver -listen :5433 -data-dir /var/lib/patchindex -cache-mb 512 -spill-mb 256 -checkpoint-interval 60
 package main
@@ -69,9 +71,7 @@ func main() {
 	partitions := flag.Int("partitions", 8, "partitions for preloaded tables")
 	uniqueRate := flag.Float64("unique-rate", 0.05, "uniqueness exception rate for -demo custom")
 	sortedRate := flag.Float64("sorted-rate", 0.05, "sortedness exception rate for -demo custom")
-	walPath := flag.String("wal", "", "write-ahead log path (enables durability of index definitions)")
-	indexDir := flag.String("indexdir", "", "directory for materialized PatchIndex payloads (fast recovery)")
-	dataDir := flag.String("data-dir", "", "data directory for full durability: compressed column segments, manifest, WAL (supersedes -wal/-indexdir)")
+	dataDir := flag.String("data-dir", "", "data directory for durability: compressed column segments, manifest, WAL, materialized PatchIndexes")
 	cacheMB := flag.Int("cache-mb", 0, "column cache byte budget in MB for -data-dir mode (0 = unlimited)")
 	spillMB := flag.Int("spill-mb", 0, "per-operator memory budget in MB before Sort/HashJoin spill to disk (0 = never spill)")
 	checkpointInterval := flag.Int("checkpoint-interval", 0, "seconds between background checkpoints in -data-dir mode (0 = manual CHECKPOINT only)")
@@ -116,8 +116,6 @@ func main() {
 		DefaultPartitions:    *partitions,
 		Parallel:             *parallel,
 		Parallelism:          *parallelism,
-		WALPath:              *walPath,
-		IndexDir:             *indexDir,
 		DataDir:              *dataDir,
 		CacheBytes:           int64(*cacheMB) << 20,
 		SpillBytes:           int64(*spillMB) << 20,
@@ -161,23 +159,20 @@ func main() {
 		}, overrides, eng.Metrics())
 	}
 
-	if err := datagen.LoadDemo(eng.Catalog().AddTable, os.Stderr, *demo, *rows, *partitions, *uniqueRate, *sortedRate); err != nil {
+	tables := len(eng.Catalog().TableNames())
+	if rec := eng.Recovery(); tables > 0 {
+		fmt.Fprintf(os.Stderr, "recovered %d table(s) and %d index(es) (%d from idx/ files), replayed %d WAL record(s) (%d rows) in %s\n",
+			tables, len(eng.Catalog().Indexes()), rec.IndexFiles, rec.ReplayedRecords, rec.ReplayedRows, rec.Duration.Round(time.Millisecond))
+	}
+	// A data dir restored from an earlier run already holds the demo.
+	if *demo != "" && tables > 0 {
+		fmt.Fprintf(os.Stderr, "-data-dir already holds tables; -demo %s not loaded\n", *demo)
+	} else if err := datagen.LoadDemo(eng.AddTable, os.Stderr, *demo, *rows, *partitions, *uniqueRate, *sortedRate); err != nil {
 		fatal(err)
 	}
-	if *walPath != "" && *demo != "" {
-		if err := eng.Recover(); err != nil {
-			fmt.Fprintf(os.Stderr, "warning: WAL recovery failed: %v\n", err)
-		}
-	}
-	if *dataDir != "" {
-		if rec := eng.Recovery(); rec.ManifestTables > 0 || rec.ReplayedRecords > 0 {
-			fmt.Fprintf(os.Stderr, "recovered %d table(s) from manifest, replayed %d WAL record(s) (%d rows) in %s\n",
-				rec.ManifestTables, rec.ReplayedRecords, rec.ReplayedRows, rec.Duration.Round(time.Millisecond))
-		}
-		if *checkpointInterval > 0 {
-			stopCkpt := eng.StartCheckpointer(time.Duration(*checkpointInterval) * time.Second)
-			defer stopCkpt()
-		}
+	if *checkpointInterval > 0 {
+		stopCkpt := eng.StartCheckpointer(time.Duration(*checkpointInterval) * time.Second)
+		defer stopCkpt()
 	}
 
 	srv, err := server.New(server.Config{

@@ -19,7 +19,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
@@ -73,14 +72,6 @@ type Config struct {
 	// falling back to interpreted row-at-a-time expression evaluation
 	// (the pre-kernel execution path; useful for A/B comparison).
 	DisableKernels bool
-	// WALPath, when non-empty, enables write-ahead logging of PatchIndex
-	// definitions to the given file.
-	WALPath string
-	// IndexDir, when non-empty, materializes PatchIndex data to disk (one
-	// file per index) — the first design alternative of Section V. Recover
-	// restores materialized indexes in O(|P_c|) and falls back to
-	// re-discovery when a file is missing or corrupt.
-	IndexDir string
 	// Metrics is the registry receiving engine-wide counters and latency
 	// histograms. When nil a private registry is created, so Engine.Metrics
 	// always works; pass a shared registry to aggregate several engines
@@ -149,14 +140,14 @@ type Config struct {
 	ResultCache bool
 	// ResultCacheBytes bounds the result cache (0 = default 32 MiB).
 	ResultCacheBytes int64
-	// DataDir enables durable storage mode: partitions flush to compressed
-	// segment files under DataDir/segs, the catalog manifest lives at
-	// DataDir/MANIFEST.json, ingest is write-ahead logged to a generation
-	// file (DataDir/wal.gN.log) rotated by CHECKPOINT, and decoded column
-	// payloads are governed by the clock cache. WALPath is ignored in this
-	// mode (the data directory owns its log); IndexDir defaults to
-	// DataDir/idx. Opening an existing DataDir restores the checkpointed
-	// state and replays the WAL suffix automatically — no Recover call.
+	// DataDir makes the engine durable; empty keeps everything in memory.
+	// Partitions flush to compressed segment files under DataDir/segs, the
+	// catalog manifest lives at DataDir/MANIFEST.json, DDL and ingest are
+	// write-ahead logged to a generation file (DataDir/wal.gN.log) rotated
+	// by CHECKPOINT, PatchIndex payloads are materialized under DataDir/idx
+	// (the first design alternative of Section V), and decoded column
+	// payloads are governed by the clock cache. New on an existing DataDir
+	// restores the checkpointed state and replays the WAL suffix.
 	DataDir string
 	// CacheBytes budgets the decoded-column clock cache in durable mode
 	// (<= 0 means unlimited: nothing is ever evicted). Dirty and pinned
@@ -249,21 +240,18 @@ type Engine struct {
 	planCache   *serving.PlanCache
 	resultCache *serving.ResultCache
 
-	// Durable mode (see persist.go). cache is nil outside durable mode;
-	// gen/walPath track the current checkpoint generation and its WAL file;
-	// replaying suppresses re-logging while the WAL suffix applies through
-	// the ordinary append path; checkpointMu serializes checkpoints.
+	// Durable mode (see persist.go). cache and log are nil outside durable
+	// mode, and log stays nil until recovery has replayed the WAL suffix, so
+	// replay does not log again; gen is the current checkpoint generation;
+	// checkpointMu serializes checkpoints.
 	cache        *storage.Cache
 	recovery     RecoveryStats
 	gen          uint64
-	walPath      string
-	replaying    bool
 	checkpointMu sync.Mutex
 }
 
-// New creates an engine. If cfg.WALPath is set the log is opened (or
-// created); call Recover after reloading table data to re-create the
-// PatchIndexes recorded in the log.
+// New creates an engine. With cfg.DataDir set it opens (or creates) the data
+// directory and restores its tables and PatchIndexes before returning.
 func New(cfg Config) (*Engine, error) {
 	if cfg.DefaultPartitions <= 0 {
 		cfg.DefaultPartitions = 1
@@ -292,18 +280,12 @@ func New(cfg Config) (*Engine, error) {
 		e.profiler.SetEnabled(true)
 	}
 	e.tuner = tuning.New(cfg.Tuning, e.profiler, engineActuator{e})
-	if cfg.AutoTune {
-		e.tuner.Start()
-	}
 	e.monitor = obs.NewMonitor(e.metrics, cfg.SampleInterval, cfg.AlertRules, e.collectSamples)
 	// Close the observe→detect→act loop: firing drift alerts become tuner
 	// rebuild candidates, and every tuner journal action surfaces as an info
 	// alert event.
 	e.monitor.Alerter().SetNotify(e.onAlert)
 	e.tuner.SetNotify(e.onTunerEvent)
-	if cfg.Monitor {
-		e.monitor.Start()
-	}
 	e.mStatements = e.metrics.Counter("statements_total")
 	e.mQueries = e.metrics.Counter("queries_total")
 	e.mSlowQueries = e.metrics.Counter("slow_queries_total")
@@ -317,22 +299,19 @@ func New(cfg Config) (*Engine, error) {
 	e.resultCache = serving.NewResultCache(cfg.ResultCacheBytes, e.metrics)
 	e.resultCache.SetEnabled(cfg.ResultCache)
 	if cfg.DataDir != "" {
-		if e.cfg.IndexDir == "" {
-			e.cfg.IndexDir = filepath.Join(cfg.DataDir, "idx")
-		}
 		e.cache = storage.NewCache(cfg.CacheBytes)
 		e.cache.SetMetrics(e.metrics)
 		if err := e.openDataDir(); err != nil {
 			return nil, err
 		}
-	} else if cfg.WALPath != "" {
-		l, err := wal.Open(cfg.WALPath)
-		if err != nil {
-			return nil, err
-		}
-		l.SetMetrics(e.metrics)
-		e.log = l
-		e.walPath = cfg.WALPath
+	}
+	// The background loops start last: they never see a half-recovered
+	// catalog, and a failed open leaves no goroutine behind.
+	if cfg.AutoTune {
+		e.tuner.Start()
+	}
+	if cfg.Monitor {
+		e.monitor.Start()
 	}
 	return e, nil
 }
@@ -720,7 +699,7 @@ func (e *Engine) execStmt(ctx context.Context, query string, stmt sql.Statement,
 		// reference them — deleting early would break crash recovery).
 		t.ReleaseStorage()
 		e.invalidateMaintainers(s.Name)
-		if e.log != nil && e.durable() && !e.replaying {
+		if e.log != nil {
 			if err := e.log.AppendDropTable(wal.DropTableRecord{Table: s.Name}); err != nil {
 				return nil, err
 			}
@@ -1065,7 +1044,7 @@ func (e *Engine) runInsert(s *sql.InsertStmt) (*Result, error) {
 	// In durable mode the inserted rows are re-grouped per partition and
 	// write-ahead logged as column images after the appends succeed.
 	var logged map[int][]*vector.Vector
-	if e.log != nil && e.durable() && !e.replaying {
+	if e.log != nil {
 		logged = map[int][]*vector.Vector{}
 	}
 	for _, row := range s.Rows {
@@ -1315,12 +1294,10 @@ func (e *Engine) createPatchIndexLatched(table, column string, c patch.Constrain
 		return nil, err
 	}
 	e.invalidateMaintainers(table)
-	if e.cfg.IndexDir != "" {
+	if e.log != nil {
 		if err := ix.Save(e.indexPath(table, column, c)); err != nil {
 			return nil, fmt.Errorf("patchindex: materializing index: %w", err)
 		}
-	}
-	if e.log != nil {
 		rec := wal.CreateIndexRecord{
 			Table:      table,
 			Column:     column,
@@ -1334,100 +1311,6 @@ func (e *Engine) createPatchIndexLatched(table, column string, c patch.Constrain
 		}
 	}
 	return ix, nil
-}
-
-// Recover replays the WAL and re-creates every PatchIndex it records, using
-// the same discovery mechanisms as the original creation. Tables must
-// already contain their data (the engine stores tables in memory; only index
-// definitions are durable).
-func (e *Engine) Recover() error {
-	if e.durable() {
-		return nil // durable engines recover automatically in New
-	}
-	if e.cfg.WALPath == "" {
-		return fmt.Errorf("patchindex: recovery requires a WAL path")
-	}
-	return wal.Replay(e.cfg.WALPath, func(entry wal.Entry) error {
-		switch entry.Kind {
-		case wal.RecordCreateIndex:
-			r := entry.Create
-			if e.cat.Lookup(r.Table, r.Column, patch.Constraint(r.Constraint)) != nil {
-				return nil // already present
-			}
-			_, err := e.createIndexNoLog(r)
-			return err
-		case wal.RecordDropIndex:
-			r := entry.Drop
-			if e.cat.Index(r.Table, r.Column) == nil {
-				return nil
-			}
-			return e.cat.DropIndex(r.Table, r.Column)
-		default:
-			return nil
-		}
-	})
-}
-
-func (e *Engine) createIndexNoLog(r *wal.CreateIndexRecord) (*patch.Index, error) {
-	release := e.acquireLatches(nil, []string{r.Table})
-	defer release()
-	t, err := e.cat.Table(r.Table)
-	if err != nil {
-		return nil, err
-	}
-	// Prefer the materialized index (Section V alternative): restoring the
-	// patch payload is O(|P_c|) instead of re-running discovery over the
-	// data. Fall back to re-discovery when the file is missing, corrupt, or
-	// does not match the reloaded table.
-	if e.cfg.IndexDir != "" {
-		path := e.indexPath(r.Table, r.Column, patch.Constraint(r.Constraint))
-		if ix, err := patch.Load(path); err == nil {
-			if e.materializedMatches(ix, t) {
-				if err := e.cat.AddIndex(ix); err != nil {
-					return nil, err
-				}
-				return ix, nil
-			}
-		}
-	}
-	ix, err := discovery.BuildIndex(t, r.Column, patch.Constraint(r.Constraint), discovery.BuildOptions{
-		Kind:        patch.Kind(r.Kind),
-		Threshold:   r.Threshold,
-		Descending:  r.Descending,
-		Force:       true, // the threshold was already validated at creation
-		Parallelism: e.effectiveParallelism(ExecOptions{}),
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := e.cat.AddIndex(ix); err != nil {
-		return nil, err
-	}
-	return ix, nil
-}
-
-// indexPath names the materialization file of one index.
-func (e *Engine) indexPath(table, column string, c patch.Constraint) string {
-	kind := "nuc"
-	if c == patch.NearlySorted {
-		kind = "nsc"
-	}
-	return filepath.Join(e.cfg.IndexDir, fmt.Sprintf("%s.%s.%s.pidx", table, column, kind))
-}
-
-// materializedMatches verifies a loaded index against the current table
-// shape (partition count and per-partition row counts).
-func (e *Engine) materializedMatches(ix *patch.Index, t *storage.Table) bool {
-	if ix.NumPartitions() != t.NumPartitions() {
-		return false
-	}
-	for p := 0; p < t.NumPartitions(); p++ {
-		set := ix.Partition(p)
-		if set == nil || set.NumRows() != t.Partition(p).NumRows() {
-			return false
-		}
-	}
-	return true
 }
 
 // IndexHealth is the health report of one PatchIndex: how many exceptions

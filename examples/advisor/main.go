@@ -1,10 +1,11 @@
 // Advisor: the self-management loop. A cloud database without a DBA must
 // discover constraints itself — but unclean data (NULLs, duplicates from
 // data integration, late arrivals) prevents perfect constraints. This
-// example loads such data, runs the constraint advisor, persists the
-// discovered PatchIndex definitions to a write-ahead log, and demonstrates
-// recovery: after a "crash", the indexes are reconstructed from the data by
-// replaying the WAL (the patches themselves are never logged).
+// example loads such data into a durable engine, runs the constraint
+// advisor, and demonstrates recovery: the WAL logs only the discovered
+// PatchIndex definitions (never the patches), and after a "crash" the
+// engine restores each index from its materialized file under the data
+// directory's idx/ — or rediscovers it from the data when the file is gone.
 //
 //	go run ./examples/advisor
 package main
@@ -15,6 +16,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"time"
 
 	"patchindex"
 	"patchindex/internal/discovery"
@@ -73,13 +75,19 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	walPath := filepath.Join(dir, "orders.wal")
+	cfg := patchindex.Config{DefaultPartitions: 4, DataDir: dir}
 
-	eng, err := patchindex.New(patchindex.Config{DefaultPartitions: 4, WALPath: walPath})
+	eng, err := patchindex.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if err := loadOrders(eng); err != nil {
+		log.Fatal(err)
+	}
+	// Checkpoint the loaded rows into compressed segments; from here on the
+	// WAL holds only what follows.
+	ckpt, err := eng.Checkpoint()
+	if err != nil {
 		log.Fatal(err)
 	}
 
@@ -111,27 +119,24 @@ func main() {
 	fmt.Println("\nindexes after advisor run:")
 	fmt.Print(res.String())
 
-	// 3. "Crash" and restart: the WAL holds only the definitions; the
-	//    patches are recomputed from the reloaded data.
+	// 3. "Crash" (close without a checkpoint) and restart: the table comes
+	//    back from its segments, the index definitions from the WAL, and the
+	//    patches from their materialized files.
 	if err := eng.Close(); err != nil {
 		log.Fatal(err)
 	}
-	eng2, err := patchindex.New(patchindex.Config{DefaultPartitions: 4, WALPath: walPath})
+	eng2, err := patchindex.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer eng2.Close()
-	if err := loadOrders(eng2); err != nil {
-		log.Fatal(err)
-	}
-	if err := eng2.Recover(); err != nil {
-		log.Fatal(err)
-	}
+	rec := eng2.Recovery()
 	res, err = eng2.Exec("SHOW PATCHINDEXES")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("indexes after crash + WAL replay:")
+	fmt.Printf("indexes after crash + WAL replay (%d WAL records, %d indexes loaded from idx/, %s):\n",
+		rec.ReplayedRecords, rec.IndexFiles, rec.Duration.Round(time.Millisecond))
 	fmt.Print(res.String())
 
 	// 4. The recovered indexes immediately speed up queries again.
@@ -142,10 +147,10 @@ func main() {
 	fmt.Println("count-distinct plan after recovery:")
 	fmt.Print(exp.Message)
 
-	walInfo, err := os.Stat(walPath)
+	walInfo, err := os.Stat(filepath.Join(dir, fmt.Sprintf("wal.g%d.log", ckpt.Generation)))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nWAL size: %d bytes for %d indexes — the patches themselves are never logged.\n",
+	fmt.Printf("\nWAL size since the checkpoint: %d bytes for %d indexes — the patches themselves are never logged.\n",
 		walInfo.Size(), len(proposals))
 }

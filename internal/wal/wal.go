@@ -1,8 +1,9 @@
-// Package wal implements the write-ahead log the engine uses to make
-// PatchIndex definitions durable. Following Section V of the paper, only the
-// index *creation* is logged — never the determined patches — keeping the
-// log slim; on replay the index is reconstructed from the data using the
-// same discovery mechanisms as at creation time.
+// Package wal implements the write-ahead log of a durable engine's data
+// directory: table DDL, ingest batches and PatchIndex definitions since the
+// last checkpoint. Following Section V of the paper, an index *creation* is
+// logged without its determined patches, keeping the log slim; on replay the
+// index is reconstructed from the data using the same discovery mechanisms
+// as at creation time.
 //
 // Record format (little endian):
 //
@@ -39,13 +40,13 @@ const (
 	RecordCreateIndex RecordKind = iota + 1
 	// RecordDropIndex logs a PatchIndex drop.
 	RecordDropIndex
-	// RecordCreateTable logs a table creation (durable mode only).
+	// RecordCreateTable logs a table creation.
 	RecordCreateTable
-	// RecordDropTable logs a table drop (durable mode only).
+	// RecordDropTable logs a table drop.
 	RecordDropTable
 	// RecordAppend logs an ingest batch: whole column vectors bound for one
-	// partition (durable mode only). Checkpoints truncate these away, so the
-	// log holds just the suffix since the last checkpoint.
+	// partition. Checkpoints rotate the log, so it holds just the suffix since
+	// the last checkpoint.
 	RecordAppend
 )
 
@@ -198,24 +199,6 @@ func (l *Log) AppendData(r AppendRecord) error {
 	return l.append(RecordAppend, buf.Bytes())
 }
 
-// Reset truncates the log to empty — called after a checkpoint has made
-// everything before the truncation point durable elsewhere. The truncation
-// is synced before returning.
-func (l *Log) Reset() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return fmt.Errorf("wal: log is closed")
-	}
-	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("wal: reset: %w", err)
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: reset: %w", err)
-	}
-	return l.f.Sync()
-}
-
 func (l *Log) append(kind RecordKind, payload []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -263,61 +246,88 @@ type Entry struct {
 // intact record. A truncated trailing record (torn write) ends the replay
 // without error; a CRC mismatch in the middle returns ErrCorrupt.
 func Replay(path string, fn func(Entry) error) error {
+	_, err := replay(path, fn)
+	return err
+}
+
+// Resume replays the log at path like Replay, cuts off a torn trailing
+// record, and opens the log for appending. Without the cut, the next record
+// would land behind the torn bytes, and the replay after that would read it
+// as the torn record's payload.
+func Resume(path string, fn func(Entry) error) (*Log, error) {
+	end, err := replay(path, fn)
+	if err != nil {
+		return nil, err
+	}
+	l, err := Open(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := l.f.Truncate(end); err != nil {
+		l.Close()
+		return nil, fmt.Errorf("wal: cutting torn tail: %w", err)
+	}
+	return l, nil
+}
+
+// replay is Replay returning the byte offset where the intact records end.
+func replay(path string, fn func(Entry) error) (int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil
+			return 0, nil
 		}
-		return fmt.Errorf("wal: replay: %w", err)
+		return 0, fmt.Errorf("wal: replay: %w", err)
 	}
 	defer f.Close()
 	r := bufio.NewReader(f)
+	var end int64
+	// torn reports a read that hit the end of the file mid-record.
+	torn := func(err error) bool { return err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) }
 	for {
 		var hdr [9]byte
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF {
-				return nil
+			if torn(err) {
+				return end, nil // clean end or torn header
 			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				return nil // torn header
-			}
-			return fmt.Errorf("wal: replay: %w", err)
+			return end, fmt.Errorf("wal: replay: %w", err)
 		}
 		if binary.LittleEndian.Uint32(hdr[0:4]) != magic {
-			return fmt.Errorf("%w: bad magic", ErrCorrupt)
+			return end, fmt.Errorf("%w: bad magic", ErrCorrupt)
 		}
 		kind := RecordKind(hdr[4])
 		n := binary.LittleEndian.Uint32(hdr[5:9])
 		if n > 1<<24 {
-			return fmt.Errorf("%w: oversized record (%d bytes)", ErrCorrupt, n)
+			return end, fmt.Errorf("%w: oversized record (%d bytes)", ErrCorrupt, n)
 		}
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(r, payload); err != nil {
-			if errors.Is(err, io.ErrUnexpectedEOF) || err == io.EOF {
-				return nil // torn payload
+			if torn(err) {
+				return end, nil // torn payload
 			}
-			return fmt.Errorf("wal: replay: %w", err)
+			return end, fmt.Errorf("wal: replay: %w", err)
 		}
 		var tail [4]byte
 		if _, err := io.ReadFull(r, tail[:]); err != nil {
-			if errors.Is(err, io.ErrUnexpectedEOF) || err == io.EOF {
-				return nil // torn crc
+			if torn(err) {
+				return end, nil // torn crc
 			}
-			return fmt.Errorf("wal: replay: %w", err)
+			return end, fmt.Errorf("wal: replay: %w", err)
 		}
 		crc := crc32.NewIEEE()
 		crc.Write(hdr[4:9])
 		crc.Write(payload)
 		if crc.Sum32() != binary.LittleEndian.Uint32(tail[:]) {
-			return fmt.Errorf("%w: crc mismatch", ErrCorrupt)
+			return end, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
 		}
 		entry, err := decode(kind, payload)
 		if err != nil {
-			return err
+			return end, err
 		}
 		if err := fn(entry); err != nil {
-			return err
+			return end, err
 		}
+		end += int64(len(hdr)) + int64(n) + int64(len(tail))
 	}
 }
 

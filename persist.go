@@ -1,16 +1,19 @@
-// Durable storage: the engine half of disk-backed compressed column
-// segments. With Config.DataDir set the engine runs in durable mode —
-// table data lives in per-partition segment files under <DataDir>/segs,
-// decoded payloads are budgeted by a clock cache, ingest is write-ahead
-// logged, and CHECKPOINT flushes dirty partitions + writes the catalog
-// manifest + rotates the WAL so restart replays only the suffix.
+// Durable storage, the engine's one persistence mode. With Config.DataDir
+// set, table data lives in per-partition segment files under <DataDir>/segs,
+// decoded payloads are budgeted by a clock cache, DDL and ingest are
+// write-ahead logged, PatchIndex payloads are materialized under
+// <DataDir>/idx, and CHECKPOINT flushes dirty partitions + writes the
+// catalog manifest + rotates the WAL so restart replays only the suffix.
 //
 // Crash protocol: the manifest rename is the checkpoint's commit point. The
 // manifest names both the segment generation and the WAL file carrying
 // records after it, so recovery always pairs a consistent snapshot with
 // exactly its suffix — a crash before the rename recovers from the previous
 // pair, a crash after it from the new one. Superseded segment generations
-// and WAL files are orphans swept by the next successful checkpoint.
+// and WAL files are orphans swept by the next successful checkpoint, as are
+// index files of indexes the manifest no longer lists. An index file is only
+// a shortcut: recovery rediscovers an index whose file is missing, corrupt,
+// or saved for another shape of its table.
 package patchindex
 
 import (
@@ -22,6 +25,7 @@ import (
 	"time"
 
 	"patchindex/internal/catalog"
+	"patchindex/internal/discovery"
 	"patchindex/internal/patch"
 	"patchindex/internal/storage"
 	"patchindex/internal/vector"
@@ -40,6 +44,7 @@ const walLogRows = 8192
 type RecoveryStats struct {
 	ManifestTables  int           // tables restored lazily from segment files
 	ManifestIndexes int           // index definitions restored from the manifest
+	IndexFiles      int           // indexes loaded from idx/ instead of rediscovered
 	ReplayedRecords int           // total WAL records replayed
 	ReplayedAppends int           // data (ingest) records among them
 	ReplayedRows    int64         // rows re-applied from the WAL suffix
@@ -65,6 +70,7 @@ func (e *Engine) Cache() *storage.Cache { return e.cache }
 func (e *Engine) durable() bool { return e.cfg.DataDir != "" }
 
 func (e *Engine) segDir() string       { return filepath.Join(e.cfg.DataDir, "segs") }
+func (e *Engine) idxDir() string       { return filepath.Join(e.cfg.DataDir, "idx") }
 func (e *Engine) manifestPath() string { return filepath.Join(e.cfg.DataDir, manifestName) }
 
 // spillDir resolves the operator spill directory: Config.SpillDir, else a
@@ -85,19 +91,33 @@ func segFileName(table string, part int, gen uint64) string {
 	return fmt.Sprintf("%s.p%d.g%d.seg", table, part, gen)
 }
 
+// AddTable registers a table built outside SQL, such as a generated demo
+// dataset. Its rows never passed through the WAL, so a durable engine
+// checkpoints at once: the table is in the manifest before any logged
+// statement can refer to it.
+func (e *Engine) AddTable(t *storage.Table) error {
+	if err := e.cat.AddTable(t); err != nil || !e.durable() {
+		return err
+	}
+	_, err := e.Checkpoint()
+	return err
+}
+
+// indexPath names the materialization file of one index.
+func (e *Engine) indexPath(table, column string, c patch.Constraint) string {
+	return filepath.Join(e.idxDir(), fmt.Sprintf("%s.%s.%s.pidx", table, column, constraintTag(c)))
+}
+
 // openDataDir restores the engine from DataDir: manifest tables load lazily
 // (payloads stay on disk behind the cache), manifest indexes restore from
 // their materialized files or rediscovery, then the WAL suffix replays
 // through the ordinary maintained-append path. Called from New before the
-// engine is shared, so no latching subtleties apply.
+// engine is shared, so no latches are taken.
 func (e *Engine) openDataDir() error {
 	start := time.Now()
-	if err := os.MkdirAll(e.segDir(), 0o755); err != nil {
-		return fmt.Errorf("patchindex: data dir: %w", err)
-	}
-	if e.cfg.IndexDir != "" {
-		if err := os.MkdirAll(e.cfg.IndexDir, 0o755); err != nil {
-			return fmt.Errorf("patchindex: index dir: %w", err)
+	for _, dir := range []string{e.segDir(), e.idxDir()} {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return fmt.Errorf("patchindex: data dir: %w", err)
 		}
 	}
 	if e.cfg.SpillBytes > 0 {
@@ -115,19 +135,6 @@ func (e *Engine) openDataDir() error {
 		if m.WALFile != "" {
 			walFile = m.WALFile
 		}
-	}
-	e.walPath = filepath.Join(e.cfg.DataDir, walFile)
-	log, err := wal.Open(e.walPath)
-	if err != nil {
-		return err
-	}
-	log.SetMetrics(e.metrics)
-	e.log = log
-
-	e.replaying = true
-	defer func() { e.replaying = false }()
-
-	if m != nil {
 		for _, mt := range m.Tables {
 			cols := make([]storage.Column, len(mt.Columns))
 			for i, c := range mt.Columns {
@@ -156,96 +163,140 @@ func (e *Engine) openDataDir() error {
 				Threshold:  mi.Threshold,
 				Descending: mi.Descending,
 			}
-			if _, err := e.createIndexNoLog(&rec); err != nil {
+			if err := e.restoreIndex(&rec); err != nil {
 				return fmt.Errorf("patchindex: restoring index on %s.%s: %w", mi.Table, mi.Column, err)
 			}
 			e.recovery.ManifestIndexes++
 		}
 	}
 
-	if err := e.replayWAL(); err != nil {
+	// The log opens for appends only after the suffix has replayed, so the
+	// replayed statements do not log themselves a second time.
+	log, err := wal.Resume(filepath.Join(e.cfg.DataDir, walFile), e.replayEntry)
+	if err != nil {
 		return err
 	}
+	log.SetMetrics(e.metrics)
+	e.log = log
 	e.recovery.Duration = time.Since(start)
 	return nil
 }
 
-// replayWAL applies the post-checkpoint suffix.
-func (e *Engine) replayWAL() error {
-	return wal.Replay(e.walPath, func(entry wal.Entry) error {
-		e.recovery.ReplayedRecords++
-		switch entry.Kind {
-		case wal.RecordCreateIndex:
-			r := entry.Create
-			if e.cat.Lookup(r.Table, r.Column, patch.Constraint(r.Constraint)) != nil {
-				return nil
-			}
-			_, err := e.createIndexNoLog(r)
-			return err
-		case wal.RecordDropIndex:
-			r := entry.Drop
-			if e.cat.Index(r.Table, r.Column) == nil {
-				return nil
-			}
-			if err := e.cat.DropIndex(r.Table, r.Column); err != nil {
-				return err
-			}
-			e.invalidateMaintainers(r.Table)
-			return nil
-		case wal.RecordCreateTable:
-			r := entry.CreateTable
-			if t, _ := e.cat.Table(r.Table); t != nil {
-				return nil
-			}
-			cols := make([]storage.Column, len(r.ColNames))
-			for i, name := range r.ColNames {
-				cols[i] = storage.Column{Name: name, Typ: vector.Type(r.ColTypes[i])}
-			}
-			t, err := storage.NewTable(r.Table, storage.NewSchema(cols...), int(r.Partitions))
-			if err != nil {
-				return err
-			}
-			if r.SortKey != "" {
-				if err := t.SetSortKey(r.SortKey); err != nil {
-					return err
-				}
-			}
-			t.AttachCache(e.cache)
-			return e.cat.AddTable(t)
-		case wal.RecordDropTable:
-			r := entry.DropTable
-			t, err := e.cat.Table(r.Table)
-			if err != nil {
-				return nil // already gone
-			}
-			if err := e.cat.DropTable(r.Table); err != nil {
-				return err
-			}
-			t.ReleaseStorage()
-			e.invalidateMaintainers(r.Table)
-			return nil
-		case wal.RecordAppend:
-			r := entry.Append
-			cols, _, err := vector.DecodeColumns(r.Cols)
-			if err != nil {
-				return fmt.Errorf("patchindex: replay append into %s: %w", r.Table, err)
-			}
-			e.recovery.ReplayedAppends++
-			if len(cols) > 0 {
-				e.recovery.ReplayedRows += int64(cols[0].Len())
-			}
-			return e.appendLatched(r.Table, int(r.Partition), cols)
-		default:
+// restoreIndex re-creates a manifest or WAL index definition. It prefers
+// the materialized file (Section V's alternative): loading the patches is
+// O(|P_c|) instead of re-running discovery over the data.
+func (e *Engine) restoreIndex(r *wal.CreateIndexRecord) error {
+	t, err := e.cat.Table(r.Table)
+	if err != nil {
+		return err
+	}
+	c := patch.Constraint(r.Constraint)
+	if ix, err := patch.Load(e.indexPath(r.Table, r.Column, c)); err == nil && materializedMatches(ix, t, r) {
+		e.recovery.IndexFiles++
+		return e.cat.AddIndex(ix)
+	}
+	ix, err := discovery.BuildIndex(t, r.Column, c, discovery.BuildOptions{
+		Kind:        patch.Kind(r.Kind),
+		Threshold:   r.Threshold,
+		Descending:  r.Descending,
+		Force:       true, // the threshold was already validated at creation
+		Parallelism: e.effectiveParallelism(ExecOptions{}),
+	})
+	if err != nil {
+		return err
+	}
+	return e.cat.AddIndex(ix)
+}
+
+// materializedMatches reports whether a loaded index file was saved for the
+// definition being restored and for the current table shape (partition count
+// and per-partition row counts).
+func materializedMatches(ix *patch.Index, t *storage.Table, r *wal.CreateIndexRecord) bool {
+	if ix.Descending() != r.Descending || ix.NumPartitions() != t.NumPartitions() {
+		return false
+	}
+	for p := 0; p < t.NumPartitions(); p++ {
+		set := ix.Partition(p)
+		if set == nil || set.NumRows() != t.Partition(p).NumRows() {
+			return false
+		}
+	}
+	return true
+}
+
+// replayEntry applies one record of the post-checkpoint WAL suffix.
+func (e *Engine) replayEntry(entry wal.Entry) error {
+	e.recovery.ReplayedRecords++
+	switch entry.Kind {
+	case wal.RecordCreateIndex:
+		r := entry.Create
+		if e.cat.Lookup(r.Table, r.Column, patch.Constraint(r.Constraint)) != nil {
 			return nil
 		}
-	})
+		return e.restoreIndex(r)
+	case wal.RecordDropIndex:
+		r := entry.Drop
+		if e.cat.Index(r.Table, r.Column) == nil {
+			return nil
+		}
+		if err := e.cat.DropIndex(r.Table, r.Column); err != nil {
+			return err
+		}
+		e.invalidateMaintainers(r.Table)
+		return nil
+	case wal.RecordCreateTable:
+		r := entry.CreateTable
+		if t, _ := e.cat.Table(r.Table); t != nil {
+			return nil
+		}
+		cols := make([]storage.Column, len(r.ColNames))
+		for i, name := range r.ColNames {
+			cols[i] = storage.Column{Name: name, Typ: vector.Type(r.ColTypes[i])}
+		}
+		t, err := storage.NewTable(r.Table, storage.NewSchema(cols...), int(r.Partitions))
+		if err != nil {
+			return err
+		}
+		if r.SortKey != "" {
+			if err := t.SetSortKey(r.SortKey); err != nil {
+				return err
+			}
+		}
+		t.AttachCache(e.cache)
+		return e.cat.AddTable(t)
+	case wal.RecordDropTable:
+		r := entry.DropTable
+		t, err := e.cat.Table(r.Table)
+		if err != nil {
+			return nil // already gone
+		}
+		if err := e.cat.DropTable(r.Table); err != nil {
+			return err
+		}
+		t.ReleaseStorage()
+		e.invalidateMaintainers(r.Table)
+		return nil
+	case wal.RecordAppend:
+		r := entry.Append
+		cols, _, err := vector.DecodeColumns(r.Cols)
+		if err != nil {
+			return fmt.Errorf("patchindex: replay append into %s: %w", r.Table, err)
+		}
+		e.recovery.ReplayedAppends++
+		if len(cols) > 0 {
+			e.recovery.ReplayedRows += int64(cols[0].Len())
+		}
+		return e.appendLatched(r.Table, int(r.Partition), cols)
+	default:
+		return nil
+	}
 }
 
 // logAppend write-ahead logs an ingest batch, chunked so any single record
 // stays within the replayer's framing guard. No-op outside durable mode and
 // during replay.
 func (e *Engine) logAppend(table string, part int, cols []*vector.Vector) error {
-	if e.log == nil || !e.durable() || e.replaying {
+	if e.log == nil {
 		return nil
 	}
 	n := 0
@@ -283,7 +334,7 @@ func (e *Engine) logAppend(table string, part int, cols []*vector.Vector) error 
 
 // logCreateTable write-ahead logs a CREATE TABLE in durable mode.
 func (e *Engine) logCreateTable(t *storage.Table, partitions int) error {
-	if e.log == nil || !e.durable() || e.replaying {
+	if e.log == nil {
 		return nil
 	}
 	schema := t.Schema()
@@ -393,13 +444,11 @@ func (e *Engine) Checkpoint() (CheckpointStats, error) {
 		return stats, err
 	}
 	// Commit point passed: swap logs and sweep orphans.
-	oldLog, oldPath := e.log, e.walPath
-	e.log, e.walPath, e.gen = newLog, newWALPath, gen
-	if oldLog != nil {
-		oldLog.Close()
-	}
-	if oldPath != newWALPath {
-		os.Remove(oldPath)
+	oldLog := e.log
+	e.log, e.gen = newLog, gen
+	oldLog.Close()
+	if oldLog.Path() != newWALPath {
+		os.Remove(oldLog.Path())
 	}
 	e.sweepOrphans(m)
 	stats.Duration = time.Since(start)
@@ -420,8 +469,9 @@ func (e *Engine) totalSegmentBytes() int64 {
 	return total
 }
 
-// sweepOrphans removes segment files and WAL generations the manifest no
-// longer references. Failures are ignored — orphans are garbage, not state.
+// sweepOrphans removes segment files, index files and WAL generations the
+// manifest no longer references. Failures are ignored — orphans are garbage,
+// not state.
 func (e *Engine) sweepOrphans(m *catalog.Manifest) {
 	live := map[string]bool{}
 	for _, t := range m.Tables {
@@ -429,11 +479,15 @@ func (e *Engine) sweepOrphans(m *catalog.Manifest) {
 			live[filepath.Base(p.File)] = true
 		}
 	}
-	if entries, err := os.ReadDir(e.segDir()); err == nil {
+	for _, ix := range m.Indexes {
+		live[filepath.Base(e.indexPath(ix.Table, ix.Column, patch.Constraint(ix.Constraint)))] = true
+	}
+	for dir, suffix := range map[string]string{e.segDir(): ".seg", e.idxDir(): ".pidx"} {
+		entries, _ := os.ReadDir(dir)
 		for _, ent := range entries {
 			name := ent.Name()
-			if strings.HasSuffix(name, ".seg") && !live[name] {
-				os.Remove(filepath.Join(e.segDir(), name))
+			if strings.HasSuffix(name, suffix) && !live[name] {
+				os.Remove(filepath.Join(dir, name))
 			}
 		}
 	}

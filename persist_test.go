@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"patchindex/internal/patch"
+	"patchindex/internal/storage"
 	"patchindex/internal/vector"
 )
 
@@ -217,5 +219,89 @@ func TestCheckpointIdempotent(t *testing.T) {
 	}
 	if s2.Generation != s1.Generation+1 {
 		t.Errorf("generation %d after %d", s2.Generation, s1.Generation)
+	}
+}
+
+// TestDurableTornWALTail: a crash that tears the last WAL record loses that
+// record only. The torn bytes are cut on open, so statements after the
+// restart survive the next restart too.
+func TestDurableTornWALTail(t *testing.T) {
+	dir := t.TempDir()
+	e := newDurableEngine(t, dir, 0)
+	mustExec(t, e, "CREATE TABLE ev (id BIGINT, name VARCHAR)")
+	insertRows(t, e, "ev", 0, 40)
+	e.Close()
+	// A torn record: a header announcing 100 payload bytes, then 3 of them.
+	walPath := filepath.Join(dir, walFileName(0))
+	f, err := os.OpenFile(walPath, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0x31, 0x4c, 0x57, 0x50, 5, 100, 0, 0, 0, 1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	e2 := newDurableEngine(t, dir, 0)
+	if got := len(scanAll(t, e2, "ev")); got != 40 {
+		t.Fatalf("rows after torn tail = %d, want 40", got)
+	}
+	insertRows(t, e2, "ev", 40, 50)
+	want := scanAll(t, e2, "ev")
+	e2.Close()
+
+	e3 := newDurableEngine(t, dir, 0)
+	defer e3.Close()
+	if got := scanAll(t, e3, "ev"); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("rows after second restart = %d, want %d", len(got), len(want))
+	}
+}
+
+// TestDurableAddTable: a table built outside SQL is checkpointed as it is
+// registered, so a restart restores it and the indexes logged after it.
+func TestDurableAddTable(t *testing.T) {
+	dir := t.TempDir()
+	e := newDurableEngine(t, dir, 0)
+	tbl, err := storage.NewTable("gen", storage.NewSchema(storage.Column{Name: "v", Typ: vector.Int64}), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < 2; p++ {
+		if err := tbl.AppendColumns(p, []*vector.Vector{vector.NewFromInt64([]int64{1, 2, 2, int64(10 + p)})}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.AddTable(tbl); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, e, "CREATE PATCHINDEX ON gen(v) UNIQUE THRESHOLD 0.9")
+	e.Close()
+
+	e2 := newDurableEngine(t, dir, 0)
+	defer e2.Close()
+	if e2.Recovery().ManifestTables != 1 {
+		t.Errorf("ManifestTables = %d, want 1", e2.Recovery().ManifestTables)
+	}
+	if e2.Catalog().Index("gen", "v") == nil {
+		t.Error("index on the added table not restored")
+	}
+	if got := mustExec(t, e2, "SELECT COUNT(DISTINCT v) FROM gen").Rows[0][0].I64; got != 4 {
+		t.Errorf("COUNT(DISTINCT v) = %d, want 4", got)
+	}
+}
+
+// TestFailedOpenStartsNoLoops: the tuner and the watchdog start only after
+// the data dir has opened, so a failed open leaves no goroutine running.
+func TestFailedOpenStartsNoLoops(t *testing.T) {
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	if _, err := New(Config{DataDir: notDir, AutoTune: true, Monitor: true}); err == nil {
+		t.Fatal("New on a plain file must fail")
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("goroutines %d after the failed open, %d before", n, before)
 	}
 }

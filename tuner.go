@@ -34,12 +34,10 @@ func (e *Engine) dropPatchIndexLatched(table, column string) error {
 		return err
 	}
 	e.invalidateMaintainers(table)
-	if e.cfg.IndexDir != "" {
+	if e.log != nil {
 		for _, c := range []patch.Constraint{patch.NearlyUnique, patch.NearlySorted} {
 			os.Remove(e.indexPath(table, column, c))
 		}
-	}
-	if e.log != nil {
 		if err := e.log.AppendDropIndex(wal.DropIndexRecord{Table: table, Column: column}); err != nil {
 			return err
 		}
