@@ -24,10 +24,10 @@
 // "busy" error instead of piling up. SIGINT/SIGTERM trigger a graceful
 // shutdown that drains in-flight queries for up to -grace seconds.
 //
-// The serving fast path caches bound plans per statement text
+// The serving fast path caches up to 512 bound plans per statement text
 // (-plan-cache, on by default, invalidated on every DDL/tuner epoch bump)
 // and, opt-in, read-only query results keyed on per-table versions
-// (-result-cache, -result-cache-mb). Per-tenant QoS (token-bucket rate
+// (-result-cache, -result-cache-mb); both are one LRU type. Per-tenant QoS (token-bucket rate
 // limits, in-flight caps, priority-aware shedding) activates when any
 // -qos-* flag or a -tenants JSON file is given; sessions pick their tenant
 // with `\set tenant` or the wire protocol's tenant field, and per-tenant
@@ -94,7 +94,6 @@ func main() {
 	alertRules := flag.String("alert-rules", "", "JSON file of alert rules overriding the built-in watchdog rules")
 	enablePprof := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 	planCache := flag.Bool("plan-cache", true, "cache bound plans per statement text (invalidated on every DDL/tuner epoch bump)")
-	planCacheSize := flag.Int("plan-cache-size", 0, "bound-plan cache capacity in entries (0 = default 512)")
 	resultCache := flag.Bool("result-cache", false, "cache read-only deterministic-order results keyed on table versions")
 	resultCacheMB := flag.Int("result-cache-mb", 0, "result cache byte budget in MB (0 = default 32)")
 	qosRate := flag.Float64("qos-rate", 0, "default per-tenant statement rate limit per second (0 = unlimited)")
@@ -130,7 +129,6 @@ func main() {
 		SampleInterval:       time.Duration(*sampleIntervalMS) * time.Millisecond,
 		AlertRules:           rules,
 		PlanCache:            *planCache,
-		PlanCacheSize:        *planCacheSize,
 		ResultCache:          *resultCache,
 		ResultCacheBytes:     int64(*resultCacheMB) << 20,
 	})

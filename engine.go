@@ -128,10 +128,9 @@ type Config struct {
 	// plans keyed on statement text + rewrite options, invalidated by the
 	// catalog epoch (every DDL and tuner create/drop/rebuild bumps it), so
 	// repeated dashboard-style statements skip parse-adjacent bind/rewrite
-	// work without ever serving a plan from a stale index set.
+	// work without ever serving a plan from a stale index set. It holds
+	// serving.DefaultPlanCacheSize (512) entries.
 	PlanCache bool
-	// PlanCacheSize bounds the plan cache entries (0 = default 512).
-	PlanCacheSize int
 	// ResultCache enables the serving result cache: materialized read-only
 	// results keyed on statement text + per-table version stamps, evicted
 	// LRU under ResultCacheBytes. Only deterministic-order SELECTs are
@@ -294,7 +293,7 @@ func New(cfg Config) (*Engine, error) {
 	e.hQuery = e.metrics.Histogram("query_nanos")
 	e.hIndexBuild = e.metrics.Histogram("index_build_nanos")
 	e.mIndexBuilds = e.metrics.Counter("index_builds_total")
-	e.planCache = serving.NewPlanCache(cfg.PlanCacheSize, e.metrics)
+	e.planCache = serving.NewPlanCache(serving.DefaultPlanCacheSize, e.metrics)
 	e.planCache.SetEnabled(cfg.PlanCache)
 	e.resultCache = serving.NewResultCache(cfg.ResultCacheBytes, e.metrics)
 	e.resultCache.SetEnabled(cfg.ResultCache)

@@ -250,7 +250,7 @@ type Alerter struct {
 	states map[string]*alertState
 
 	seq     atomic.Uint64
-	history []atomic.Pointer[AlertEvent]
+	history *Ring[AlertEvent]
 
 	notify func(AlertEvent)
 }
@@ -270,7 +270,7 @@ func NewAlerter(rules []Rule) *Alerter {
 	return &Alerter{
 		rules:   valid,
 		states:  map[string]*alertState{},
-		history: make([]atomic.Pointer[AlertEvent], alertHistoryCap),
+		history: NewRing[AlertEvent](alertHistoryCap),
 	}
 }
 
@@ -302,9 +302,7 @@ func (a *Alerter) SetNotify(fn func(AlertEvent)) {
 // post-unlock notification. Caller holds a.mu.
 func (a *Alerter) record(ev AlertEvent) AlertEvent {
 	ev.Seq = a.seq.Add(1)
-	i := (ev.Seq - 1) % uint64(len(a.history))
-	e := ev
-	a.history[i].Store(&e)
+	a.history.Add(&ev)
 	return ev
 }
 
@@ -336,12 +334,7 @@ func (a *Alerter) History(max int) []AlertEvent {
 	if a == nil {
 		return nil
 	}
-	out := make([]AlertEvent, 0, len(a.history))
-	for i := range a.history {
-		if e := a.history[i].Load(); e != nil {
-			out = append(out, *e)
-		}
-	}
+	out := a.history.Values()
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq > out[j].Seq })
 	if max > 0 && len(out) > max {
 		out = out[:max]

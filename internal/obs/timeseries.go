@@ -63,35 +63,9 @@ func newPoint(unixNanos int64, v float64) Point {
 	return Point{UnixNanos: unixNanos, Last: v, Min: v, Max: v, Sum: v, Count: 1}
 }
 
-// pointRing is a fixed-capacity ring of published (immutable) points, the
-// same idiom as the trace Ring: writers claim a slot with one atomic
-// increment and publish with an atomic pointer store, readers snapshot
-// lock-free, so serving /timeseries never contends with sampling.
-type pointRing struct {
-	slots []atomic.Pointer[Point]
-	next  atomic.Uint64
-}
-
-func newPointRing(n int) *pointRing {
-	if n < 1 {
-		n = 1
-	}
-	return &pointRing{slots: make([]atomic.Pointer[Point], n)}
-}
-
-func (r *pointRing) add(p Point) {
-	i := r.next.Add(1) - 1
-	r.slots[i%uint64(len(r.slots))].Store(&p)
-}
-
-// snapshot returns the retained points ordered oldest first.
-func (r *pointRing) snapshot() []Point {
-	out := make([]Point, 0, len(r.slots))
-	for i := range r.slots {
-		if p := r.slots[i].Load(); p != nil {
-			out = append(out, *p)
-		}
-	}
+// points copies a tier's published points, oldest first by timestamp.
+func points(r *Ring[Point]) []Point {
+	out := r.Values()
 	sort.Slice(out, func(i, j int) bool { return out[i].UnixNanos < out[j].UnixNanos })
 	return out
 }
@@ -101,7 +75,7 @@ func (r *pointRing) snapshot() []Point {
 // contention is negligible); readers touch the mutex only long enough to
 // copy the open downsampling buckets.
 type Series struct {
-	raw, mid, lng *pointRing
+	raw, mid, lng *Ring[Point]
 
 	mu       sync.Mutex
 	midOpen  bool
@@ -113,9 +87,9 @@ type Series struct {
 
 func newSeries(rawCap, midCap, lngCap int) *Series {
 	return &Series{
-		raw: newPointRing(rawCap),
-		mid: newPointRing(midCap),
-		lng: newPointRing(lngCap),
+		raw: NewRing[Point](rawCap),
+		mid: NewRing[Point](midCap),
+		lng: NewRing[Point](lngCap),
 	}
 }
 
@@ -127,7 +101,8 @@ func (s *Series) Observe(unixNanos int64, v float64) {
 		return
 	}
 	s.mu.Lock()
-	s.raw.add(newPoint(unixNanos, v))
+	p := newPoint(unixNanos, v)
+	s.raw.Add(&p)
 	s.roll(&s.midOpen, &s.midAgg, s.mid, tier10sNanos, unixNanos, v)
 	s.roll(&s.lngOpen, &s.lngAgg, s.lng, tier5mNanos, unixNanos, v)
 	s.mu.Unlock()
@@ -137,10 +112,11 @@ func (s *Series) Observe(unixNanos int64, v float64) {
 // roll folds v into the open bucket of one downsampled tier, publishing the
 // previous bucket when the sample crosses a bucket boundary. Caller holds
 // s.mu.
-func (s *Series) roll(open *bool, agg *Point, ring *pointRing, bucketNanos, t int64, v float64) {
+func (s *Series) roll(open *bool, agg *Point, ring *Ring[Point], bucketNanos, t int64, v float64) {
 	b := t - t%bucketNanos
 	if *open && agg.UnixNanos != b {
-		ring.add(*agg)
+		closed := *agg
+		ring.Add(&closed)
 		*open = false
 	}
 	if !*open {
@@ -169,7 +145,7 @@ func (s *Series) Points(tier string) []Point {
 	}
 	switch tier {
 	case Tier10s:
-		out := s.mid.snapshot()
+		out := points(s.mid)
 		s.mu.Lock()
 		if s.midOpen {
 			out = append(out, s.midAgg)
@@ -177,7 +153,7 @@ func (s *Series) Points(tier string) []Point {
 		s.mu.Unlock()
 		return out
 	case Tier5m:
-		out := s.lng.snapshot()
+		out := points(s.lng)
 		s.mu.Lock()
 		if s.lngOpen {
 			out = append(out, s.lngAgg)
@@ -185,7 +161,7 @@ func (s *Series) Points(tier string) []Point {
 		s.mu.Unlock()
 		return out
 	default:
-		return s.raw.snapshot()
+		return points(s.raw)
 	}
 }
 
@@ -194,7 +170,7 @@ func (s *Series) Latest() (Point, bool) {
 	if s == nil {
 		return Point{}, false
 	}
-	pts := s.raw.snapshot()
+	pts := points(s.raw)
 	if len(pts) == 0 {
 		return Point{}, false
 	}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -57,7 +58,7 @@ type Tracer struct {
 	sampleN atomic.Int64
 	seq     atomic.Uint64 // sampling sequence
 	ids     atomic.Uint64 // trace-id allocator
-	ring    *Ring
+	ring    *Ring[Trace]
 }
 
 // DefaultTraceHistory is the ring capacity used when NewTracer gets n <= 0.
@@ -69,7 +70,7 @@ func NewTracer(n int) *Tracer {
 	if n <= 0 {
 		n = DefaultTraceHistory
 	}
-	t := &Tracer{ring: NewRing(n)}
+	t := &Tracer{ring: NewRing[Trace](n)}
 	t.sampleN.Store(1)
 	return t
 }
@@ -96,12 +97,18 @@ func (t *Tracer) SetSampleEvery(n int) {
 	t.sampleN.Store(int64(n))
 }
 
-// Recent returns up to max completed traces, newest first.
+// Recent returns up to max completed traces, newest (highest id) first.
+// max <= 0 returns everything retained.
 func (t *Tracer) Recent(max int) []*Trace {
 	if t == nil {
 		return nil
 	}
-	return t.ring.Recent(max)
+	out := t.ring.Snapshot()
+	sort.Slice(out, func(i, j int) bool { return out[i].ID > out[j].ID })
+	if max > 0 && len(out) > max {
+		out = out[:max]
+	}
+	return out
 }
 
 // Get returns the completed trace with the given id, or nil when it has
@@ -110,7 +117,12 @@ func (t *Tracer) Get(id uint64) *Trace {
 	if t == nil {
 		return nil
 	}
-	return t.ring.Get(id)
+	for _, tr := range t.ring.Snapshot() {
+		if tr.ID == id {
+			return tr
+		}
+	}
+	return nil
 }
 
 // Start begins tracing one statement. It returns nil — at the cost of one

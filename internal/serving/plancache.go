@@ -1,51 +1,18 @@
 package serving
 
-import (
-	"container/list"
-	"sync"
-	"sync/atomic"
+import "patchindex/internal/obs"
 
-	"patchindex/internal/obs"
-)
-
-// DefaultPlanCacheSize is the total bound-plan entries kept when the cache
-// is enabled without an explicit size.
+// DefaultPlanCacheSize is the bound-plan entries kept when the cache is
+// enabled without an explicit size.
 const DefaultPlanCacheSize = 512
 
-const planShards = 16
-
-// PlanCache is a sharded, bounded map from (statement text, options,
-// epoch) to an opaque bound-plan payload. Entries are valid for exactly
-// one catalog epoch: a Get with a different epoch evicts the entry and
-// reports a miss, so DDL, tuner create/drop/rebuild, and any other
-// epoch-bumping event invalidates every cached plan at once without
-// scanning. Each shard keeps an LRU list bounded to size/planShards.
+// PlanCache is a bounded LRU map from (statement text, options) to an
+// opaque bound-plan payload. Entries are valid for exactly one catalog
+// epoch: a Get with a different epoch evicts the entry and reports a miss,
+// so DDL, tuner create/drop/rebuild, and any other epoch-bumping event
+// invalidates every cached plan at once without scanning.
 type PlanCache struct {
-	enabled atomic.Bool
-	perShrd int
-	shards  [planShards]planShard
-
-	hits          *obs.Counter
-	misses        *obs.Counter
-	evictions     *obs.Counter
-	invalidations *obs.Counter
-	entries       *obs.Gauge
-}
-
-type planShard struct {
-	mu      sync.Mutex
-	buckets map[uint64][]*planEntry
-	lru     *list.List // front = most recently used; values are *planEntry
-	n       int
-}
-
-type planEntry struct {
-	hash  uint64
-	text  string
-	opts  OptsKey
-	epoch uint64
-	value any
-	elem  *list.Element
+	lru *lru
 }
 
 // NewPlanCache creates a disabled plan cache holding up to size entries
@@ -58,37 +25,21 @@ func NewPlanCache(size int, reg *obs.Registry) *PlanCache {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	per := size / planShards
-	if per < 1 {
-		per = 1
-	}
-	c := &PlanCache{
-		perShrd:       per,
-		hits:          reg.Counter("serving.plan_cache.hits"),
-		misses:        reg.Counter("serving.plan_cache.misses"),
-		evictions:     reg.Counter("serving.plan_cache.evictions"),
-		invalidations: reg.Counter("serving.plan_cache.invalidations"),
-		entries:       reg.Gauge("serving.plan_cache.entries"),
-	}
-	for i := range c.shards {
-		c.shards[i].buckets = make(map[uint64][]*planEntry)
-		c.shards[i].lru = list.New()
-	}
-	return c
+	return &PlanCache{lru: newLRU(int64(size), reg, "serving.plan_cache", "invalidations", "")}
 }
 
 // SetEnabled flips the cache on or off. Disabling does not drop entries;
 // they simply stop being served (and age out by LRU once re-enabled).
 func (c *PlanCache) SetEnabled(on bool) {
 	if c != nil {
-		c.enabled.Store(on)
+		c.lru.enabled.Store(on)
 	}
 }
 
 // Enabled reports whether the cache serves entries. This is the entire
 // disabled-path cost: one atomic load (the CI bench gates it under
 // 50ns/stmt together with the call overhead).
-func (c *PlanCache) Enabled() bool { return c != nil && c.enabled.Load() }
+func (c *PlanCache) Enabled() bool { return c != nil && c.lru.enabled.Load() }
 
 // Get returns the payload cached for (text, opts) at the given epoch.
 // An entry from an older epoch is dropped and counted as an invalidation.
@@ -98,79 +49,20 @@ func (c *PlanCache) Get(text string, opts OptsKey, epoch uint64) (any, bool) {
 	if !c.Enabled() {
 		return nil, false
 	}
-	h := hashText(text)
-	sh := &c.shards[h%planShards]
-	sh.mu.Lock()
-	for _, e := range sh.buckets[h] {
-		if e.opts != opts || e.text != text {
-			continue
-		}
-		if e.epoch != epoch {
-			sh.remove(e)
-			sh.mu.Unlock()
-			c.invalidations.Inc()
-			c.misses.Inc()
-			c.entries.Add(-1)
-			return nil, false
-		}
-		sh.lru.MoveToFront(e.elem)
-		v := e.value
-		sh.mu.Unlock()
-		c.hits.Inc()
-		return v, true
-	}
-	sh.mu.Unlock()
-	c.misses.Inc()
-	return nil, false
+	return c.lru.get(cacheKey{text, opts}, []uint64{epoch})
 }
 
 // Put stores the payload for (text, opts) at the given epoch, replacing
-// any same-key entry and evicting the shard's LRU tail when over budget.
+// any same-key entry and evicting the least recently used entry when full.
 func (c *PlanCache) Put(text string, opts OptsKey, epoch uint64, value any) {
-	if !c.Enabled() {
-		return
-	}
-	h := hashText(text)
-	sh := &c.shards[h%planShards]
-	var added, evicted int
-	sh.mu.Lock()
-	for _, e := range sh.buckets[h] {
-		if e.opts == opts && e.text == text {
-			e.epoch = epoch
-			e.value = value
-			sh.lru.MoveToFront(e.elem)
-			sh.mu.Unlock()
-			return
-		}
-	}
-	e := &planEntry{hash: h, text: text, opts: opts, epoch: epoch, value: value}
-	sh.buckets[h] = append(sh.buckets[h], e)
-	e.elem = sh.lru.PushFront(e)
-	sh.n++
-	added++
-	for sh.n > c.perShrd {
-		tail := sh.lru.Back()
-		if tail == nil {
-			break
-		}
-		sh.remove(tail.Value.(*planEntry))
-		evicted++
-	}
-	sh.mu.Unlock()
-	c.entries.Add(int64(added - evicted))
-	for i := 0; i < evicted; i++ {
-		c.evictions.Inc()
+	if c.Enabled() {
+		c.lru.put(cacheKey{text, opts}, []uint64{epoch}, "", 1, value)
 	}
 }
 
-// Len returns the number of cached entries across all shards.
+// Len returns the number of cached entries.
 func (c *PlanCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		n += c.shards[i].n
-		c.shards[i].mu.Unlock()
-	}
+	n, _, _ := c.lru.stats()
 	return n
 }
 
@@ -192,28 +84,9 @@ func (c *PlanCache) Stats() PlanCacheStats {
 	return PlanCacheStats{
 		Enabled:       c.Enabled(),
 		Entries:       c.Len(),
-		Hits:          uint64(c.hits.Value()),
-		Misses:        uint64(c.misses.Value()),
-		Evictions:     uint64(c.evictions.Value()),
-		Invalidations: uint64(c.invalidations.Value()),
+		Hits:          uint64(c.lru.hits.Value()),
+		Misses:        uint64(c.lru.misses.Value()),
+		Evictions:     uint64(c.lru.evictions.Value()),
+		Invalidations: uint64(c.lru.stale.Value()),
 	}
-}
-
-// remove unlinks e from the shard. Caller holds sh.mu.
-func (sh *planShard) remove(e *planEntry) {
-	bucket := sh.buckets[e.hash]
-	for i, b := range bucket {
-		if b == e {
-			bucket[i] = bucket[len(bucket)-1]
-			bucket = bucket[:len(bucket)-1]
-			break
-		}
-	}
-	if len(bucket) == 0 {
-		delete(sh.buckets, e.hash)
-	} else {
-		sh.buckets[e.hash] = bucket
-	}
-	sh.lru.Remove(e.elem)
-	sh.n--
 }

@@ -1,12 +1,6 @@
 package serving
 
-import (
-	"container/list"
-	"sync"
-	"sync/atomic"
-
-	"patchindex/internal/obs"
-)
+import "patchindex/internal/obs"
 
 // DefaultResultCacheBytes is the byte budget used when the result cache is
 // enabled without an explicit size.
@@ -19,41 +13,12 @@ const DefaultResultCacheBytes = 32 << 20 // 32 MiB
 // can never observe pre-append rows. Eviction is LRU under a global byte
 // budget, with optional per-tenant byte budgets enforced first (a noisy
 // tenant evicts its own entries before anyone else's). Entries larger than
-// maxEntry (budget/8) bypass the cache entirely.
-//
-// Unlike the plan cache, the result cache is a single mutex-protected
-// structure: it is only consulted for statements that were already going to
-// execute, so a hit saves orders of magnitude more than the lock costs.
+// maxEntry (budget/8) or than their tenant's budget bypass the cache
+// entirely, evicting nothing.
 type ResultCache struct {
-	enabled atomic.Bool
-
-	mu        sync.Mutex
-	budget    int64
-	maxEntry  int64
-	used      int64
-	buckets   map[uint64][]*resultEntry
-	lru       *list.List // front = most recently used; values are *resultEntry
-	perTenant map[string]int64
-	tenantCap map[string]int64
-
-	hits      *obs.Counter
-	misses    *obs.Counter
-	evictions *obs.Counter
-	stale     *obs.Counter
-	bypass    *obs.Counter
-	bytes     *obs.Gauge
-	entries   *obs.Gauge
-}
-
-type resultEntry struct {
-	hash     uint64
-	text     string
-	opts     OptsKey
-	versions []uint64
-	tenant   string
-	bytes    int64
-	value    any
-	elem     *list.Element
+	lru      *lru
+	maxEntry int64
+	bypass   *obs.Counter
 }
 
 // NewResultCache creates a disabled result cache with the given byte
@@ -65,47 +30,31 @@ func NewResultCache(budgetBytes int64, reg *obs.Registry) *ResultCache {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
+	l := newLRU(budgetBytes, reg, "serving.result_cache", "stale_evictions", "bytes")
 	return &ResultCache{
-		budget:    budgetBytes,
-		maxEntry:  budgetBytes / 8,
-		buckets:   make(map[uint64][]*resultEntry),
-		lru:       list.New(),
-		perTenant: make(map[string]int64),
-		tenantCap: make(map[string]int64),
-		hits:      reg.Counter("serving.result_cache.hits"),
-		misses:    reg.Counter("serving.result_cache.misses"),
-		evictions: reg.Counter("serving.result_cache.evictions"),
-		stale:     reg.Counter("serving.result_cache.stale_evictions"),
-		bypass:    reg.Counter("serving.result_cache.bypass"),
-		bytes:     reg.Gauge("serving.result_cache.bytes"),
-		entries:   reg.Gauge("serving.result_cache.entries"),
+		lru:      l,
+		maxEntry: budgetBytes / 8,
+		bypass:   reg.Counter("serving.result_cache.bypass"),
 	}
 }
 
 // SetEnabled flips the cache on or off.
 func (c *ResultCache) SetEnabled(on bool) {
 	if c != nil {
-		c.enabled.Store(on)
+		c.lru.enabled.Store(on)
 	}
 }
 
 // Enabled reports whether the cache serves entries (one atomic load).
-func (c *ResultCache) Enabled() bool { return c != nil && c.enabled.Load() }
+func (c *ResultCache) Enabled() bool { return c != nil && c.lru.enabled.Load() }
 
 // SetTenantBudget caps the bytes one tenant's results may occupy (0 removes
 // the cap; the global budget still applies). The server wires QoS memory
 // limits through here at startup.
 func (c *ResultCache) SetTenantBudget(tenant string, bytes int64) {
-	if c == nil {
-		return
+	if c != nil {
+		c.lru.setOwnerCap(tenant, bytes)
 	}
-	c.mu.Lock()
-	if bytes <= 0 {
-		delete(c.tenantCap, tenant)
-	} else {
-		c.tenantCap[tenant] = bytes
-	}
-	c.mu.Unlock()
 }
 
 // Get returns the result cached for (text, opts) if its version stamp
@@ -116,28 +65,7 @@ func (c *ResultCache) Get(text string, opts OptsKey, versions []uint64) (any, bo
 	if !c.Enabled() {
 		return nil, false
 	}
-	h := hashText(text)
-	c.mu.Lock()
-	for _, e := range c.buckets[h] {
-		if e.opts != opts || e.text != text {
-			continue
-		}
-		if !versionsEqual(e.versions, versions) {
-			c.removeLocked(e)
-			c.mu.Unlock()
-			c.stale.Inc()
-			c.misses.Inc()
-			return nil, false
-		}
-		c.lru.MoveToFront(e.elem)
-		v := e.value
-		c.mu.Unlock()
-		c.hits.Inc()
-		return v, true
-	}
-	c.mu.Unlock()
-	c.misses.Inc()
-	return nil, false
+	return c.lru.get(cacheKey{text, opts}, versions)
 }
 
 // Put stores a result for (text, opts) at the given version stamps,
@@ -149,102 +77,9 @@ func (c *ResultCache) Put(text string, opts OptsKey, versions []uint64, tenant s
 	if size <= 0 {
 		size = 1
 	}
-	if size > c.maxEntry {
+	if size > c.maxEntry || !c.lru.put(cacheKey{text, opts}, versions, tenant, size, value) {
 		c.bypass.Inc()
-		return
 	}
-	h := hashText(text)
-	evicted := 0
-	c.mu.Lock()
-	for _, e := range c.buckets[h] {
-		if e.opts == opts && e.text == text {
-			c.removeLocked(e)
-			break
-		}
-	}
-	if cap, ok := c.tenantCap[tenant]; ok {
-		for c.perTenant[tenant]+size > cap {
-			if !c.evictOldestLocked(tenant) {
-				break
-			}
-			evicted++
-		}
-		if c.perTenant[tenant]+size > cap {
-			c.mu.Unlock()
-			c.evictions.Add(int64(evicted))
-			c.bypass.Inc()
-			return
-		}
-	}
-	for c.used+size > c.budget {
-		if !c.evictOldestLocked("") {
-			break
-		}
-		evicted++
-	}
-	vs := append([]uint64(nil), versions...)
-	e := &resultEntry{hash: h, text: text, opts: opts, versions: vs, tenant: tenant, bytes: size, value: value}
-	e.elem = c.lru.PushFront(e)
-	c.buckets[h] = append(c.buckets[h], e)
-	c.used += size
-	c.perTenant[tenant] += size
-	used, n := c.used, c.lru.Len()
-	c.mu.Unlock()
-	c.evictions.Add(int64(evicted))
-	c.bytes.Set(used)
-	c.entries.Set(int64(n))
-}
-
-// evictOldestLocked drops the least recently used entry, or the least
-// recently used entry of the given tenant when tenant != "". It reports
-// whether anything was evicted. Caller holds c.mu.
-func (c *ResultCache) evictOldestLocked(tenant string) bool {
-	for el := c.lru.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*resultEntry)
-		if tenant != "" && e.tenant != tenant {
-			continue
-		}
-		c.removeLocked(e)
-		return true
-	}
-	return false
-}
-
-// removeLocked unlinks e and releases its byte accounting. Caller holds c.mu.
-func (c *ResultCache) removeLocked(e *resultEntry) {
-	bucket := c.buckets[e.hash]
-	for i, b := range bucket {
-		if b == e {
-			bucket[i] = bucket[len(bucket)-1]
-			bucket = bucket[:len(bucket)-1]
-			break
-		}
-	}
-	if len(bucket) == 0 {
-		delete(c.buckets, e.hash)
-	} else {
-		c.buckets[e.hash] = bucket
-	}
-	c.lru.Remove(e.elem)
-	c.used -= e.bytes
-	c.perTenant[e.tenant] -= e.bytes
-	if c.perTenant[e.tenant] <= 0 {
-		delete(c.perTenant, e.tenant)
-	}
-	c.bytes.Set(c.used)
-	c.entries.Set(int64(c.lru.Len()))
-}
-
-func versionsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ResultCacheStats is the /stats serving section for the result cache.
@@ -266,23 +101,17 @@ func (c *ResultCache) Stats() ResultCacheStats {
 	if c == nil {
 		return ResultCacheStats{}
 	}
-	c.mu.Lock()
-	byTenant := make(map[string]int64, len(c.perTenant))
-	for t, b := range c.perTenant {
-		byTenant[t] = b
+	n, used, byTenant := c.lru.stats()
+	return ResultCacheStats{
+		Enabled:        c.Enabled(),
+		Entries:        n,
+		Bytes:          used,
+		BudgetBytes:    c.lru.budget,
+		Hits:           uint64(c.lru.hits.Value()),
+		Misses:         uint64(c.lru.misses.Value()),
+		Evictions:      uint64(c.lru.evictions.Value()),
+		StaleEvictions: uint64(c.lru.stale.Value()),
+		Bypassed:       uint64(c.bypass.Value()),
+		BytesByTenant:  byTenant,
 	}
-	s := ResultCacheStats{
-		Enabled:       c.Enabled(),
-		Entries:       c.lru.Len(),
-		Bytes:         c.used,
-		BudgetBytes:   c.budget,
-		BytesByTenant: byTenant,
-	}
-	c.mu.Unlock()
-	s.Hits = uint64(c.hits.Value())
-	s.Misses = uint64(c.misses.Value())
-	s.Evictions = uint64(c.evictions.Value())
-	s.StaleEvictions = uint64(c.stale.Value())
-	s.Bypassed = uint64(c.bypass.Value())
-	return s
 }

@@ -1,27 +1,18 @@
-// Package serving implements the multi-tenant serving fast path: a
-// sharded, epoch-invalidated bound-plan cache, a versioned byte-budget
-// result cache, and per-tenant QoS (token-bucket rate limits, in-flight
-// caps, and priority classes used for graduated admission shedding).
+// Package serving implements the multi-tenant serving fast path: an
+// epoch-invalidated bound-plan cache, a versioned byte-budget result cache,
+// and per-tenant QoS (token-bucket rate limits, in-flight caps, and priority
+// classes used for graduated admission shedding).
 //
-// The caches are deliberately value-agnostic: they store `any` payloads so
-// the package depends only on internal/obs. The engine owns the concrete
-// cached plan/result types and all validity reasoning (catalog epochs,
-// per-table version stamps); this package owns bounding, eviction, and
-// metric accounting. Both caches sit on the per-statement hot path, so the
+// Both caches are thin constructors over one LRU type (lru.go): a single
+// mutex-guarded map keyed on (statement text, options) whose entries carry
+// a validity stamp and a cost against an exact budget. The caches are
+// deliberately value-agnostic: they store `any` payloads so the package
+// depends only on internal/obs. The engine owns the concrete cached
+// plan/result types and all validity reasoning (catalog epochs, per-table
+// version stamps); this package owns bounding, eviction, and metric
+// accounting. Both caches sit on the per-statement hot path, so the
 // disabled path is a single atomic load with no locking or hashing.
 package serving
-
-import "hash/fnv"
-
-// hashText is the bucket hash for cache keys: FNV-1a over the raw
-// statement text. Raw text (not the literal-stripped fingerprint) is
-// required because sql.Fingerprint collapses literals to '?', and two
-// statements differing only in literals must never share a plan or result.
-func hashText(text string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(text))
-	return h.Sum64()
-}
 
 // OptsKey packs the session-relevant execution options that change what a
 // cached entry means. Rewrite toggles select different plans; parallelism

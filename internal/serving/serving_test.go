@@ -52,32 +52,49 @@ func TestPlanCacheBasic(t *testing.T) {
 }
 
 func TestPlanCacheLRUEviction(t *testing.T) {
-	c := NewPlanCache(planShards, nil) // one entry per shard
+	c := NewPlanCache(2, nil)
 	c.SetEnabled(true)
-	// Find two texts in the same shard, insert both: first must be evicted.
-	base := "SELECT 0"
-	sh := hashText(base) % planShards
-	second := ""
-	for i := 1; i < 10000; i++ {
-		s := fmt.Sprintf("SELECT %d", i)
-		if hashText(s)%planShards == sh {
-			second = s
-			break
+	c.Put("a", OptsKey{}, 1, "a")
+	c.Put("b", OptsKey{}, 1, "b")
+	if _, ok := c.Get("a", OptsKey{}, 1); !ok {
+		t.Fatal("a must be cached")
+	}
+	c.Put("c", OptsKey{}, 1, "c") // b is now least recently used
+	if _, ok := c.Get("b", OptsKey{}, 1); ok {
+		t.Fatal("least recently used entry b must have been evicted")
+	}
+	for _, k := range []string{"a", "c"} {
+		if v, ok := c.Get(k, OptsKey{}, 1); !ok || v.(string) != k {
+			t.Fatalf("%s must survive, got %v %v", k, v, ok)
 		}
 	}
-	if second == "" {
-		t.Fatal("no shard collision found")
+	if st := c.Stats(); st.Evictions != 1 || st.Entries != 2 {
+		t.Fatalf("stats = %+v, want 1 eviction and 2 entries", st)
 	}
-	c.Put(base, OptsKey{}, 1, "a")
-	c.Put(second, OptsKey{}, 1, "b")
-	if _, ok := c.Get(base, OptsKey{}, 1); ok {
-		t.Fatal("LRU tail must have been evicted")
+}
+
+// TestPlanCacheExactBound: the size bounds the whole cache, not a share of
+// it per shard, so a cache never evicts below and never holds above it.
+func TestPlanCacheExactBound(t *testing.T) {
+	c := NewPlanCache(512, nil)
+	c.SetEnabled(true)
+	for i := 0; i < 500; i++ {
+		c.Put(fmt.Sprintf("SELECT COUNT(*) FROM t WHERE a = %d", i), OptsKey{}, 1, i)
 	}
-	if v, ok := c.Get(second, OptsKey{}, 1); !ok || v.(string) != "b" {
-		t.Fatal("newest entry must survive")
+	if st := c.Stats(); st.Evictions != 0 || st.Entries != 500 {
+		t.Fatalf("500 statements into 512 entries: %+v, want 0 evictions", st)
 	}
-	if ev := c.Stats().Evictions; ev != 1 {
-		t.Fatalf("evictions = %d, want 1", ev)
+
+	small := NewPlanCache(4, nil)
+	small.SetEnabled(true)
+	for i := 0; i < 100; i++ {
+		small.Put(fmt.Sprintf("SELECT COUNT(*) FROM t WHERE a = %d", i), OptsKey{}, 1, i)
+		if n := small.Len(); n > 4 {
+			t.Fatalf("4-entry cache holds %d after %d puts", n, i+1)
+		}
+	}
+	if st := small.Stats(); st.Entries != 4 || st.Evictions != 96 {
+		t.Fatalf("4-entry cache after 100 puts: %+v", st)
 	}
 }
 
@@ -182,6 +199,13 @@ func TestResultCacheTenantBudget(t *testing.T) {
 	}
 	if _, ok := c.Get("d", opts, nil); !ok {
 		t.Fatal("other tenant entry must survive")
+	}
+	// ...nor the tenant's own: bypassing evicts nothing.
+	if _, ok := c.Get("c", opts, nil); !ok {
+		t.Fatal("tenant entry c must survive an over-budget bypass")
+	}
+	if st := c.Stats(); st.Evictions != 1 || st.Bypassed != 1 {
+		t.Fatalf("stats = %+v, want 1 eviction (a) and 1 bypass (huge)", st)
 	}
 }
 

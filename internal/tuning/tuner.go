@@ -218,7 +218,7 @@ type Tuner struct {
 	// old columns (cumulative counters would propose them forever).
 	prevCols map[string]obs.ColumnStats
 	lastCand []Candidate
-	journal  []Event
+	journal  *obs.Ring[Event]
 	// drift queues rebuild candidates reported by the monitor's
 	// patch-ratio-drift detector, deduplicated by index key. The next cycle
 	// services them ahead of (and regardless of) the MinTicks gate: a
@@ -257,6 +257,7 @@ func New(cfg Config, prof *obs.Profiler, act Actuator) *Tuner {
 		cooldownUntil: map[string]int64{},
 		prevCols:      map[string]obs.ColumnStats{},
 		drift:         map[string]DriftReport{},
+		journal:       obs.NewRing[Event](journalCap),
 	}
 }
 
@@ -725,22 +726,19 @@ func (t *Tuner) logEvent(ev *Event) {
 	if ev.Tick == 0 {
 		ev.Tick = t.prof.Tick()
 	}
-	t.journal = append(t.journal, *ev)
-	if len(t.journal) > journalCap {
-		t.journal = t.journal[len(t.journal)-journalCap:]
-	}
+	e := *ev
+	t.journal.Add(&e)
 	if t.notify != nil {
 		t.notify(*ev)
 	}
 }
 
-// Journal returns a copy of the journaled events, oldest first.
+// Journal returns a copy of the journaled events, oldest first. Events are
+// added under t.mu, so the ring's snapshot is already in Seq order.
 func (t *Tuner) Journal() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, len(t.journal))
-	copy(out, t.journal)
-	return out
+	return t.journal.Values()
 }
 
 // Status snapshots the tuner for /tuner and SHOW TUNER.
@@ -764,7 +762,7 @@ func (t *Tuner) Status() Status {
 		MinScore:          t.cfg.MinScore,
 		Baseline:          append([]IndexSpec(nil), t.baseline...),
 		LastCandidates:    append([]Candidate(nil), t.lastCand...),
-		Journal:           append([]Event(nil), t.journal...),
+		Journal:           t.journal.Values(),
 	}
 	for _, s := range t.act.Indexes() {
 		if s.Origin == "auto" {
