@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"patchindex/internal/datagen"
@@ -67,7 +68,11 @@ func BenchmarkAblationParallel(b *testing.B) {
 			name = "parallel"
 		}
 		b.Run(name, func(b *testing.B) {
-			e, err := New(Config{DefaultPartitions: benchPartitions, Parallel: parallel})
+			parallelism := 0
+			if parallel {
+				parallelism = 2 * runtime.GOMAXPROCS(0)
+			}
+			e, err := New(Config{DefaultPartitions: benchPartitions, Parallelism: parallelism})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -8,6 +8,7 @@
 //	patchcli -data-dir DIR         # durable engine: DIR is restored on restart
 //	patchcli -e "SELECT ..."       # execute one statement and exit
 //	patchcli -e "SELECT ..." stats # ... then dump engine metrics
+//	patchcli -parallelism 4        # per-partition pipelines on up to 4 workers
 //	patchcli -connect host:5433    # remote shell against a patchserver
 //	patchcli -connect host:5433 -tenant dash   # ... as QoS tenant "dash"
 //
@@ -55,7 +56,6 @@ func main() {
 	sortedRate := flag.Float64("sorted-rate", 0.05, "sortedness exception rate for -demo custom")
 	dataDir := flag.String("data-dir", "", "data directory for durability: compressed column segments, manifest, WAL, materialized PatchIndexes")
 	execStmt := flag.String("e", "", "execute one statement and exit")
-	parallel := flag.Bool("parallel", false, "parallel partition scans (legacy; implies -parallelism 2*GOMAXPROCS)")
 	parallelism := flag.Int("parallelism", 0, "degree of intra-query parallelism (0 = serial, >1 = bounded worker pool)")
 	slowMS := flag.Int("slow-ms", 0, "log statements slower than this many milliseconds")
 	workload := flag.Bool("workload", false, "enable the workload observatory (statement fingerprinting, benefit attribution)")
@@ -84,7 +84,6 @@ func main() {
 	} else {
 		eng, err := patchindex.New(patchindex.Config{
 			DefaultPartitions:    *partitions,
-			Parallel:             *parallel,
 			Parallelism:          *parallelism,
 			DataDir:              *dataDir,
 			SlowQueryThreshold:   time.Duration(*slowMS) * time.Millisecond,

@@ -35,6 +35,10 @@
 //
 //	patchserver -listen :5433 -result-cache -qos-rate 100 -tenants tenants.json
 //
+// -parallelism N (0 or 1 = serial) splits each statement's plan into
+// per-partition pipelines run by at most N workers, capped at GOMAXPROCS;
+// sessions override it with `\set parallelism`.
+//
 // Durability: -data-dir stores compressed column segments, a catalog
 // manifest, the WAL and the materialized PatchIndexes in one directory, and
 // a restart restores all of it (a -demo dataset is loaded and checkpointed
@@ -75,7 +79,6 @@ func main() {
 	cacheMB := flag.Int("cache-mb", 0, "column cache byte budget in MB for -data-dir mode (0 = unlimited)")
 	spillMB := flag.Int("spill-mb", 0, "per-operator memory budget in MB before Sort/HashJoin spill to disk (0 = never spill)")
 	checkpointInterval := flag.Int("checkpoint-interval", 0, "seconds between background checkpoints in -data-dir mode (0 = manual CHECKPOINT only)")
-	parallel := flag.Bool("parallel", false, "parallel partition scans (legacy; implies -parallelism 2*GOMAXPROCS)")
 	parallelism := flag.Int("parallelism", 0, "degree of intra-query parallelism (0 = serial, >1 = bounded worker pool)")
 	slowMS := flag.Int("slow-ms", 0, "log statements slower than this many milliseconds")
 	maxConcurrent := flag.Int("max-concurrent", 0, "max queries executing at once (0 = GOMAXPROCS)")
@@ -113,7 +116,6 @@ func main() {
 
 	eng, err := patchindex.New(patchindex.Config{
 		DefaultPartitions:    *partitions,
-		Parallel:             *parallel,
 		Parallelism:          *parallelism,
 		DataDir:              *dataDir,
 		CacheBytes:           int64(*cacheMB) << 20,

@@ -19,7 +19,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -46,16 +45,13 @@ type Config struct {
 	// DefaultPartitions is the partition count for CREATE TABLE without a
 	// PARTITIONS clause (default 1).
 	DefaultPartitions int
-	// Parallel executes partition scans concurrently where order allows.
-	// Deprecated shorthand: it is equivalent to Parallelism =
-	// runtime.GOMAXPROCS(0) and is ignored when Parallelism is set.
-	Parallel bool
 	// Parallelism is the default intra-query degree of parallelism: the
 	// worker-pool bound for parallel scans, partial aggregation, and
-	// PatchIndex discovery/builds. 1 forces serial execution, values > 1 are
-	// capped at runtime.GOMAXPROCS(0), and 0 defers to the legacy Parallel
-	// flag (GOMAXPROCS if set, serial otherwise). Sessions can override it
-	// per connection via the `parallelism` setting, and ExecOptions per
+	// PatchIndex discovery/builds. 0 or 1 means serial execution. Any value
+	// above 1 splits plans into per-partition pipelines, including values
+	// above runtime.GOMAXPROCS(0); the executor caps its workers at
+	// GOMAXPROCS and at the pipeline count. Sessions can override it per
+	// connection via the `parallelism` setting, and ExecOptions per
 	// statement.
 	Parallelism int
 	// DisablePatchRewrites turns the optimizer's PatchIndex rewrites off
@@ -840,22 +836,17 @@ func (e *Engine) newOptimizer(ctx context.Context, opts ExecOptions) *plan.Optim
 }
 
 // effectiveParallelism resolves the degree of parallelism for one statement:
-// a per-statement override wins, then Config.Parallelism, then the legacy
-// Config.Parallel flag (GOMAXPROCS). The result is a concrete degree — 1
-// means strictly serial plans. Values above GOMAXPROCS are allowed: they
-// enable plan splitting, and the executor's exchange bounds its actual
-// worker pool at GOMAXPROCS (and at the morsel count) on its own.
+// a per-statement override wins, then Config.Parallelism, then serial. The
+// result is a concrete degree — 1 means strictly serial plans. Values above
+// GOMAXPROCS are allowed: they enable plan splitting, and the executor bounds
+// its actual worker pools at GOMAXPROCS (and at the morsel count) on its own.
 func (e *Engine) effectiveParallelism(opts ExecOptions) int {
 	p := opts.Parallelism
 	if p <= 0 {
 		p = e.cfg.Parallelism
 	}
 	if p <= 0 {
-		if e.cfg.Parallel {
-			p = 2 * runtime.GOMAXPROCS(0)
-		} else {
-			p = 1
-		}
+		p = 1
 	}
 	return p
 }

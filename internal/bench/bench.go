@@ -31,9 +31,6 @@ type Config struct {
 	Rates []float64 `json:"rates"`
 	// Reps is the number of repetitions per measurement (median reported).
 	Reps int `json:"reps"`
-	// Parallel enables parallel partition scans (legacy switch; prefer
-	// Parallelism).
-	Parallel bool `json:"parallel"`
 	// Parallelism is the degree of intra-query parallelism for every engine
 	// the experiments create (0 = engine default, 1 = serial, >1 = bounded
 	// worker pool) and the worker bound for parallel index builds.
@@ -173,7 +170,6 @@ func median(reps int, fn func() error) (time.Duration, error) {
 func newEngine(cfg Config) (*patchindex.Engine, error) {
 	return patchindex.New(patchindex.Config{
 		DefaultPartitions: cfg.Partitions,
-		Parallel:          cfg.Parallel,
 		Parallelism:       cfg.Parallelism,
 		Metrics:           cfg.Metrics,
 	})

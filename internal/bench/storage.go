@@ -35,7 +35,6 @@ func Storage(cfg Config, w io.Writer) error {
 			DataDir:           dataDir,
 			CacheBytes:        cacheBytes,
 			DefaultPartitions: cfg.Partitions,
-			Parallel:          cfg.Parallel,
 			Parallelism:       cfg.Parallelism,
 			Metrics:           cfg.Metrics,
 		})

@@ -6,13 +6,12 @@ import (
 	"patchindex/internal/vector"
 )
 
-// aggBuilder accumulates grouped aggregate state from input batches. It is
-// the build phase of HashAgg factored out so that ParallelAgg can run one
-// builder per partition pipeline (partial aggregation) and merge the partials
-// afterwards. Group output order is hash-table insertion order — first
-// occurrence in the consumed stream — which merge preserves, so a serial
-// build over concatenated partitions and a merge of per-partition builders
-// in the same partition order produce identical group sequences.
+// aggBuilder is the generic partial: grouped aggregate state keyed by the
+// byte encoding of the group columns. Group output order is hash-table
+// insertion order — first occurrence in the consumed stream — which merge
+// preserves, so one build over concatenated partitions and a merge of
+// per-partition builders in the same partition order produce identical
+// group sequences.
 type aggBuilder struct {
 	groupCols []int
 	aggs      []AggSpec
@@ -105,10 +104,11 @@ func (ab *aggBuilder) add(b *vector.Batch) {
 	}
 }
 
-// merge folds another builder's groups into ab, preserving o's insertion
-// order for groups ab has not seen. o must not be used afterwards (its
-// states may be adopted).
-func (ab *aggBuilder) merge(o *aggBuilder) {
+// merge folds a later builder's groups into ab, preserving its insertion
+// order for groups ab has not seen. The later builder must not be used
+// afterwards (its states may be adopted).
+func (ab *aggBuilder) merge(later aggPartial) {
+	o := later.(*aggBuilder)
 	for gi, enc := range o.encs {
 		di, ok := ab.groups[enc]
 		if !ok {
@@ -153,33 +153,38 @@ func mergeAggState(dst, src *aggState, aggs []AggSpec) {
 	}
 }
 
-// emitGroups appends result rows [from, to) of the given group keys/states to
-// out — the shared result-emission path of HashAgg and ParallelAgg.
-func emitGroups(out *vector.Batch, keys [][]vector.Value, states []*aggState,
-	groupCols []int, aggs []AggSpec, in []vector.Type, from, to int) error {
+// finish returns the number of result rows. Global aggregation over zero
+// rows still yields one row.
+func (ab *aggBuilder) finish() int {
+	if len(ab.groupCols) == 0 && len(ab.keys) == 0 {
+		ab.keys = append(ab.keys, nil)
+		ab.states = append(ab.states, newAggState(ab.aggs, ab.in))
+	}
+	return len(ab.keys)
+}
+
+// emit appends result rows [from, to) to out: group columns, then one
+// column per aggregate.
+func (ab *aggBuilder) emit(out *vector.Batch, from, to int) error {
 	for g := from; g < to; g++ {
 		col := 0
-		for k := range groupCols {
-			if err := out.Vecs[col].AppendValue(keys[g][k]); err != nil {
+		for k := range ab.groupCols {
+			if err := out.Vecs[col].AppendValue(ab.keys[g][k]); err != nil {
 				return err
 			}
 			col++
 		}
-		st := states[g]
-		for ai, a := range aggs {
+		st := ab.states[g]
+		for ai, a := range ab.aggs {
 			switch a.Func {
 			case CountStar, Count:
 				out.Vecs[col].AppendInt64(st.counts[ai])
 			case CountDistinct:
-				if st.resolved {
-					out.Vecs[col].AppendInt64(st.counts[ai])
-				} else {
-					out.Vecs[col].AppendInt64(int64(len(st.distinct[ai])))
-				}
+				out.Vecs[col].AppendInt64(int64(len(st.distinct[ai])))
 			case Sum:
 				if st.counts[ai] == 0 {
 					out.Vecs[col].AppendNull()
-				} else if in[a.Col] == vector.Float64 {
+				} else if ab.in[a.Col] == vector.Float64 {
 					out.Vecs[col].AppendFloat64(st.sumsF[ai])
 				} else {
 					out.Vecs[col].AppendInt64(st.sumsI[ai])

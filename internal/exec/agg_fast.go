@@ -2,185 +2,123 @@ package exec
 
 import "patchindex/internal/vector"
 
-// fastAggKind classifies the aggregation shapes served by the specialized
-// fast paths instead of the generic byte-encoding hash table.
-type fastAggKind uint8
+// aggPartial is one input's aggregation state. HashAgg builds one per input
+// and merges them in input order.
+type aggPartial interface {
+	// add folds one input batch into the state.
+	add(b *vector.Batch)
+	// merge folds the partial of a later input into this one; the later
+	// partial, of the same implementation, must not be used afterwards.
+	merge(later aggPartial)
+	// finish completes the state and returns the number of result rows.
+	finish() int
+	// emit appends result rows [from, to) to out.
+	emit(out *vector.Batch, from, to int) error
+}
 
-const (
-	fastNone fastAggKind = iota
-	// DISTINCT over a single int64/date column.
-	fastDistinctInt64
-	// DISTINCT over a single string column.
-	fastDistinctString
-	// Global COUNT(DISTINCT c) over an int64/date column.
-	fastCountDistinctInt64
-	// Global COUNT(DISTINCT c) over a string column.
-	fastCountDistinctString
-)
-
-// classifyFastAgg returns the fast-path kind of an aggregation, and the input
-// column it operates on (meaningless for fastNone).
-func classifyFastAgg(groupCols []int, aggs []AggSpec, in []vector.Type) (fastAggKind, int) {
+// classifyFastAgg picks the partial implementation of an aggregation and
+// returns its constructor. The shapes that dominate the evaluation
+// workloads — DISTINCT over one int64/date or string column, and a global
+// COUNT(DISTINCT c) over one — get a typed value set; everything else the
+// generic byte-encoding hash table.
+func classifyFastAgg(groupCols []int, aggs []AggSpec, in []vector.Type) func() aggPartial {
+	col, count := -1, false
 	switch {
 	case len(groupCols) == 1 && len(aggs) == 0:
-		switch in[groupCols[0]] {
-		case vector.Int64, vector.Date:
-			return fastDistinctInt64, groupCols[0]
-		case vector.String:
-			return fastDistinctString, groupCols[0]
-		}
+		col = groupCols[0]
 	case len(groupCols) == 0 && len(aggs) == 1 && aggs[0].Func == CountDistinct:
-		switch in[aggs[0].Col] {
+		col, count = aggs[0].Col, true
+	}
+	if col >= 0 {
+		switch in[col] {
 		case vector.Int64, vector.Date:
-			return fastCountDistinctInt64, aggs[0].Col
+			return func() aggPartial {
+				return newValueSet(col, count, func(v *vector.Vector) []int64 { return v.I64 }, (*vector.Vector).AppendInt64)
+			}
 		case vector.String:
-			return fastCountDistinctString, aggs[0].Col
-		}
-	}
-	return fastNone, -1
-}
-
-// openFast handles the aggregation shapes that dominate the evaluation
-// workloads with type-specialized hash tables, avoiding the generic
-// byte-encoding path:
-//
-//   - DISTINCT over a single int64/date or string column, and
-//   - a global COUNT(DISTINCT c) over a single int64/date or string column.
-//
-// It returns done=true if it consumed the input and populated the group
-// state, in which case Next serves results from the specialized state via
-// the shared keys/states slices.
-func (h *HashAgg) openFast() (bool, error) {
-	in := h.child.Types()
-	kind, col := classifyFastAgg(h.groupCols, h.aggs, in)
-	switch kind {
-	case fastDistinctInt64:
-		seen, sawNull, err := collectDistinctInt64(h.child, col)
-		if err != nil {
-			return true, errOp(h, err)
-		}
-		h.keys, h.states = appendDistinctInt64(h.keys, h.states, in[col], seen, sawNull)
-		return true, nil
-	case fastDistinctString:
-		seen, sawNull, err := collectDistinctString(h.child, col)
-		if err != nil {
-			return true, errOp(h, err)
-		}
-		h.keys, h.states = appendDistinctString(h.keys, h.states, seen, sawNull)
-		return true, nil
-	case fastCountDistinctInt64:
-		seen, _, err := collectDistinctInt64(h.child, col)
-		if err != nil {
-			return true, errOp(h, err)
-		}
-		h.keys, h.states = appendGlobalCount(h.keys, h.states, len(seen))
-		return true, nil
-	case fastCountDistinctString:
-		seen, _, err := collectDistinctString(h.child, col)
-		if err != nil {
-			return true, errOp(h, err)
-		}
-		h.keys, h.states = appendGlobalCount(h.keys, h.states, len(seen))
-		return true, nil
-	}
-	return false, nil
-}
-
-// collectDistinctInt64 drains child, collecting the distinct non-NULL values
-// of its int64/date column col and whether a NULL was seen.
-func collectDistinctInt64(child Operator, col int) (map[int64]struct{}, bool, error) {
-	seen := make(map[int64]struct{})
-	sawNull := false
-	for {
-		b, err := child.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if b == nil {
-			return seen, sawNull, nil
-		}
-		v := b.Vecs[col]
-		n := v.Len()
-		if v.Nulls == nil {
-			for i := 0; i < n; i++ {
-				seen[v.I64[i]] = struct{}{}
+			return func() aggPartial {
+				return newValueSet(col, count, func(v *vector.Vector) []string { return v.Str }, (*vector.Vector).AppendString)
 			}
+		}
+	}
+	return func() aggPartial { return newAggBuilder(groupCols, aggs, in) }
+}
+
+// valueSet is the partial of the typed fast paths: the distinct non-NULL
+// values of one int64/date or string column, and whether a NULL was seen.
+// As DISTINCT it emits the NULL group first, then the values in map
+// iteration order (DISTINCT promises no order); as a global COUNT(DISTINCT)
+// it emits one row, the set size.
+type valueSet[T int64 | string] struct {
+	col     int
+	count   bool
+	vals    func(*vector.Vector) []T
+	put     func(*vector.Vector, T)
+	seen    map[T]struct{}
+	sawNull bool
+	order   []T // emission order of the values, fixed by finish
+}
+
+func newValueSet[T int64 | string](col int, count bool, vals func(*vector.Vector) []T, put func(*vector.Vector, T)) *valueSet[T] {
+	return &valueSet[T]{col: col, count: count, vals: vals, put: put, seen: make(map[T]struct{})}
+}
+
+func (s *valueSet[T]) add(b *vector.Batch) {
+	v := b.Vecs[s.col]
+	vals := s.vals(v)[:v.Len()]
+	if v.Nulls == nil {
+		for _, x := range vals {
+			s.seen[x] = struct{}{}
+		}
+		return
+	}
+	for i, x := range vals {
+		if v.Nulls[i] {
+			s.sawNull = true
 			continue
 		}
-		for i := 0; i < n; i++ {
-			if v.Nulls[i] {
-				sawNull = true
-				continue
-			}
-			seen[v.I64[i]] = struct{}{}
-		}
+		s.seen[x] = struct{}{}
 	}
 }
 
-// collectDistinctString is collectDistinctInt64 for string columns.
-func collectDistinctString(child Operator, col int) (map[string]struct{}, bool, error) {
-	seen := make(map[string]struct{})
-	sawNull := false
-	for {
-		b, err := child.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if b == nil {
-			return seen, sawNull, nil
-		}
-		v := b.Vecs[col]
-		n := v.Len()
-		if v.Nulls == nil {
-			for i := 0; i < n; i++ {
-				seen[v.Str[i]] = struct{}{}
-			}
-			continue
-		}
-		for i := 0; i < n; i++ {
-			if v.Nulls[i] {
-				sawNull = true
-				continue
-			}
-			seen[v.Str[i]] = struct{}{}
-		}
+func (s *valueSet[T]) merge(later aggPartial) {
+	o := later.(*valueSet[T])
+	for x := range o.seen {
+		s.seen[x] = struct{}{}
 	}
+	s.sawNull = s.sawNull || o.sawNull
 }
 
-// appendDistinctInt64 registers the collected distinct set as result groups
-// (NULL group first, then map iteration order — DISTINCT promises no order).
-func appendDistinctInt64(keys [][]vector.Value, states []*aggState,
-	t vector.Type, seen map[int64]struct{}, sawNull bool) ([][]vector.Value, []*aggState) {
-	if sawNull {
-		keys = append(keys, []vector.Value{vector.NullValue(t)})
-		states = append(states, &aggState{})
+func (s *valueSet[T]) finish() int {
+	if s.count {
+		return 1
 	}
-	for val := range seen {
-		keys = append(keys, []vector.Value{{Typ: t, I64: val}})
-		states = append(states, &aggState{})
+	s.order = make([]T, 0, len(s.seen))
+	for x := range s.seen {
+		s.order = append(s.order, x)
 	}
-	return keys, states
+	if s.sawNull {
+		return len(s.order) + 1
+	}
+	return len(s.order)
 }
 
-// appendDistinctString is appendDistinctInt64 for string sets.
-func appendDistinctString(keys [][]vector.Value, states []*aggState,
-	seen map[string]struct{}, sawNull bool) ([][]vector.Value, []*aggState) {
-	if sawNull {
-		keys = append(keys, []vector.Value{vector.NullValue(vector.String)})
-		states = append(states, &aggState{})
+func (s *valueSet[T]) emit(out *vector.Batch, from, to int) error {
+	v := out.Vecs[0]
+	if s.count {
+		v.AppendInt64(int64(len(s.seen)))
+		return nil
 	}
-	for val := range seen {
-		keys = append(keys, []vector.Value{vector.StringValue(val)})
-		states = append(states, &aggState{})
+	if s.sawNull {
+		// The NULL group is row 0; value i is row i+1.
+		if from == 0 {
+			v.AppendNull()
+			from++
+		}
+		from, to = from-1, to-1
 	}
-	return keys, states
-}
-
-// appendGlobalCount registers the single result row of a global
-// count-distinct. The state carries the final count directly and is marked
-// resolved so emitGroups reads counts[0] instead of a distinct map.
-func appendGlobalCount(keys [][]vector.Value, states []*aggState, n int) ([][]vector.Value, []*aggState) {
-	keys = append(keys, nil)
-	states = append(states, &aggState{counts: []int64{int64(n)}, resolved: true})
-	return keys, states
+	for _, x := range s.order[from:to] {
+		s.put(v, x)
+	}
+	return nil
 }

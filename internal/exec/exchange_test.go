@@ -299,59 +299,158 @@ func groupBatch(pairs ...[2]int64) *vector.Batch {
 	return b
 }
 
-// TestParallelAggMatchesHashAgg is the determinism contract: ParallelAgg over
-// N children must emit byte-identical output — including group order — to a
-// serial HashAgg over Union of the same children.
+// aggShapeTypes is the schema of the aggregation-shape differential:
+// int64 key, date, string, float64 value, int64 value.
+var aggShapeTypes = []vector.Type{vector.Int64, vector.Date, vector.String, vector.Float64, vector.Int64}
+
+// aggShapeRows generates n rows over aggShapeTypes with few distinct keys
+// (so groups repeat across inputs); with nulls, every column has NULLs from
+// row 10 on, so some merges see a NULL only in a later input.
+// Float values are multiples of 0.5 so their sums are exact in any order.
+func aggShapeRows(n int, nulls bool) [][]vector.Value {
+	rows := make([][]vector.Value, n)
+	for i := range rows {
+		r := []vector.Value{
+			vector.IntValue(int64(i*7) % 11),
+			vector.DateValue(int64(i*5) % 9),
+			vector.StringValue(fmt.Sprintf("s%d", (i*3)%13)),
+			vector.FloatValue(float64(i%17) / 2),
+			vector.IntValue(int64(i*i) % 23),
+		}
+		if nulls {
+			for c := range r {
+				if i >= 10 && (i+c)%5 == 0 {
+					r[c] = vector.NullValue(r[c].Typ)
+				}
+			}
+		}
+		rows[i] = r
+	}
+	return rows
+}
+
+// aggShapeInputs splits rows into k contiguous inputs of batches of at most
+// 4 rows; with k >= 3, input 1 is empty.
+func aggShapeInputs(t *testing.T, rows [][]vector.Value, k int) [][]*vector.Batch {
+	t.Helper()
+	inputs := make([][]*vector.Batch, k)
+	per := (len(rows) + k - 1) / k
+	for i := 0; i < k && len(rows) > 0; i++ {
+		if k >= 3 && i == 1 {
+			continue
+		}
+		n := per
+		if k >= 3 && i == 2 {
+			n = 2 * per
+		}
+		if n > len(rows) {
+			n = len(rows)
+		}
+		chunk := rows[:n]
+		rows = rows[n:]
+		for len(chunk) > 0 {
+			m := 4
+			if m > len(chunk) {
+				m = len(chunk)
+			}
+			b := vector.NewBatch(aggShapeTypes)
+			for _, r := range chunk[:m] {
+				for c, v := range r {
+					if err := b.Vecs[c].AppendValue(v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			inputs[i] = append(inputs[i], b)
+			chunk = chunk[m:]
+		}
+	}
+	return inputs
+}
+
+// TestParallelAggMatchesHashAgg is the determinism contract: an aggregation
+// over N inputs must emit the same output as over one input, a Union of
+// the same children — including group order for the generic shapes. The
+// typed DISTINCT fast paths promise no order, so they compare as sorted
+// multisets.
 func TestParallelAggMatchesHashAgg(t *testing.T) {
 	defer assertNoGoroutineLeak(t)()
-	mkChildren := func() []Operator {
-		return []Operator{
-			newMemOp([]vector.Type{vector.Int64, vector.Int64},
-				groupBatch([2]int64{1, 10}, [2]int64{2, 20}), groupBatch([2]int64{1, 5})),
-			newMemOp([]vector.Type{vector.Int64, vector.Int64},
-				groupBatch([2]int64{3, 7}, [2]int64{2, 1})),
-			newMemOp([]vector.Type{vector.Int64, vector.Int64}),
-			newMemOp([]vector.Type{vector.Int64, vector.Int64},
-				groupBatch([2]int64{4, 4}, [2]int64{1, 100}, [2]int64{5, 2})),
+	shapes := []struct {
+		name      string
+		groupCols []int
+		aggs      []AggSpec
+		unordered bool
+	}{
+		{"distinct int64", []int{0}, nil, true},
+		{"distinct date", []int{1}, nil, true},
+		{"distinct string", []int{2}, nil, true},
+		{"distinct two columns", []int{0, 2}, nil, false},
+		{"count distinct int64", nil, []AggSpec{{Func: CountDistinct, Col: 4}}, false},
+		{"count distinct string", nil, []AggSpec{{Func: CountDistinct, Col: 2}}, false},
+		{"grouped", []int{0}, []AggSpec{
+			{Func: Count, Col: 4}, {Func: CountStar}, {Func: Sum, Col: 4}, {Func: Sum, Col: 3},
+			{Func: Min, Col: 2}, {Func: Max, Col: 3}, {Func: CountDistinct, Col: 1},
+		}, false},
+		{"global", nil, []AggSpec{
+			{Func: CountStar}, {Func: Count, Col: 2}, {Func: Sum, Col: 4}, {Func: Sum, Col: 3},
+			{Func: Min, Col: 1}, {Func: Max, Col: 4},
+		}, false},
+	}
+	data := []struct {
+		name string
+		rows [][]vector.Value
+	}{
+		{"values", aggShapeRows(40, false)},
+		{"nulls", aggShapeRows(40, true)},
+		{"zero rows", nil},
+	}
+	render := func(rows [][]vector.Value, unordered bool) []string {
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = fmt.Sprint(r)
 		}
-	}
-	aggs := []AggSpec{
-		{Func: CountStar},
-		{Func: Sum, Col: 1},
-		{Func: Min, Col: 1},
-		{Func: Max, Col: 1},
-	}
-
-	u, err := NewUnion(mkChildren()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := NewHashAgg(u, []int{0}, aggs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Collect(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, degree := range []int{1, 2, 8} {
-		pa, err := NewParallelAgg(degree, []int{0}, aggs, mkChildren()...)
-		if err != nil {
-			t.Fatal(err)
+		if unordered {
+			sort.Strings(out)
 		}
-		got, err := Collect(pa)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("degree %d: %d groups, want %d", degree, len(got), len(want))
-		}
-		for i := range want {
-			for c := range want[i] {
-				if got[i][c] != want[i][c] {
-					t.Fatalf("degree %d: row %d col %d = %v, want %v (order must match serial)",
-						degree, i, c, got[i][c], want[i][c])
+		return out
+	}
+	for _, sh := range shapes {
+		for _, d := range data {
+			for _, k := range []int{1, 3, 8} {
+				inputs := aggShapeInputs(t, d.rows, k)
+				children := func() []Operator {
+					ops := make([]Operator, k)
+					for i := range ops {
+						ops[i] = newMemOp(aggShapeTypes, inputs[i]...)
+					}
+					return ops
+				}
+				u, err := NewUnion(children()...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				serial, err := NewHashAgg(u, sh.groupCols, sh.aggs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantRows, err := Collect(serial)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := render(wantRows, sh.unordered)
+				for _, degree := range []int{1, 4} {
+					pa, err := NewParallelAgg(degree, sh.groupCols, sh.aggs, children()...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotRows, err := Collect(pa)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := render(gotRows, sh.unordered)
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Errorf("%s, %s, %d inputs, degree %d:\n got %v\nwant %v", sh.name, d.name, k, degree, got, want)
+					}
 				}
 			}
 		}

@@ -56,7 +56,7 @@ type ExtraStatser interface {
 	ExtraStats() []obs.KV
 }
 
-// WorkerStatser is implemented by parallel operators (Exchange, ParallelAgg)
+// WorkerStatser is implemented by parallel operators (Exchange, HashAgg)
 // that run a worker pool: it exposes the per-worker share of the operator's
 // merged OpStats, rendered as per-worker lines in EXPLAIN ANALYZE and as
 // per-worker spans under the operator's span in traces. Only read after

@@ -11,22 +11,10 @@ import (
 	"patchindex/internal/vector"
 )
 
-// newTaggedPatchSelect creates the PatchSelect for one partition of a
-// patched scan, stamped with its enabling index's identity so executed-plan
-// benefit attribution can credit the index.
-func newTaggedPatchSelect(child exec.Operator, ix *patch.Index, part int, mode exec.SelectMode) (*exec.PatchSelect, error) {
-	ps, err := exec.NewPatchSelect(child, ix.Partition(part), mode)
-	if err != nil {
-		return nil, err
-	}
-	ps.TagIndex(ix.Table(), ix.Column(), constraintTag(ix.Constraint()))
-	return ps, nil
-}
-
 // Config controls physical plan building.
 type Config struct {
 	// Parallelism is the maximum degree of intra-query parallelism: the
-	// worker-pool bound of Exchange and ParallelAgg operators. Values <= 1
+	// worker-pool bound of Exchange and multi-pipeline HashAgg. Values <= 1
 	// build strictly serial plans, identical to plans built before parallel
 	// execution existed. The engine resolves session/config defaults to a
 	// concrete degree before building, so 0 means serial here, not "auto".
@@ -122,77 +110,49 @@ func buildNode(n Node, cfg Config, bounds map[int]colBounds) (exec.Operator, err
 }
 
 func buildNodeOp(n Node, cfg Config, bounds map[int]colBounds) (exec.Operator, error) {
+	switch n.(type) {
+	case *FilterNode, *ProjectNode, *UnionNode:
+		// A parallel plan pushes these into per-partition pipelines under an
+		// Exchange; a union's branches (e.g. a rewrite's exclude and patch
+		// sides) become concurrent pipelines, each further split per
+		// partition.
+		parts, err := parallelPipelines(n, cfg)
+		if err != nil {
+			return nil, err
+		}
+		if parts != nil {
+			return exec.NewExchange(cfg.Parallelism, parts...)
+		}
+	}
 	switch x := n.(type) {
-	case *ScanNode:
-		return buildScan(x, cfg, bounds)
-	case *PatchScanNode:
-		return buildPatchScan(x, cfg, bounds)
-	case *FilterNode:
-		if cfg.parallel() {
-			// Push the filter into per-partition pipelines under an Exchange.
-			parts, err := splitPipelines(x, cfg, nil)
-			if err != nil {
-				return nil, err
-			}
-			if len(parts) > 1 {
-				return exec.NewExchange(cfg.Parallelism, parts...)
-			}
-		}
-		var childBounds map[int]colBounds
-		if !cfg.DisableScanRanges {
-			childBounds = extractBounds(x.Pred, x.Input.Schema())
-		}
-		child, err := buildNode(x.Input, cfg, childBounds)
+	case *ScanNode, *PatchScanNode:
+		parts, keys, err := partitionLeaves(n, cfg, bounds)
 		if err != nil {
 			return nil, err
 		}
-		f, err := exec.NewFilter(child, x.Pred)
+		return gather(parts, keys, cfg)
+	case *FilterNode, *ProjectNode:
+		child, err := buildNode(inputOf(n), cfg, childBounds(n, cfg))
 		if err != nil {
 			return nil, err
 		}
-		if cfg.DisableKernels {
-			f.DisableKernels()
-		}
-		return f, nil
-	case *ProjectNode:
-		if cfg.parallel() {
-			parts, err := splitPipelines(x, cfg, nil)
-			if err != nil {
-				return nil, err
-			}
-			if len(parts) > 1 {
-				return exec.NewExchange(cfg.Parallelism, parts...)
-			}
-		}
-		child, err := buildNode(x.Input, cfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		pr, err := exec.NewProject(child, x.Exprs)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.DisableKernels {
-			pr.DisableKernels()
-		}
-		return pr, nil
+		return wrap(n, child, cfg)
 	case *AggregateNode:
-		if cfg.parallel() {
-			// Partial aggregation per pipeline, merged in child order so the
-			// group sequence matches the serial plan exactly.
-			parts, err := splitPipelines(x.Input, cfg, nil)
-			if err != nil {
-				return nil, err
-			}
-			if len(parts) > 1 {
-				return exec.NewParallelAgg(cfg.Parallelism, x.GroupCols, x.Aggs, parts...)
-			}
-		}
-		child, err := buildNode(x.Input, cfg, nil)
+		// Partial aggregation per pipeline, merged in child order so the
+		// group sequence matches the serial plan exactly. One input runs
+		// inline: the serial plan is the one-pipeline case.
+		inputs, err := parallelPipelines(x.Input, cfg)
 		if err != nil {
 			return nil, err
 		}
-		return exec.NewHashAgg(child, x.GroupCols, x.Aggs)
+		if inputs == nil {
+			child, err := buildNode(x.Input, cfg, nil)
+			if err != nil {
+				return nil, err
+			}
+			inputs = []exec.Operator{child}
+		}
+		return exec.NewParallelAgg(cfg.Parallelism, x.GroupCols, x.Aggs, inputs...)
 	case *SortNode:
 		child, err := buildNode(x.Input, cfg, nil)
 		if err != nil {
@@ -234,17 +194,6 @@ func buildNodeOp(n Node, cfg Config, bounds map[int]colBounds) (exec.Operator, e
 		hj.SetSpill(cfg.Spill)
 		return hj, nil
 	case *UnionNode:
-		if !x.Merge && cfg.parallel() {
-			// Branches (e.g. a rewrite's exclude and patch sides) become
-			// concurrent pipelines, each further split per partition.
-			parts, err := splitPipelines(x, cfg, nil)
-			if err != nil {
-				return nil, err
-			}
-			if len(parts) > 1 {
-				return exec.NewExchange(cfg.Parallelism, parts...)
-			}
-		}
 		children := make([]exec.Operator, len(x.Inputs))
 		for i, in := range x.Inputs {
 			c, err := buildNode(in, cfg, nil)
@@ -262,228 +211,148 @@ func buildNodeOp(n Node, cfg Config, bounds map[int]colBounds) (exec.Operator, e
 	}
 }
 
-// buildScan creates per-partition scans and combines them: ordered via a
-// MergeUnion on the declared sort key if the table has one (so OrderingOf's
-// promise holds across partitions), otherwise a plain or parallel union.
-func buildScan(s *ScanNode, cfg Config, bounds map[int]colBounds) (exec.Operator, error) {
-	if s.Part >= 0 {
-		return exec.NewScan(s.Table, s.Part, s.Cols, scanRangesFor(s.Table, s.Part, s.Cols, bounds, cfg))
+// partitionLeaves builds the per-partition leaves of a scan or patched scan:
+// one Scan per partition, under a PatchSelect for a patched scan (it must
+// sit directly on the scan of its partition, as required for the
+// row-position/tuple-identifier equivalence). A Part >= 0 scan is the
+// one-element partition list. Partitions whose zone maps prove no row
+// satisfies bounds are skipped; that is safe in both patch modes, because
+// the bounds come from the filter enclosing the scan, so every row of a
+// pruned partition, patch or not, would fail that filter anyway. If every
+// partition is pruned, one empty-range leaf keeps the plan shape (and the
+// operator contract above it). keys is the merge order that combining the
+// leaves must keep: the table's declared sort key, or the index column of an
+// ordered patched scan; nil when the scan promises no order.
+func partitionLeaves(n Node, cfg Config, bounds map[int]colBounds) (parts []exec.Operator, keys []exec.SortKey, err error) {
+	var (
+		t    *storage.Table
+		cols []int
+		part int
+		ix   *patch.Index
+		mode exec.SelectMode
+	)
+	switch x := n.(type) {
+	case *ScanNode:
+		t, cols, part = x.Table, x.Cols, x.Part
+		if key := t.SortKey(); key != "" {
+			if pos := outputPos(cols, t, key); pos >= 0 {
+				keys = []exec.SortKey{{Col: pos}}
+			}
+		}
+	case *PatchScanNode:
+		t, cols, part, ix, mode = x.Table, x.Cols, x.Part, x.Index, x.Mode
+		if !ix.Ready() {
+			return nil, nil, fmt.Errorf("plan: PatchIndex on %s.%s is not built", ix.Table(), ix.Column())
+		}
+		if ix.NumPartitions() != t.NumPartitions() {
+			return nil, nil, fmt.Errorf("plan: PatchIndex on %s.%s has %d partitions, table has %d",
+				ix.Table(), ix.Column(), ix.NumPartitions(), t.NumPartitions())
+		}
+		if x.Ordered {
+			pos := outputPos(cols, t, ix.Column())
+			if pos < 0 {
+				return nil, nil, fmt.Errorf("plan: ordered patched scan requires column %s in the scan list", ix.Column())
+			}
+			keys = []exec.SortKey{{Col: pos, Desc: ix.Descending()}}
+		}
 	}
-	parts := make([]exec.Operator, 0, s.Table.NumPartitions())
-	for p := 0; p < s.Table.NumPartitions(); p++ {
-		if cfg.zonePruned(s.Table, p, s.Cols, bounds) {
+	leaf := func(p int, ranges []storage.ScanRange) error {
+		sc, err := exec.NewScan(t, p, cols, ranges)
+		if err != nil {
+			return err
+		}
+		if ix == nil {
+			parts = append(parts, sc)
+			return nil
+		}
+		ps, err := exec.NewPatchSelect(sc, ix.Partition(p), mode)
+		if err != nil {
+			return err
+		}
+		// Stamped with the enabling index's identity so executed-plan
+		// benefit attribution can credit the index.
+		ps.TagIndex(ix.Table(), ix.Column(), constraintTag(ix.Constraint()))
+		parts = append(parts, ps)
+		return nil
+	}
+	first, last := 0, t.NumPartitions()-1
+	if part >= 0 {
+		first, last = part, part
+	}
+	for p := first; p <= last; p++ {
+		if cfg.zonePruned(t, p, cols, bounds) {
 			continue
 		}
-		sc, err := exec.NewScan(s.Table, p, s.Cols, rangesFor(s.Table, p, s.Cols, bounds))
-		if err != nil {
-			return nil, err
+		if err := leaf(p, rangesFor(t, p, cols, bounds)); err != nil {
+			return nil, nil, err
 		}
-		parts = append(parts, sc)
 	}
 	if len(parts) == 0 {
-		// Every partition zone-pruned: keep one empty-range scan so the plan
-		// shape (and the operator contract above it) is preserved.
-		sc, err := exec.NewScan(s.Table, 0, s.Cols, []storage.ScanRange{})
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, sc)
-	}
-	if key := s.Table.SortKey(); key != "" {
-		pos := outputPos(s.Cols, s.Table, key)
-		if pos >= 0 {
-			if len(parts) == 1 {
-				return parts[0], nil
-			}
-			return exec.NewMergeUnion([]exec.SortKey{{Col: pos}}, parts...)
+		if err := leaf(first, []storage.ScanRange{}); err != nil {
+			return nil, nil, err
 		}
 	}
-	if len(parts) == 1 {
-		return parts[0], nil
-	}
-	if cfg.parallel() {
-		return exec.NewExchange(cfg.Parallelism, parts...)
-	}
-	return exec.NewUnion(parts...)
+	return parts, keys, nil
 }
 
-// buildPatchScan creates per-partition Scan→PatchSelect pipelines. The
-// PatchSelect sits directly on the scan of its partition, as required for
-// the row-position/tuple-identifier equivalence.
-func buildPatchScan(s *PatchScanNode, cfg Config, bounds map[int]colBounds) (exec.Operator, error) {
-	if !s.Index.Ready() {
-		return nil, fmt.Errorf("plan: PatchIndex on %s.%s is not built", s.Index.Table(), s.Index.Column())
-	}
-	if s.Index.NumPartitions() != s.Table.NumPartitions() {
-		return nil, fmt.Errorf("plan: PatchIndex on %s.%s has %d partitions, table has %d",
-			s.Index.Table(), s.Index.Column(), s.Index.NumPartitions(), s.Table.NumPartitions())
-	}
-	if s.Part >= 0 {
-		sc, err := exec.NewScan(s.Table, s.Part, s.Cols, scanRangesFor(s.Table, s.Part, s.Cols, bounds, cfg))
-		if err != nil {
-			return nil, err
-		}
-		return newTaggedPatchSelect(sc, s.Index, s.Part, s.Mode)
-	}
-	// Zone-pruning a partition is safe in both patch modes: the bounds come
-	// from the filter enclosing this scan, so every row of a pruned partition
-	// — patch or not — would fail that filter anyway.
-	parts := make([]exec.Operator, 0, s.Table.NumPartitions())
-	for p := 0; p < s.Table.NumPartitions(); p++ {
-		if cfg.zonePruned(s.Table, p, s.Cols, bounds) {
-			continue
-		}
-		sc, err := exec.NewScan(s.Table, p, s.Cols, rangesFor(s.Table, p, s.Cols, bounds))
-		if err != nil {
-			return nil, err
-		}
-		ps, err := newTaggedPatchSelect(sc, s.Index, p, s.Mode)
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, ps)
-	}
-	if len(parts) == 0 {
-		sc, err := exec.NewScan(s.Table, 0, s.Cols, []storage.ScanRange{})
-		if err != nil {
-			return nil, err
-		}
-		ps, err := newTaggedPatchSelect(sc, s.Index, 0, s.Mode)
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, ps)
-	}
-	if s.Ordered {
-		pos := outputPos(s.Cols, s.Table, s.Index.Column())
-		if pos < 0 {
-			return nil, fmt.Errorf("plan: ordered patched scan requires column %s in the scan list", s.Index.Column())
-		}
-		if len(parts) == 1 {
-			return parts[0], nil
-		}
-		return exec.NewMergeUnion([]exec.SortKey{{Col: pos, Desc: s.Index.Descending()}}, parts...)
-	}
-	if len(parts) == 1 {
+// gather combines pipelines into one operator: the pipeline itself when
+// there is only one, a MergeUnion on keys when they are ordered, an Exchange
+// when the plan is parallel, and a Union otherwise.
+func gather(parts []exec.Operator, keys []exec.SortKey, cfg Config) (exec.Operator, error) {
+	switch {
+	case len(parts) == 1:
 		return parts[0], nil
-	}
-	if cfg.parallel() {
+	case keys != nil:
+		return exec.NewMergeUnion(keys, parts...)
+	case cfg.parallel():
 		return exec.NewExchange(cfg.Parallelism, parts...)
+	default:
+		return exec.NewUnion(parts...)
 	}
-	return exec.NewUnion(parts...)
+}
+
+// parallelPipelines returns n's independent per-partition pipelines when the
+// plan is parallel and n splits into more than one; nil means "build
+// serially".
+func parallelPipelines(n Node, cfg Config) ([]exec.Operator, error) {
+	if !cfg.parallel() {
+		return nil, nil
+	}
+	parts, err := splitPipelines(n, cfg, nil)
+	if err != nil || len(parts) < 2 {
+		return nil, err
+	}
+	return parts, nil
 }
 
 // splitPipelines decomposes n into independent per-partition pipelines —
 // the morsels of an Exchange or the partial-aggregation inputs of a
-// ParallelAgg. It handles the shapes that dominate the benchmark workloads:
-// multi-partition scans and patched scans (with no ordering promise to
-// preserve), filters and projections over a splittable input (pushed into
-// every pipeline), and non-merge unions (each branch contributes its own
+// parallel aggregation. It handles the shapes that dominate the benchmark
+// workloads: scans and patched scans with no ordering promise to preserve,
+// filters and projections over a splittable input (pushed into every
+// pipeline), and non-merge unions (each branch contributes its own
 // pipelines, in branch order). A nil result with nil error means "not
 // splittable — build serially"; splitting never changes the multiset of
 // rows produced, only their interleaving.
 func splitPipelines(n Node, cfg Config, bounds map[int]colBounds) ([]exec.Operator, error) {
 	switch x := n.(type) {
-	case *ScanNode:
-		if x.Part >= 0 || x.Table.NumPartitions() <= 1 {
-			return nil, nil
-		}
-		// A declared sort key in the output means the serial plan promises
-		// merged order via MergeUnion; splitting would break OrderingOf.
-		if key := x.Table.SortKey(); key != "" && outputPos(x.Cols, x.Table, key) >= 0 {
-			return nil, nil
-		}
-		parts := make([]exec.Operator, 0, x.Table.NumPartitions())
-		for p := 0; p < x.Table.NumPartitions(); p++ {
-			if cfg.zonePruned(x.Table, p, x.Cols, bounds) {
-				continue // partition skipped before a morsel is scheduled
-			}
-			sc, err := exec.NewScan(x.Table, p, x.Cols, rangesFor(x.Table, p, x.Cols, bounds))
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, sc)
-		}
-		if len(parts) == 0 {
-			sc, err := exec.NewScan(x.Table, 0, x.Cols, []storage.ScanRange{})
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, sc)
+	case *ScanNode, *PatchScanNode:
+		parts, keys, err := partitionLeaves(n, cfg, bounds)
+		if err != nil || keys != nil {
+			// An ordered scan promises merged order via MergeUnion; splitting
+			// would break OrderingOf.
+			return nil, err
 		}
 		return parts, nil
-	case *PatchScanNode:
-		if x.Part >= 0 || x.Ordered || x.Table.NumPartitions() <= 1 {
-			return nil, nil
-		}
-		if !x.Index.Ready() {
-			return nil, fmt.Errorf("plan: PatchIndex on %s.%s is not built", x.Index.Table(), x.Index.Column())
-		}
-		if x.Index.NumPartitions() != x.Table.NumPartitions() {
-			return nil, fmt.Errorf("plan: PatchIndex on %s.%s has %d partitions, table has %d",
-				x.Index.Table(), x.Index.Column(), x.Index.NumPartitions(), x.Table.NumPartitions())
-		}
-		parts := make([]exec.Operator, 0, x.Table.NumPartitions())
-		for p := 0; p < x.Table.NumPartitions(); p++ {
-			if cfg.zonePruned(x.Table, p, x.Cols, bounds) {
-				continue
-			}
-			sc, err := exec.NewScan(x.Table, p, x.Cols, rangesFor(x.Table, p, x.Cols, bounds))
-			if err != nil {
-				return nil, err
-			}
-			ps, err := newTaggedPatchSelect(sc, x.Index, p, x.Mode)
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, ps)
-		}
-		if len(parts) == 0 {
-			sc, err := exec.NewScan(x.Table, 0, x.Cols, []storage.ScanRange{})
-			if err != nil {
-				return nil, err
-			}
-			ps, err := newTaggedPatchSelect(sc, x.Index, 0, x.Mode)
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, ps)
-		}
-		return parts, nil
-	case *FilterNode:
-		var childBounds map[int]colBounds
-		if !cfg.DisableScanRanges {
-			childBounds = extractBounds(x.Pred, x.Input.Schema())
-		}
-		parts, err := splitPipelines(x.Input, cfg, childBounds)
+	case *FilterNode, *ProjectNode:
+		parts, err := splitPipelines(inputOf(n), cfg, childBounds(n, cfg))
 		if err != nil || parts == nil {
 			return nil, err
 		}
 		for i, p := range parts {
-			f, err := exec.NewFilter(p, x.Pred)
-			if err != nil {
+			if parts[i], err = wrap(n, p, cfg); err != nil {
 				return nil, err
 			}
-			if cfg.DisableKernels {
-				f.DisableKernels()
-			}
-			parts[i] = f
-		}
-		return parts, nil
-	case *ProjectNode:
-		parts, err := splitPipelines(x.Input, cfg, nil)
-		if err != nil || parts == nil {
-			return nil, err
-		}
-		for i, p := range parts {
-			pr, err := exec.NewProject(p, x.Exprs)
-			if err != nil {
-				return nil, err
-			}
-			if cfg.DisableKernels {
-				pr.DisableKernels()
-			}
-			parts[i] = pr
 		}
 		return parts, nil
 	case *UnionNode:
@@ -510,6 +379,46 @@ func splitPipelines(n Node, cfg Config, bounds map[int]colBounds) ([]exec.Operat
 	default:
 		return nil, nil
 	}
+}
+
+// inputOf returns the input of a Filter or Project node.
+func inputOf(n Node) Node {
+	if f, ok := n.(*FilterNode); ok {
+		return f.Input
+	}
+	return n.(*ProjectNode).Input
+}
+
+// childBounds returns the scan-range bounds a Filter node's predicate puts
+// on its input; nil for a Project, or when scan ranges are disabled.
+func childBounds(n Node, cfg Config) map[int]colBounds {
+	if f, ok := n.(*FilterNode); ok && !cfg.DisableScanRanges {
+		return extractBounds(f.Pred, f.Input.Schema())
+	}
+	return nil
+}
+
+// wrap builds the Filter or Project operator of node n over child.
+func wrap(n Node, child exec.Operator, cfg Config) (exec.Operator, error) {
+	if f, ok := n.(*FilterNode); ok {
+		op, err := exec.NewFilter(child, f.Pred)
+		if err != nil {
+			return nil, err
+		}
+		if cfg.DisableKernels {
+			op.DisableKernels()
+		}
+		return op, nil
+	}
+	p := n.(*ProjectNode)
+	op, err := exec.NewProject(child, p.Exprs)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.DisableKernels {
+		op.DisableKernels()
+	}
+	return op, nil
 }
 
 // outputPos maps a table column name to its position in the scan column
@@ -616,16 +525,6 @@ func tighterHi(cur, v vector.Value) vector.Value {
 		return v
 	}
 	return cur
-}
-
-// scanRangesFor is rangesFor plus partition-level zone pruning for the
-// single-partition scan shape: a pruned partition degenerates to an empty
-// range list (the scan stays in the plan, emitting nothing).
-func scanRangesFor(t *storage.Table, part int, cols []int, bounds map[int]colBounds, cfg Config) []storage.ScanRange {
-	if cfg.zonePruned(t, part, cols, bounds) {
-		return []storage.ScanRange{}
-	}
-	return rangesFor(t, part, cols, bounds)
 }
 
 // rangesFor computes pruned scan ranges for one partition, intersecting the

@@ -286,39 +286,46 @@ func (o *Optimizer) rewriteDistinct(a *AggregateNode) (Node, bool, error) {
 		return nil, false, nil
 	}
 	o.noteRewrite(ix)
-	exclLeaf := NewPatchScanNode(leaf.Table, leaf.Cols, ix, exec.ExcludePatches, false)
-	useLeaf := NewPatchScanNode(leaf.Table, leaf.Cols, ix, exec.UsePatches, false)
-	exclBranch, err := rebuild(exclLeaf)
-	if err != nil {
-		return nil, false, err
-	}
-	useX, err := rebuild(useLeaf)
-	if err != nil {
-		return nil, false, err
-	}
-	// The distinct output schema keeps only the group columns; project both
-	// branches accordingly so the union schema matches the original node.
-	exclBranch, err = projectTo(exclBranch, a.GroupCols)
-	if err != nil {
-		return nil, false, err
-	}
-	useX, err = projectTo(useX, a.GroupCols)
-	if err != nil {
-		return nil, false, err
-	}
-	groupAll := make([]int, len(a.GroupCols))
-	for i := range groupAll {
-		groupAll[i] = i
-	}
-	useBranch, err := NewAggregateNode(useX, groupAll, nil, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	u, err := NewUnionNode(false, nil, exclBranch, useBranch)
+	// The distinct output schema keeps only the group columns.
+	u, err := nucUnion(leaf, rebuild, ix, a.GroupCols)
 	if err != nil {
 		return nil, false, err
 	}
 	return u, true, nil
+}
+
+// nucUnion builds the two branches of a NUC rewrite over a matched chain X
+// and joins them:
+//
+//	Union( X(ExcludePatches(Scan)), Distinct(X(UsePatches(Scan))) )
+//
+// Both branches are narrowed to the chain output columns cols, so the union
+// schema is exactly those columns.
+func nucUnion(leaf *ScanNode, rebuild func(Node) (Node, error), ix *patch.Index, cols []int) (*UnionNode, error) {
+	branch := func(mode exec.SelectMode) (Node, error) {
+		x, err := rebuild(NewPatchScanNode(leaf.Table, leaf.Cols, ix, mode, false))
+		if err != nil {
+			return nil, err
+		}
+		return projectTo(x, cols)
+	}
+	excl, err := branch(exec.ExcludePatches)
+	if err != nil {
+		return nil, err
+	}
+	useX, err := branch(exec.UsePatches)
+	if err != nil {
+		return nil, err
+	}
+	groupAll := make([]int, len(cols))
+	for i := range groupAll {
+		groupAll[i] = i
+	}
+	use, err := NewAggregateNode(useX, groupAll, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return NewUnionNode(false, nil, excl, use)
 }
 
 // projectTo narrows a node to the given child column positions (no-op if
@@ -372,29 +379,7 @@ func (o *Optimizer) rewriteCountDistinct(a *AggregateNode) (Node, bool, error) {
 		return nil, false, nil
 	}
 	o.noteRewrite(ix)
-	exclLeaf := NewPatchScanNode(leaf.Table, leaf.Cols, ix, exec.ExcludePatches, false)
-	useLeaf := NewPatchScanNode(leaf.Table, leaf.Cols, ix, exec.UsePatches, false)
-	exclBranch, err := rebuild(exclLeaf)
-	if err != nil {
-		return nil, false, err
-	}
-	useX, err := rebuild(useLeaf)
-	if err != nil {
-		return nil, false, err
-	}
-	exclBranch, err = projectTo(exclBranch, []int{col})
-	if err != nil {
-		return nil, false, err
-	}
-	useX, err = projectTo(useX, []int{col})
-	if err != nil {
-		return nil, false, err
-	}
-	useBranch, err := NewAggregateNode(useX, []int{0}, nil, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	u, err := NewUnionNode(false, nil, exclBranch, useBranch)
+	u, err := nucUnion(leaf, rebuild, ix, []int{col})
 	if err != nil {
 		return nil, false, err
 	}

@@ -1,6 +1,7 @@
 package patchindex
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -201,7 +202,11 @@ func TestSQLThresholdRejection(t *testing.T) {
 
 func TestParallelExecutionMatchesSequential(t *testing.T) {
 	mk := func(parallel bool) *Engine {
-		e, err := New(Config{DefaultPartitions: 4, Parallel: parallel})
+		parallelism := 0
+		if parallel {
+			parallelism = 2 * runtime.GOMAXPROCS(0)
+		}
+		e, err := New(Config{DefaultPartitions: 4, Parallelism: parallelism})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package patchindex
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -13,7 +14,11 @@ import (
 // loadTPCDS builds the full TPC-DS-lite schema in an engine at test scale.
 func loadTPCDS(t *testing.T, parallel bool) *Engine {
 	t.Helper()
-	e, err := New(Config{DefaultPartitions: 6, Parallel: parallel})
+	parallelism := 0
+	if parallel {
+		parallelism = 2 * runtime.GOMAXPROCS(0)
+	}
+	e, err := New(Config{DefaultPartitions: 6, Parallelism: parallelism})
 	if err != nil {
 		t.Fatal(err)
 	}
