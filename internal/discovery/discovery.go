@@ -291,14 +291,15 @@ func longestSortedInt64(vals []int64, nulls []bool, descending bool, prev []int3
 	return len(tailVal), last
 }
 
-// encodeElem produces an injective per-type key encoding for duplicate
-// detection (same scheme as the execution engine's group-key encoding).
+// encodeElem produces a per-type key encoding for duplicate detection that
+// is injective up to SQL equality (-0.0 and +0.0 encode alike), the same
+// scheme as the execution engine's group-key encoding.
 func encodeElem(buf []byte, v *vector.Vector, i int) []byte {
 	switch v.Typ {
 	case vector.Int64, vector.Date:
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I64[i]))
 	case vector.Float64:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F64[i]))
+		buf = binary.LittleEndian.AppendUint64(buf, vector.Float64KeyBits(v.F64[i]))
 	case vector.String:
 		buf = append(buf, v.Str[i]...)
 	case vector.Bool:

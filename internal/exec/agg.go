@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,15 +60,6 @@ func (a AggSpec) ResultType(input []vector.Type) vector.Type {
 	}
 }
 
-// aggState is the running state of the aggregates of one group.
-type aggState struct {
-	counts   []int64
-	sumsI    []int64
-	sumsF    []float64
-	minmax   []vector.Value
-	distinct []map[string]struct{}
-}
-
 // HashAgg is a hash-based grouping aggregation over one or more input
 // pipelines. With no aggregate specs it degenerates to DISTINCT over the
 // group columns — the "very expensive hash-based aggregation" the
@@ -82,10 +72,9 @@ type aggState struct {
 // plan). The child-order merge is what keeps parallel aggregation
 // deterministic: each partial preserves its input's first-occurrence group
 // order, so merging partial 0, then 1, ... reproduces exactly the group
-// insertion order of one input over Union(child 0, child 1, ...). The typed
-// fast paths (single-column DISTINCT, global COUNT(DISTINCT)) carry value
-// sets in their partials — sets, not resolved counts, so duplicates across
-// inputs collapse correctly at merge time.
+// insertion order of one input over Union(child 0, child 1, ...). Partials
+// of COUNT(DISTINCT) carry value sets, not resolved counts, so duplicates
+// across inputs collapse correctly at merge time.
 type HashAgg struct {
 	opStats
 	children   []Operator
@@ -277,32 +266,6 @@ func (h *HashAgg) drain(child Operator, ws *obs.WorkerStats) (aggPartial, error)
 	}
 }
 
-func newAggState(aggs []AggSpec, in []vector.Type) *aggState {
-	st := &aggState{
-		counts: make([]int64, len(aggs)),
-		sumsI:  make([]int64, len(aggs)),
-		sumsF:  make([]float64, len(aggs)),
-		minmax: make([]vector.Value, len(aggs)),
-	}
-	st.distinct = make([]map[string]struct{}, len(aggs))
-	for i, a := range aggs {
-		if a.Func == CountDistinct {
-			st.distinct[i] = make(map[string]struct{})
-		}
-		if a.Func == Min || a.Func == Max || a.Func == Sum {
-			st.minmax[i] = vector.NullValue(in[max0(a.Col)])
-		}
-	}
-	return st
-}
-
-func max0(c int) int {
-	if c < 0 {
-		return 0
-	}
-	return c
-}
-
 // Next emits result groups in merged first-occurrence order.
 func (h *HashAgg) Next() (*vector.Batch, error) {
 	if err := h.ctxErr(); err != nil {
@@ -329,9 +292,7 @@ func (h *HashAgg) next() (*vector.Batch, error) {
 		end = h.groups
 	}
 	out := vector.NewBatch(h.types)
-	if err := h.result.emit(out, h.outPos, end); err != nil {
-		return nil, errOp(h, err)
-	}
+	h.result.emit(out, h.outPos, end)
 	h.outPos = end
 	return out, nil
 }
@@ -350,8 +311,9 @@ func (h *HashAgg) Close() error {
 }
 
 // encodeValue appends a canonical, type-tagged binary encoding of value i of
-// v to buf. Encodings are injective per type, so they are usable as hash map
-// keys for grouping and distinct counting. NULL encodes as a dedicated tag.
+// v to buf. Encodings are injective per type except that -0.0 and +0.0,
+// equal under =, share one, so they are usable as hash map keys for
+// grouping, distinct counting and joins. NULL encodes as a dedicated tag.
 func encodeValue(buf []byte, v *vector.Vector, i int) []byte {
 	if v.IsNull(i) {
 		return append(buf, 0)
@@ -362,7 +324,7 @@ func encodeValue(buf []byte, v *vector.Vector, i int) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I64[i]))
 	case vector.Float64:
 		buf = append(buf, 2)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F64[i]))
+		buf = binary.LittleEndian.AppendUint64(buf, vector.Float64KeyBits(v.F64[i]))
 	case vector.String:
 		buf = append(buf, 3)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Str[i])))
@@ -375,4 +337,26 @@ func encodeValue(buf []byte, v *vector.Vector, i int) []byte {
 		}
 	}
 	return buf
+}
+
+// aggOutputTypes validates group columns and aggregate specs against the
+// input schema and returns the output column types.
+func aggOutputTypes(groupCols []int, aggs []AggSpec, in []vector.Type) ([]vector.Type, error) {
+	if len(groupCols) == 0 && len(aggs) == 0 {
+		return nil, fmt.Errorf("exec: hash aggregation needs group columns or aggregates")
+	}
+	var types []vector.Type
+	for _, c := range groupCols {
+		if c < 0 || c >= len(in) {
+			return nil, fmt.Errorf("exec: group column %d out of range", c)
+		}
+		types = append(types, in[c])
+	}
+	for _, a := range aggs {
+		if a.Func != CountStar && (a.Col < 0 || a.Col >= len(in)) {
+			return nil, fmt.Errorf("exec: aggregate column %d out of range", a.Col)
+		}
+		types = append(types, a.ResultType(in))
+	}
+	return types, nil
 }

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -327,4 +329,174 @@ func TestAggSpecResultType(t *testing.T) {
 			t.Errorf("%v result type = %v, want %v", c.spec, got, c.want)
 		}
 	}
+}
+
+// aggBenchInput returns rows int64 rows in full batches: column 0 cycles
+// through groups keys in a scattered order, column 1 is a value.
+func aggBenchInput(rows, groups int) []*vector.Batch {
+	var batches []*vector.Batch
+	for lo := 0; lo < rows; lo += vector.BatchSize {
+		b := vector.NewBatch([]vector.Type{vector.Int64, vector.Int64})
+		for i := lo; i < lo+vector.BatchSize && i < rows; i++ {
+			b.Vecs[0].AppendInt64(int64(i*7919) % int64(groups))
+			b.Vecs[1].AppendInt64(int64(i))
+		}
+		batches = append(batches, b)
+	}
+	return batches
+}
+
+// benchAgg runs one aggregation over in per iteration and reports the input
+// rate.
+func benchAgg(b *testing.B, in []*vector.Batch, groupCols []int, aggs []AggSpec) {
+	rows := 0
+	for _, x := range in {
+		rows += x.Len()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agg, err := NewHashAgg(newMemOp(in[0].Types(), in...), groupCols, aggs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Collect(agg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
+}
+
+// BenchmarkHashAggGroupedInt64 is the plain-agg-par shape: 750 k rows in
+// 1000 int64 groups, COUNT(*) and SUM per group.
+func BenchmarkHashAggGroupedInt64(b *testing.B) {
+	benchAgg(b, aggBenchInput(750_000, 1000), []int{0},
+		[]AggSpec{{Func: CountStar, Col: -1}, {Func: Sum, Col: 1}})
+}
+
+// BenchmarkHashAggGlobalCount is the global COUNT(*) that tops the
+// nsc-join and nuc-distinct plans, over 1 M rows.
+func BenchmarkHashAggGlobalCount(b *testing.B) {
+	benchAgg(b, aggBenchInput(1_000_000, 1000), nil, []AggSpec{{Func: CountStar, Col: -1}})
+}
+
+// genericPartial returns the constructor of the reference partial for an
+// aggregation: the same columnar state as classifyFastAgg's choice, keyed
+// by the encodeValue map keyer whenever there are group columns. A global
+// aggregation has no keyer to swap, so its reference computes COUNT(DISTINCT)
+// with per-group sets rather than as a keyed DISTINCT.
+func genericPartial(groupCols []int, aggs []AggSpec, in []vector.Type) func() aggPartial {
+	if len(groupCols) == 0 {
+		return func() aggPartial { return newGroupAgg(nil, aggs, in, nil) }
+	}
+	return func() aggPartial { return newGroupAgg(groupCols, aggs, in, newMapKeyer(colTypes(groupCols, in))) }
+}
+
+// TestClassifyFastAggTypedPaths pins the keyer of the aggregations the
+// benchmark workloads run, so a refactor cannot send them back to the map
+// keyer unnoticed: GROUP BY payload with COUNT(*) and SUM (plain-agg-par),
+// a global COUNT(c) (the NUC distinct rewrite's outer count) and a global
+// COUNT(*) (nsc-join).
+func TestClassifyFastAggTypedPaths(t *testing.T) {
+	in := []vector.Type{vector.Int64, vector.Int64}
+	grouped := classifyFastAgg([]int{0}, []AggSpec{{Func: CountStar, Col: -1}, {Func: Sum, Col: 1}}, in)()
+	if p, ok := grouped.(*groupAgg); !ok {
+		t.Errorf("GROUP BY int64: partial %T, want *groupAgg", grouped)
+	} else if _, ok := p.keyer.(*int64Keyer); !ok {
+		t.Errorf("GROUP BY int64: keyer %T, want *int64Keyer", p.keyer)
+	}
+	for _, spec := range []AggSpec{{Func: Count, Col: 1}, {Func: CountStar, Col: -1}} {
+		global := classifyFastAgg(nil, []AggSpec{spec}, in)()
+		if p, ok := global.(*groupAgg); !ok || p.keyer != nil {
+			t.Errorf("global %v: partial %T, want *groupAgg without a keyer", spec.Func, global)
+		}
+	}
+}
+
+// FuzzGroupedAgg checks the Int64Table keyer against the generic map keyer:
+// a GROUP BY over one int64 or date key (with NULLs and the extreme values)
+// and a random list of aggregates over an int64 and a float64 column with
+// NULLs, split into 1–4 inputs, must produce the same rows in the same
+// order. shape picks the input count (bits 0-1), the batch size (bits 2-6)
+// and a date key (bit 7); each byte of specs is one aggregate; each three
+// bytes of rows are one row's key, int and float values.
+func FuzzGroupedAgg(f *testing.F) {
+	f.Add(uint8(0), []byte{0, 8}, []byte{1, 2, 3, 0xFF, 5, 6, 1, 0xFF, 9})
+	f.Add(uint8(0x87), []byte{2, 3, 4, 9, 10}, []byte{0xFF, 1, 1, 0xFE, 2, 2, 0xFD, 3, 3, 0xFC, 4, 4, 0xFF, 5, 5, 0xFE, 6, 6})
+	f.Add(uint8(0x0E), []byte{}, []byte{7, 0, 0, 7, 0, 0, 0xFF, 0, 0, 8, 0, 0, 0xFF, 0, 0, 7, 0, 0})
+	f.Fuzz(func(t *testing.T, shape uint8, specs []byte, rows []byte) {
+		k := 1 + int(shape%4)
+		size := 1 + int(shape>>2&0x1F)
+		types := []vector.Type{vector.Int64, vector.Int64, vector.Float64}
+		if shape&0x80 != 0 {
+			types[0] = vector.Date
+		}
+		var aggs []AggSpec
+		for _, b := range specs[:min(len(specs), 8)] {
+			fn := []AggFunc{CountStar, Count, Sum, Min, Max, CountDistinct}[b%6]
+			col := 1 + int(b/6%2)
+			if fn == CountStar {
+				col = -1
+			}
+			aggs = append(aggs, AggSpec{Func: fn, Col: col})
+		}
+		// Row i goes to input i%k, in batches of size rows.
+		inputs := make([][]*vector.Batch, k)
+		for i := 0; i+3 <= len(rows); i += 3 {
+			c := i / 3 % k
+			if n := len(inputs[c]); n == 0 || inputs[c][n-1].Len() == size {
+				inputs[c] = append(inputs[c], vector.NewBatch(types))
+			}
+			b := inputs[c][len(inputs[c])-1]
+			switch key := rows[i]; key {
+			case 0xFF:
+				b.Vecs[0].AppendNull()
+			case 0xFE:
+				b.Vecs[0].AppendInt64(math.MinInt64)
+			case 0xFD:
+				b.Vecs[0].AppendInt64(math.MaxInt64)
+			case 0xFC:
+				b.Vecs[0].AppendInt64(0)
+			default:
+				b.Vecs[0].AppendInt64(int64(key%16) - 8)
+			}
+			if x := rows[i+1]; x%7 == 0 {
+				b.Vecs[1].AppendNull()
+			} else {
+				b.Vecs[1].AppendInt64(int64(x) - 128)
+			}
+			if x := rows[i+2]; x%5 == 0 {
+				b.Vecs[2].AppendNull()
+			} else {
+				b.Vecs[2].AppendFloat64(float64(x)/4 - 30)
+			}
+		}
+		run := func(partial func() aggPartial) string {
+			children := make([]Operator, k)
+			for c := range children {
+				children[c] = newMemOp(types, inputs[c]...)
+			}
+			agg, err := NewParallelAgg(2, []int{0}, aggs, children...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if partial != nil {
+				agg.newPartial = partial
+			}
+			out, err := Collect(agg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Sprint(out)
+		}
+		if p, ok := classifyFastAgg([]int{0}, aggs, types)().(*groupAgg); !ok {
+			t.Fatal("GROUP BY int64 is not a groupAgg")
+		} else if _, ok := p.keyer.(*int64Keyer); !ok {
+			t.Fatalf("GROUP BY int64 keyer is %T", p.keyer)
+		}
+		got, want := run(nil), run(genericPartial([]int{0}, aggs, types))
+		if got != want {
+			t.Fatalf("typed keyer:\n%s\ngeneric keyer:\n%s", got, want)
+		}
+	})
 }

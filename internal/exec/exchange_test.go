@@ -329,6 +329,29 @@ func aggShapeRows(n int, nulls bool) [][]vector.Value {
 	return rows
 }
 
+// withNullKeys sets the int64 and date key columns of rows to NULL where
+// null(i) holds.
+func withNullKeys(rows [][]vector.Value, null func(i int) bool) [][]vector.Value {
+	for i, r := range rows {
+		if null(i) {
+			r[0], r[1] = vector.NullValue(r[0].Typ), vector.NullValue(r[1].Typ)
+		}
+	}
+	return rows
+}
+
+// allNullRows returns n rows over aggShapeTypes with every value NULL.
+func allNullRows(n int) [][]vector.Value {
+	rows := make([][]vector.Value, n)
+	for i := range rows {
+		rows[i] = make([]vector.Value, len(aggShapeTypes))
+		for c, t := range aggShapeTypes {
+			rows[i][c] = vector.NullValue(t)
+		}
+	}
+	return rows
+}
+
 // aggShapeInputs splits rows into k contiguous inputs of batches of at most
 // 4 rows; with k >= 3, input 1 is empty.
 func aggShapeInputs(t *testing.T, rows [][]vector.Value, k int) [][]*vector.Batch {
@@ -369,10 +392,10 @@ func aggShapeInputs(t *testing.T, rows [][]vector.Value, k int) [][]*vector.Batc
 }
 
 // TestParallelAggMatchesHashAgg is the determinism contract: an aggregation
-// over N inputs must emit the same output as over one input, a Union of
-// the same children — including group order for the generic shapes. The
-// typed DISTINCT fast paths promise no order, so they compare as sorted
-// multisets.
+// over N inputs must emit the same output as the generic keyer over one
+// input, a Union of the same children — including group order, which is
+// first occurrence for every shape but the string DISTINCT set. That one
+// promises no order, so it compares as a sorted multiset.
 func TestParallelAggMatchesHashAgg(t *testing.T) {
 	defer assertNoGoroutineLeak(t)()
 	shapes := []struct {
@@ -381,8 +404,8 @@ func TestParallelAggMatchesHashAgg(t *testing.T) {
 		aggs      []AggSpec
 		unordered bool
 	}{
-		{"distinct int64", []int{0}, nil, true},
-		{"distinct date", []int{1}, nil, true},
+		{"distinct int64", []int{0}, nil, false},
+		{"distinct date", []int{1}, nil, false},
 		{"distinct string", []int{2}, nil, true},
 		{"distinct two columns", []int{0, 2}, nil, false},
 		{"count distinct int64", nil, []AggSpec{{Func: CountDistinct, Col: 4}}, false},
@@ -391,6 +414,10 @@ func TestParallelAggMatchesHashAgg(t *testing.T) {
 			{Func: Count, Col: 4}, {Func: CountStar}, {Func: Sum, Col: 4}, {Func: Sum, Col: 3},
 			{Func: Min, Col: 2}, {Func: Max, Col: 3}, {Func: CountDistinct, Col: 1},
 		}, false},
+		{"grouped date", []int{1}, []AggSpec{
+			{Func: CountStar}, {Func: Sum, Col: 0}, {Func: Min, Col: 4}, {Func: Max, Col: 2},
+		}, false},
+		{"grouped float", []int{3}, []AggSpec{{Func: CountStar}, {Func: Sum, Col: 4}}, false},
 		{"global", nil, []AggSpec{
 			{Func: CountStar}, {Func: Count, Col: 2}, {Func: Sum, Col: 4}, {Func: Sum, Col: 3},
 			{Func: Min, Col: 1}, {Func: Max, Col: 4},
@@ -403,6 +430,11 @@ func TestParallelAggMatchesHashAgg(t *testing.T) {
 		{"values", aggShapeRows(40, false)},
 		{"nulls", aggShapeRows(40, true)},
 		{"zero rows", nil},
+		// The typed keyer places the NULL key's group by hand.
+		{"null key first", withNullKeys(aggShapeRows(40, false), func(i int) bool { return i == 0 })},
+		{"null key middle", withNullKeys(aggShapeRows(40, false), func(i int) bool { return i == 21 })},
+		{"only null keys", withNullKeys(aggShapeRows(40, false), func(int) bool { return true })},
+		{"all nulls", allNullRows(40)},
 	}
 	render := func(rows [][]vector.Value, unordered bool) []string {
 		out := make([]string, len(rows))
@@ -433,11 +465,15 @@ func TestParallelAggMatchesHashAgg(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				serial.newPartial = genericPartial(sh.groupCols, sh.aggs, aggShapeTypes)
 				wantRows, err := Collect(serial)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want := render(wantRows, sh.unordered)
+				if sh.name == "global" && d.name == "all nulls" && fmt.Sprint(want) != "[[40 0 NULL NULL NULL NULL]]" {
+					t.Errorf("global aggregates over all-NULL input = %v, want COUNT(*) 40, COUNT 0, the rest NULL", want)
+				}
 				for _, degree := range []int{1, 4} {
 					pa, err := NewParallelAgg(degree, sh.groupCols, sh.aggs, children()...)
 					if err != nil {
@@ -478,8 +514,8 @@ func TestParallelAggCountDistinct(t *testing.T) {
 	}
 }
 
-// TestParallelAggDistinct checks the DISTINCT fast path merges cross-partition
-// duplicates (output order is unspecified, as for serial HashAgg).
+// TestParallelAggDistinct checks the int64 DISTINCT merges cross-partition
+// duplicates, keeping first-occurrence order.
 func TestParallelAggDistinct(t *testing.T) {
 	defer assertNoGoroutineLeak(t)()
 	pa, err := NewParallelAgg(2, []int{0}, nil,
@@ -494,7 +530,6 @@ func TestParallelAggDistinct(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := intsOf(t, rows, 0)
-	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 	if !eqInts(got, []int64{1, 2, 3}) {
 		t.Errorf("distinct = %v", got)
 	}

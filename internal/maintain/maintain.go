@@ -19,7 +19,6 @@ package maintain
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"time"
 
 	"patchindex/internal/obs"
@@ -233,13 +232,14 @@ func (s *Set) Append(part int, cols []*vector.Vector) error {
 // (appends provide one vector per schema column, in schema order).
 func positionOf(_ *storage.Table, col int, _ []*vector.Vector) int { return col }
 
-// encodeElem mirrors the discovery package's injective value encoding.
+// encodeElem mirrors the discovery package's value encoding, which must
+// agree with it on which values are equal.
 func encodeElem(buf []byte, v *vector.Vector, i int) []byte {
 	switch v.Typ {
 	case vector.Int64, vector.Date:
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I64[i]))
 	case vector.Float64:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F64[i]))
+		buf = binary.LittleEndian.AppendUint64(buf, vector.Float64KeyBits(v.F64[i]))
 	case vector.String:
 		buf = append(buf, v.Str[i]...)
 	case vector.Bool:

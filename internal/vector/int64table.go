@@ -52,6 +52,11 @@ func ShardOfInt64(key int64, shards int) int {
 // id to be assigned.
 func (t *Int64Table) Len() int { return len(t.keys) }
 
+// Keys returns the inserted keys in id order: Keys()[id] is the key of id.
+// The slice is the table's own and valid until the next insert; callers
+// must not modify it.
+func (t *Int64Table) Keys() []int64 { return t.keys }
+
 // home returns the slot key hashes to.
 func (t *Int64Table) home(key int64) uint64 { return uint64(key) * hashMul >> t.shift }
 

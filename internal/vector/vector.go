@@ -509,6 +509,18 @@ func (v *Vector) Compare(i int, other *Vector, j int) int {
 	}
 }
 
+// Float64KeyBits returns the bits of x for use in a hash or equality key:
+// math.Float64bits with -0.0 mapped to +0.0, because the two compare equal
+// under = but differ in their bits. Every encoder that turns a float into a
+// grouping, distinct, join or constraint key goes through it, so all of
+// them agree on which floats are the same value.
+func Float64KeyBits(x float64) uint64 {
+	if x == 0 {
+		x = 0
+	}
+	return math.Float64bits(x)
+}
+
 func cmpOrdered[T int64 | float64 | string](a, b T) int {
 	switch {
 	case a < b:

@@ -1,9 +1,13 @@
 package patchindex
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
+
+	"patchindex/internal/vector"
 )
 
 // setupEmp loads a small employees/departments schema through plain SQL.
@@ -272,5 +276,76 @@ func TestExplainBaselineVsRewritten(t *testing.T) {
 	}
 	if strings.Contains(base.Message, "PatchedScan") {
 		t.Errorf("baseline plan must not use patches:\n%s", base.Message)
+	}
+}
+
+// TestNegativeZeroIsOneKey: -0.0 = 0.0 under SQL =, so every hash site —
+// DISTINCT, COUNT(DISTINCT), GROUP BY, a hash join and a NUC PatchIndex
+// with its maintenance — must treat them as one key, and the rewritten
+// plans must agree with the unrewritten ones.
+func TestNegativeZeroIsOneKey(t *testing.T) {
+	e := newTestEngine(t)
+	mustExec(t, e, "CREATE TABLE t (f DOUBLE, id BIGINT)")
+	mustExec(t, e, "INSERT INTO t VALUES (0.0, 1), (-0.0, 2), (0.0, 3), (1.5, 4)")
+	mustExec(t, e, "CREATE TABLE w (g DOUBLE)")
+	mustExec(t, e, "INSERT INTO w VALUES (-0.0), (0.0)")
+	if r := mustExec(t, e, "SELECT f FROM t WHERE id = 2"); !math.Signbit(r.Rows[0][0].F64) {
+		t.Fatalf("the literal -0.0 stored %v, not negative zero", r.Rows[0][0])
+	}
+	// A zero group may be represented by either zero; render both as 0.
+	render := func(rows [][]vector.Value) string {
+		for _, r := range rows {
+			for i := range r {
+				if r[i].Typ == vector.Float64 && r[i].F64 == 0 {
+					r[i].F64 = 0
+				}
+			}
+		}
+		return fmt.Sprint(rows)
+	}
+	check := func(when string, opts ExecOptions) {
+		t.Helper()
+		for _, c := range []struct{ q, want string }{
+			{"SELECT DISTINCT f FROM t ORDER BY f", "[[0] [1.5]]"},
+			{"SELECT COUNT(DISTINCT f) FROM t", "[[2]]"},
+			{"SELECT f, COUNT(*) FROM t GROUP BY f ORDER BY f", "[[0 3] [1.5 1]]"},
+			{"SELECT COUNT(*) FROM t JOIN w ON f = g", "[[6]]"},
+		} {
+			res, err := e.ExecWith(c.q, opts)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", when, c.q, err)
+			}
+			if got := render(res.Rows); got != c.want {
+				t.Errorf("%s: %s = %s, want %s", when, c.q, got, c.want)
+			}
+		}
+	}
+	check("no index", ExecOptions{})
+	// Discovery must see the three zeros as one duplicated value.
+	mustExec(t, e, "CREATE PATCHINDEX ON t(f) UNIQUE THRESHOLD 1.0 FORCE")
+	check("NUC index", ExecOptions{})
+	check("NUC index, rewrites off", ExecOptions{DisablePatchRewrites: true})
+	if exp := mustExec(t, e, "EXPLAIN SELECT DISTINCT f FROM t"); !strings.Contains(exp.Message, "PatchedScan") {
+		t.Fatalf("DISTINCT is not rewritten:\n%s", exp.Message)
+	}
+	// Maintenance must see a -0.0 appended to a unique 0.0 as a duplicate,
+	// and a new 2.5 as unique.
+	mustExec(t, e, "CREATE TABLE m (f DOUBLE, id BIGINT)")
+	mustExec(t, e, "INSERT INTO m VALUES (0.0, 1), (1.5, 2)")
+	mustExec(t, e, "CREATE PATCHINDEX ON m(f) UNIQUE THRESHOLD 1.0 FORCE")
+	if err := e.Append("m", 0, []*vector.Vector{
+		vector.NewFromFloat64([]float64{math.Copysign(0, -1), 2.5}),
+		vector.NewFromInt64([]int64{3, 4}),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, rewrites := range []bool{true, false} {
+		res, err := e.ExecWith("SELECT DISTINCT f FROM m ORDER BY f", ExecOptions{DisablePatchRewrites: !rewrites})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := render(res.Rows); got != "[[0] [1.5] [2.5]]" {
+			t.Errorf("after append, rewrites=%v: DISTINCT = %s, want [[0] [1.5] [2.5]]", rewrites, got)
+		}
 	}
 }
