@@ -328,3 +328,29 @@ func (l *Limit) next() (*vector.Batch, error) {
 
 // Close closes the child.
 func (l *Limit) Close() error { return l.child.Close() }
+
+// gatherInto copies the selected (ascending) row positions of b into the
+// reused output batch, bulk-copying consecutive runs. The result is no
+// longer contiguous.
+func gatherInto(out *vector.Batch, b *vector.Batch, keep []int) {
+	out.BaseRow, out.Contiguous = 0, false
+	i := 0
+	for i < len(keep) {
+		j := i + 1
+		for j < len(keep) && keep[j] == keep[j-1]+1 {
+			j++
+		}
+		appendRun(out, b, keep[i], keep[j-1]+1)
+		i = j
+	}
+}
+
+// appendRun bulk-copies rows [lo,hi) of every column of b onto out.
+func appendRun(out *vector.Batch, b *vector.Batch, lo, hi int) {
+	if hi <= lo {
+		return
+	}
+	for c, v := range b.Vecs {
+		out.Vecs[c].AppendRange(v, lo, hi)
+	}
+}

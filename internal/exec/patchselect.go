@@ -38,10 +38,13 @@ func (m SelectMode) String() string {
 //
 //   - identifier-based sets use the merge strategy of Algorithm 1, keeping a
 //     patch pointer that only moves forward;
-//   - bitmap-based sets use direct bitmap lookups.
+//   - bitmap-based sets scan the bitmap words a batch covers.
 //
-// Scan ranges are supported by seeking the patch pointer to the start of
-// each incoming contiguous batch, skipping patches outside the ranges.
+// Either way the pointer yields the patches of a whole batch at once, and
+// the batch's rows move with one typed copy (exclude mode) or gather (use
+// mode) per column. Scan ranges are supported by seeking the patch pointer
+// to the start of each incoming contiguous batch, skipping patches outside
+// the ranges.
 type PatchSelect struct {
 	opStats
 	child Operator
@@ -52,7 +55,7 @@ type PatchSelect struct {
 	lastBase uint64
 	started  bool
 	out      *vector.Batch
-	keep     *vector.SelVec // pooled keep-list for the use_patches mode
+	keep     *vector.SelVec // pooled batch-relative offsets of the batch's patches
 	probes   int64          // input rows checked against the patch set
 	hits     int64          // rows that matched a patch
 
@@ -168,101 +171,53 @@ func (p *PatchSelect) next() (*vector.Batch, error) {
 		}
 		p.started = true
 		p.lastBase = b.BaseRow
-		out := p.apply(b)
+		out := p.applyMerge(b)
 		if out != nil && out.Len() > 0 {
 			return out, nil
 		}
 	}
 }
 
-// apply filters one contiguous batch; it may return the input unchanged
-// (fast path), a filtered copy, or nil when no row qualifies.
-func (p *PatchSelect) apply(b *vector.Batch) *vector.Batch {
-	n := b.Len()
-	base := b.BaseRow
-	p.probes += int64(n)
-	// Merge the scan range with the patches: skip patches before the batch.
-	p.it.Seek(base)
-	return p.applyMerge(b, base, n)
-}
-
 // applyMerge implements Algorithm 1 (and its use_patches variant) on one
-// batch. Both representations are driven through the same sorted patch
-// iterator: for identifier sets it walks the id array (the merge strategy of
-// the paper); for bitmap sets the iterator performs word-level bit scans,
-// which subsumes the per-row lookup realization the paper describes while
-// skipping zero words in bulk.
-func (p *PatchSelect) applyMerge(b *vector.Batch, base uint64, n int) *vector.Batch {
+// contiguous batch. It may return the input unchanged (fast path), a
+// filtered copy, or nil when no row qualifies. The patch pointer, sought to
+// the batch start so patches outside the scan ranges are skipped, yields the
+// batch-relative offsets of the batch's patches in one call: for identifier
+// sets it walks the id array (the merge strategy of the paper); for bitmap
+// sets it scans the covered words, which subsumes the per-row lookup
+// realization the paper describes. The rows then move with one typed call
+// per column.
+func (p *PatchSelect) applyMerge(b *vector.Batch) *vector.Batch {
+	n := b.Len()
+	p.probes += int64(n)
+	keep := p.it.AppendBatch(p.keep.Idx[:0], b.BaseRow, n)
+	p.keep.Idx = keep
+	p.hits += int64(len(keep))
 	switch p.mode {
 	case ExcludePatches:
-		if !p.it.Valid() || p.it.Row() >= base+uint64(n) {
+		if len(keep) == 0 {
 			// No patch falls into this batch: pass it through untouched.
 			return b
 		}
-		// Copy the runs between patches in bulk: patches are sparse in the
+		// Copy the runs between the patches: patches are sparse in the
 		// exclude mode's typical regime, so nearly whole batches move with
 		// a handful of range copies.
 		p.out.Reset()
-		runStart := 0
-		for i := 0; i < n; i++ {
-			row := base + uint64(i)
-			if p.it.Valid() && p.it.Row() == row {
-				// state.processed_tuples == next_patch_id: skip the tuple
-				// and advance the patch pointer.
-				appendRun(p.out, b, runStart, i)
-				runStart = i + 1
-				p.hits++
-				p.it.Next()
-			}
+		for c, v := range b.Vecs {
+			p.out.Vecs[c].AppendExcept(v, keep, n)
 		}
-		appendRun(p.out, b, runStart, n)
 		return p.out
 	case UsePatches:
-		keep := p.keep.Idx[:0]
-		for p.it.Valid() {
-			row := p.it.Row()
-			if row >= base+uint64(n) {
-				break
-			}
-			keep = append(keep, int(row-base))
-			p.it.Next()
-		}
-		p.hits += int64(len(keep))
-		p.keep.Idx = keep
 		if len(keep) == 0 {
 			return nil
 		}
 		p.out.Reset()
-		gatherInto(p.out, b, keep)
+		for c, v := range b.Vecs {
+			p.out.Vecs[c].Gather(v, keep)
+		}
 		return p.out
 	}
 	return nil
-}
-
-// gatherInto copies the selected (ascending) row positions of b into the
-// reused output batch, bulk-copying consecutive runs. The result is no
-// longer contiguous.
-func gatherInto(out *vector.Batch, b *vector.Batch, keep []int) {
-	out.BaseRow, out.Contiguous = 0, false
-	i := 0
-	for i < len(keep) {
-		j := i + 1
-		for j < len(keep) && keep[j] == keep[j-1]+1 {
-			j++
-		}
-		appendRun(out, b, keep[i], keep[j-1]+1)
-		i = j
-	}
-}
-
-// appendRun bulk-copies rows [lo,hi) of every column of b onto out.
-func appendRun(out *vector.Batch, b *vector.Batch, lo, hi int) {
-	if hi <= lo {
-		return
-	}
-	for c, v := range b.Vecs {
-		out.Vecs[c].AppendRange(v, lo, hi)
-	}
 }
 
 // Close closes the child.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"patchindex/internal/patch"
 	"patchindex/internal/vector"
 )
 
@@ -186,4 +187,89 @@ func refSortPermutation(cols []*vector.Vector, n int, keys []SortKey) []int {
 		quicksort(idx, less)
 	}
 	return idx
+}
+
+// refPatchSelect is PatchSelect's batch step as it stood before the
+// per-batch patch offsets, kept as the oracle FuzzPatchSelect compares
+// against: exclude mode asked the patch pointer about every row of a batch
+// holding a patch and copied the runs between patches one AppendRange at a
+// time; use mode advanced the pointer one patch at a time and gathered the
+// patch rows run by run.
+type refPatchSelect struct {
+	mode   SelectMode
+	it     *patch.Iter
+	out    *vector.Batch
+	keep   []int
+	probes int64
+	hits   int64
+}
+
+// runRefPatchSelect drains child through refPatchSelect, with PatchSelect's
+// use-mode early exit, and returns the output rows and the probe and hit
+// counts.
+func runRefPatchSelect(child Operator, set patch.Set, mode SelectMode) ([][]vector.Value, int64, int64, error) {
+	if err := child.Open(context.Background()); err != nil {
+		return nil, 0, 0, err
+	}
+	defer child.Close()
+	p := &refPatchSelect{mode: mode, it: set.Iter(0), out: vector.NewBatch(child.Types())}
+	var rows [][]vector.Value
+	for {
+		if p.mode == UsePatches && !p.it.Valid() {
+			return rows, p.probes, p.hits, nil
+		}
+		b, err := child.Next()
+		if err != nil || b == nil {
+			return rows, p.probes, p.hits, err
+		}
+		n, base := b.Len(), b.BaseRow
+		p.probes += int64(n)
+		p.it.Seek(base)
+		if out := p.applyMerge(b, base, n); out != nil {
+			for i := 0; i < out.Len(); i++ {
+				rows = append(rows, out.Row(i))
+			}
+		}
+	}
+}
+
+func (p *refPatchSelect) applyMerge(b *vector.Batch, base uint64, n int) *vector.Batch {
+	switch p.mode {
+	case ExcludePatches:
+		if !p.it.Valid() || p.it.Row() >= base+uint64(n) {
+			return b
+		}
+		p.out.Reset()
+		runStart := 0
+		for i := 0; i < n; i++ {
+			row := base + uint64(i)
+			if p.it.Valid() && p.it.Row() == row {
+				appendRun(p.out, b, runStart, i)
+				runStart = i + 1
+				p.hits++
+				p.it.Next()
+			}
+		}
+		appendRun(p.out, b, runStart, n)
+		return p.out
+	case UsePatches:
+		keep := p.keep[:0]
+		for p.it.Valid() {
+			row := p.it.Row()
+			if row >= base+uint64(n) {
+				break
+			}
+			keep = append(keep, int(row-base))
+			p.it.Next()
+		}
+		p.hits += int64(len(keep))
+		p.keep = keep
+		if len(keep) == 0 {
+			return nil
+		}
+		p.out.Reset()
+		gatherInto(p.out, b, keep)
+		return p.out
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package patch
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -375,5 +376,105 @@ func TestEmptySetIterators(t *testing.T) {
 	}
 	if s.Contains(0) {
 		t.Error("empty bitmap contains rows")
+	}
+}
+
+// walkBatch is the per-patch walk AppendBatch replaces: Seek to base, then
+// Valid/Row/Next until the first patch at or after base+n.
+func walkBatch(it *Iter, base uint64, n int) []int {
+	var out []int
+	it.Seek(base)
+	for it.Valid() && it.Row() < base+uint64(n) {
+		out = append(out, int(it.Row()-base))
+		it.Next()
+	}
+	return out
+}
+
+// TestAppendBatchEdges: patches just outside and at both ends of a batch
+// that starts and ends mid-word, in the last, partial word of a 200-row
+// partition, and past the partition end.
+func TestAppendBatchEdges(t *testing.T) {
+	ids := []uint64{69, 70, 119, 120, 199}
+	for _, kind := range []Kind{Identifier, Bitmap} {
+		s, err := Build(kind, ids, 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		it := s.Iter(0)
+		got := it.AppendBatch([]int{-1}, 70, 50) // rows [70,120): 69 and 120 lie outside
+		if !reflect.DeepEqual(got, []int{-1, 0, 49}) {
+			t.Errorf("%v: batch [70,120) = %v, want [-1 0 49]", kind, got)
+		}
+		if !it.Valid() || it.Row() != 120 {
+			t.Errorf("%v: iterator not left on the first patch after the batch", kind)
+		}
+		if got := it.AppendBatch(nil, 121, 60); len(got) != 0 {
+			t.Errorf("%v: batch [121,181) = %v, want none", kind, got)
+		}
+		if got := it.AppendBatch(nil, 192, 8); !reflect.DeepEqual(got, []int{7}) {
+			t.Errorf("%v: last partial word [192,200) = %v, want [7]", kind, got)
+		}
+		if it.Valid() {
+			t.Errorf("%v: iterator valid after the last patch", kind)
+		}
+		if got := it.AppendBatch([]int{5}, 0, 200); !reflect.DeepEqual(got, []int{5}) {
+			t.Errorf("%v: exhausted iterator appended %v", kind, got)
+		}
+		// A batch reaching words past the partition end stops at its last row.
+		if got := s.Iter(0).AppendBatch(nil, 150, 200); !reflect.DeepEqual(got, []int{49}) {
+			t.Errorf("%v: batch [150,350) = %v, want [49]", kind, got)
+		}
+		if got := s.Iter(0).AppendBatch(nil, 64, 0); len(got) != 0 {
+			t.Errorf("%v: empty batch = %v", kind, got)
+		}
+	}
+}
+
+func TestAppendBatchEmptySet(t *testing.T) {
+	for _, kind := range []Kind{Identifier, Bitmap} {
+		s, err := Build(kind, nil, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		it := s.Iter(0)
+		if got := it.AppendBatch(nil, 0, 300); len(got) != 0 || it.Valid() {
+			t.Errorf("%v: empty set gave %v", kind, got)
+		}
+	}
+}
+
+// TestAppendBatchMatchesWalk: over random sets of every density and random
+// forward batch sequences with gaps, AppendBatch returns what the
+// Seek+Next walk returns and leaves the iterator where the walk leaves it.
+func TestAppendBatchMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		numRows := 1 + rng.Intn(5000)
+		density := []int{1, 20, 200, 1000}[trial%4]
+		var ids []uint64
+		for i := 0; i < numRows; i++ {
+			if rng.Intn(1000) < density {
+				ids = append(ids, uint64(i))
+			}
+		}
+		for _, kind := range []Kind{Identifier, Bitmap} {
+			s, err := Build(kind, ids, numRows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			it, ref := s.Iter(0), s.Iter(0)
+			for base := uint64(rng.Intn(70)); base < uint64(numRows); {
+				n := 1 + rng.Intn(1100)
+				got, want := it.AppendBatch(nil, base, n), walkBatch(ref, base, n)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v rows=%d batch [%d,+%d): %v, walk %v", kind, numRows, base, n, got, want)
+				}
+				if it.Valid() != ref.Valid() || it.Valid() && it.Row() != ref.Row() {
+					t.Fatalf("%v rows=%d batch [%d,+%d): iterator position differs from walk", kind, numRows, base, n)
+				}
+				base += uint64(n + rng.Intn(3)*rng.Intn(100))
+			}
+		}
 	}
 }

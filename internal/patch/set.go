@@ -153,6 +153,56 @@ func (it *Iter) Seek(row uint64) {
 	it.next = r
 }
 
+// AppendBatch appends to dst the offsets, relative to base, of every patch
+// in [base, base+n) and returns the extended slice. It first seeks to base
+// and leaves the iterator on the first patch >= base+n, so it moves forward
+// only and ends where a Seek/Valid/Row/Next walk over the batch ends. It is
+// one call per scan batch, with one tight loop over the id array or over
+// the bitmap words the batch covers.
+func (it *Iter) AppendBatch(dst []int, base uint64, n int) []int {
+	it.Seek(base)
+	end := base + uint64(n)
+	if it.done || it.Row() >= end {
+		return dst
+	}
+	if it.ids != nil {
+		ids, pos := it.ids, it.pos
+		for ; pos < len(ids) && ids[pos] < end; pos++ {
+			dst = append(dst, int(ids[pos]-base))
+		}
+		it.pos, it.done = pos, pos >= len(ids)
+		return dst
+	}
+	words := it.bm.words
+	lastW, endMask := int((end-1)>>6), ^uint64(0)
+	if end&63 != 0 {
+		endMask = 1<<(end&63) - 1
+	}
+	if lastW >= len(words) {
+		// The batch reaches past the rows the set was built for (rows
+		// appended since); no patch lies there.
+		lastW, endMask = len(words)-1, ^uint64(0)
+	}
+	w := int(it.next >> 6)
+	word := words[w] &^ (1<<(it.next&63) - 1)
+	for {
+		if w == lastW {
+			word &= endMask
+		}
+		for word != 0 {
+			dst = append(dst, int(uint64(w)<<6+uint64(bits.TrailingZeros64(word))-base))
+			word &= word - 1
+		}
+		if w++; w > lastW {
+			break
+		}
+		word = words[w]
+	}
+	r, ok := it.bm.nextSet(end)
+	it.next, it.done = r, !ok
+	return dst
+}
+
 // IdentifierSet is the identifier-based (sparse) representation: a sorted
 // array of 64-bit row ids.
 type IdentifierSet struct {

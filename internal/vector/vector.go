@@ -7,6 +7,7 @@ package vector
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"time"
 )
@@ -462,6 +463,54 @@ func (v *Vector) AppendRange(src *Vector, lo, hi int) {
 		v.ensureNullsUpTo(v.n - n)
 		v.Nulls = append(v.Nulls, src.Nulls[lo:hi]...)
 	}
+}
+
+// AppendExcept appends rows [0,n) of src (same type) onto v, except the
+// ascending positions in skip, which must lie in [0,n). It is AppendRange
+// over the runs between the skipped rows, with one type switch for the
+// whole call, and the same null-mask handling.
+func (v *Vector) AppendExcept(src *Vector, skip []int, n int) {
+	kept := n - len(skip)
+	if kept <= 0 {
+		return
+	}
+	switch v.Typ {
+	case Int64, Date:
+		v.I64 = appendExcept(v.I64, src.I64[:n], skip)
+	case Float64:
+		v.F64 = appendExcept(v.F64, src.F64[:n], skip)
+	case String:
+		v.Str = appendExcept(v.Str, src.Str[:n], skip)
+	case Bool:
+		v.B = appendExcept(v.B, src.B[:n], skip)
+	}
+	v.n += kept
+	switch {
+	case src.Nulls == nil && v.Nulls == nil:
+		// no masks involved
+	case src.Nulls == nil:
+		for i := 0; i < kept; i++ {
+			v.Nulls = append(v.Nulls, false)
+		}
+	default:
+		v.ensureNullsUpTo(v.n - kept)
+		v.Nulls = appendExcept(v.Nulls, src.Nulls[:n], skip)
+	}
+}
+
+// appendExcept appends src minus the ascending positions in skip onto dst,
+// growing dst once and appending the non-empty runs between skipped
+// positions.
+func appendExcept[T any](dst, src []T, skip []int) []T {
+	dst = slices.Grow(dst, len(src)-len(skip))
+	lo := 0
+	for _, s := range skip {
+		if s > lo {
+			dst = append(dst, src[lo:s]...)
+		}
+		lo = s + 1
+	}
+	return append(dst, src[lo:]...)
 }
 
 // ensureNullsUpTo backfills the null mask with false up to length n.

@@ -2,6 +2,7 @@ package vector
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -393,6 +394,71 @@ func TestGatherNullMask(t *testing.T) {
 		}
 		if !wantNull[i] && dst.I64[i] != wantVals[i] {
 			t.Errorf("row %d: %d, want %d", i, dst.I64[i], wantVals[i])
+		}
+	}
+}
+
+// TestAppendExceptMatchesAppendRange: for every type and every null-mask
+// combination (neither side masked, only the destination, the source),
+// AppendExcept leaves the destination exactly as one AppendRange per run
+// between the skipped rows does.
+func TestAppendExceptMatchesAppendRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	fill := func(v *Vector, rows int, nullPct int) {
+		for i := 0; i < rows; i++ {
+			if rng.Intn(100) < nullPct {
+				v.AppendNull()
+				continue
+			}
+			switch v.Typ {
+			case Int64, Date:
+				v.AppendInt64(rng.Int63())
+			case Float64:
+				v.AppendFloat64(rng.Float64())
+			case String:
+				v.AppendString(string(rune('a' + rng.Intn(26))))
+			case Bool:
+				v.AppendBool(rng.Intn(2) == 0)
+			}
+		}
+	}
+	cases := []struct {
+		name             string
+		srcNull, dstNull int
+	}{{"src nil/dst nil", 0, 0}, {"src nil/dst set", 0, 100}, {"src set/dst nil", 20, 0}, {"src set/dst set", 20, 100}}
+	for _, typ := range []Type{Int64, Float64, String, Bool, Date} {
+		for _, c := range cases {
+			for trial := 0; trial < 50; trial++ {
+				src := New(typ, 0)
+				n := rng.Intn(300)
+				fill(src, n, c.srcNull)
+				if c.srcNull > 0 && n > 0 && src.Nulls == nil {
+					src.SetNullAt(0)
+				}
+				var skip []int
+				for i := 0; i < n; i++ {
+					if rng.Intn([]int{2, 10, 100}[trial%3]) == 0 {
+						skip = append(skip, i)
+					}
+				}
+				got, want := New(typ, 0), New(typ, 0)
+				pre := rng.Intn(3)
+				if c.dstNull > 0 {
+					pre++
+				}
+				fill(got, pre, c.dstNull)
+				want.AppendRange(got, 0, pre)
+
+				got.AppendExcept(src, skip, n)
+				lo := 0
+				for _, s := range append(skip, n) {
+					want.AppendRange(src, lo, s)
+					lo = s + 1
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v %s n=%d skip=%v:\n got  %+v\n want %+v", typ, c.name, n, skip, got, want)
+				}
+			}
 		}
 	}
 }
