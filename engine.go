@@ -195,8 +195,11 @@ type ExecOptions struct {
 // each other). The catalog, the metrics registry, the WAL, the maintainer
 // cache, and the slow-query log are each internally synchronized. The
 // public bulk APIs (Append, LoadColumns, CreatePatchIndex) take the same
-// exclusive latches as their SQL counterparts. Long-running statements are
-// cancellable mid-batch via the context accepted by the *Context methods.
+// exclusive latches as their SQL counterparts. There is one write path:
+// INSERT, COPY, Append, LoadColumns (an alias of Append kept for its frozen
+// signature) and WAL replay all add rows through appendLatched. Long-running
+// statements are cancellable mid-batch via the context accepted by the
+// *Context methods.
 type Engine struct {
 	cfg Config
 	cat *catalog.Catalog
@@ -228,7 +231,7 @@ type Engine struct {
 	mIndexBuilds *obs.Counter
 
 	maintMu     sync.Mutex
-	maintainers map[string]*maintain.Set // per table, lazily built
+	maintainers map[string]*maintain.Set // per table name, lazily built, self-checking
 
 	// Serving fast path (see serving.go): both caches always exist and are
 	// nil-safe/atomically-disabled, so the hot path needs no config checks.
@@ -693,7 +696,6 @@ func (e *Engine) execStmt(ctx context.Context, query string, stmt sql.Statement,
 		// the next checkpoint's orphan sweep (the current manifest may still
 		// reference them — deleting early would break crash recovery).
 		t.ReleaseStorage()
-		e.invalidateMaintainers(s.Name)
 		if e.log != nil {
 			if err := e.log.AppendDropTable(wal.DropTableRecord{Table: s.Name}); err != nil {
 				return nil, err
@@ -1023,25 +1025,29 @@ func (e *Engine) runCreateTable(s *sql.CreateTableStmt) (*Result, error) {
 	return &Result{Message: fmt.Sprintf("table %s created (%d partitions)", s.Name, parts)}, nil
 }
 
+// runInsert coerces every row before it appends anything, so a bad value
+// fails the statement with the table untouched. Row n goes to partition
+// (base+n) % P, base being the row count before the statement; each
+// partition's rows then take the one write path, appendLatched.
 func (e *Engine) runInsert(s *sql.InsertStmt) (*Result, error) {
 	t, err := e.cat.Table(s.Table)
 	if err != nil {
 		return nil, err
 	}
 	schema := t.Schema()
-	base := t.NumRows()
-	n := 0
-	// In durable mode the inserted rows are re-grouped per partition and
-	// write-ahead logged as column images after the appends succeed.
-	var logged map[int][]*vector.Vector
-	if e.log != nil {
-		logged = map[int][]*vector.Vector{}
-	}
-	for _, row := range s.Rows {
+	base, nparts := t.NumRows(), t.NumPartitions()
+	perPart := make([][]*vector.Vector, nparts)
+	for n, row := range s.Rows {
 		if len(row) != len(schema.Columns) {
 			return nil, fmt.Errorf("patchindex: row has %d values, table %s has %d columns", len(row), s.Table, len(schema.Columns))
 		}
-		vals := make([]vector.Value, len(row))
+		part := (base + n) % nparts
+		if perPart[part] == nil {
+			perPart[part] = make([]*vector.Vector, len(schema.Columns))
+			for i, c := range schema.Columns {
+				perPart[part][i] = vector.New(c.Typ, len(s.Rows)/nparts+1)
+			}
+		}
 		for i, re := range row {
 			lit, ok := re.(*sql.Lit)
 			if !ok {
@@ -1051,37 +1057,21 @@ func (e *Engine) runInsert(s *sql.InsertStmt) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("patchindex: column %s: %w", schema.Columns[i].Name, err)
 			}
-			vals[i] = v
-		}
-		// Round-robin rows across partitions (base is captured once so the
-		// growing row count does not cancel the alternation).
-		part := (base + n) % t.NumPartitions()
-		if err := t.AppendRow(part, vals); err != nil {
-			return nil, err
-		}
-		if logged != nil {
-			cols := logged[part]
-			if cols == nil {
-				cols = make([]*vector.Vector, len(schema.Columns))
-				for i, c := range schema.Columns {
-					cols[i] = vector.New(c.Typ, 8)
-				}
-				logged[part] = cols
-			}
-			for i, v := range vals {
-				if err := cols[i].AppendValue(v); err != nil {
-					return nil, err
-				}
+			if err := perPart[part][i].AppendValue(v); err != nil {
+				return nil, err
 			}
 		}
-		n++
 	}
-	for part, cols := range logged {
-		if err := e.logAppend(s.Table, part, cols); err != nil {
+	// The statement dispatcher already holds the table's exclusive latch.
+	for part, cols := range perPart {
+		if cols == nil {
+			continue
+		}
+		if err := e.appendLatched(s.Table, part, cols); err != nil {
 			return nil, err
 		}
 	}
-	return &Result{Message: fmt.Sprintf("%d rows inserted", n)}, nil
+	return &Result{Message: fmt.Sprintf("%d rows inserted", len(s.Rows))}, nil
 }
 
 // runCopy bulk-loads a CSV file. Empty fields are NULLs; rows are appended
@@ -1283,7 +1273,6 @@ func (e *Engine) createPatchIndexLatched(table, column string, c patch.Constrain
 	if err := e.cat.AddIndex(ix); err != nil {
 		return nil, err
 	}
-	e.invalidateMaintainers(table)
 	if e.log != nil {
 		if err := ix.Save(e.indexPath(table, column, c)); err != nil {
 			return nil, fmt.Errorf("patchindex: materializing index: %w", err)
@@ -1413,20 +1402,10 @@ func (e *Engine) Advise(table string, cfg discovery.AdvisorConfig) ([]discovery.
 	return discovery.Advise(t, cfg), nil
 }
 
-// LoadColumns bulk-appends whole column vectors into one partition of a
-// table (the fast path used by generators and loaders). Existing
-// PatchIndexes are NOT maintained — use Append for that.
+// LoadColumns is Append under the name benchmark/README.md freezes; it
+// maintains PatchIndexes like every other write.
 func (e *Engine) LoadColumns(table string, part int, cols []*vector.Vector) error {
-	release := e.acquireLatches(nil, []string{table})
-	defer release()
-	t, err := e.cat.Table(table)
-	if err != nil {
-		return err
-	}
-	if err := t.AppendColumns(part, cols); err != nil {
-		return err
-	}
-	return e.logAppend(table, part, cols)
+	return e.Append(table, part, cols)
 }
 
 // Append appends whole column vectors into one partition of a table while
@@ -1439,25 +1418,29 @@ func (e *Engine) Append(table string, part int, cols []*vector.Vector) error {
 	return e.appendLatched(table, part, cols)
 }
 
-// appendLatched is Append with the table's exclusive latch already held by
-// the caller (the COPY statement path).
+// appendLatched is the engine's one write path: INSERT, COPY, Append,
+// LoadColumns and WAL replay all add rows here, so every write appends,
+// maintains every PatchIndex on the table and is logged in one place. The
+// caller holds the table's exclusive latch. The maintainer cache checks
+// itself: a cached Set is reused only while it covers this very table and
+// index list, so DDL and replay never have to invalidate it. A Set that went
+// stale keeps its memory until the next append under the table's name.
 func (e *Engine) appendLatched(table string, part int, cols []*vector.Vector) error {
 	t, err := e.cat.Table(table)
 	if err != nil {
 		return err
 	}
+	var indexes []*patch.Index
+	for _, ix := range e.cat.Indexes() {
+		if ix.Table() == table {
+			indexes = append(indexes, ix)
+		}
+	}
 	e.maintMu.Lock()
 	defer e.maintMu.Unlock()
-	set, ok := e.maintainers[table]
-	if !ok {
-		var indexes []*patch.Index
-		for _, ix := range e.cat.Indexes() {
-			if ix.Table() == table {
-				indexes = append(indexes, ix)
-			}
-		}
-		set, err = maintain.NewSet(t, indexes)
-		if err != nil {
+	set := e.maintainers[table]
+	if set == nil || !set.Covers(t, indexes) {
+		if set, err = maintain.NewSet(t, indexes); err != nil {
 			return err
 		}
 		set.SetMetrics(e.metrics)
@@ -1467,12 +1450,4 @@ func (e *Engine) appendLatched(table string, part int, cols []*vector.Vector) er
 		return err
 	}
 	return e.logAppend(table, part, cols)
-}
-
-// invalidateMaintainers drops cached maintenance state for a table after its
-// index set changed.
-func (e *Engine) invalidateMaintainers(table string) {
-	e.maintMu.Lock()
-	delete(e.maintainers, table)
-	e.maintMu.Unlock()
 }

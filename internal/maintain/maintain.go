@@ -19,6 +19,7 @@ package maintain
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"patchindex/internal/obs"
@@ -195,6 +196,14 @@ func NewSet(table *storage.Table, indexes []*patch.Index) (*Set, error) {
 	return s, nil
 }
 
+// Covers reports whether s was built for exactly this table and this index
+// list, in order. A cache of Sets uses it to tell a stale entry itself.
+func (s *Set) Covers(table *storage.Table, indexes []*patch.Index) bool {
+	return s.table == table && slices.EqualFunc(s.maintainers, indexes, func(m *Maintainer, ix *patch.Index) bool {
+		return m.ix == ix
+	})
+}
+
 // Append appends whole column vectors to one partition of the table and
 // incrementally maintains every covered PatchIndex.
 func (s *Set) Append(part int, cols []*vector.Vector) error {
@@ -207,7 +216,7 @@ func (s *Set) Append(part int, cols []*vector.Vector) error {
 	}
 	newRows := s.table.Partition(part).NumRows()
 	for _, m := range s.maintainers {
-		vals := cols[positionOf(s.table, m.col, cols)]
+		vals := cols[m.col] // appends carry one vector per schema column
 		newIDs, retro := m.classify(part, vals, baseRow)
 		s.patchesAdded.Add(int64(len(newIDs) + len(retro)))
 		// Retroactive patches may hit other partitions; group them.
@@ -227,10 +236,6 @@ func (s *Set) Append(part int, cols []*vector.Vector) error {
 	}
 	return nil
 }
-
-// positionOf maps a table column position onto the appended column list
-// (appends provide one vector per schema column, in schema order).
-func positionOf(_ *storage.Table, col int, _ []*vector.Vector) int { return col }
 
 // encodeElem mirrors the discovery package's value encoding, which must
 // agree with it on which values are equal.

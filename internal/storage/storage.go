@@ -265,67 +265,9 @@ func (t *Table) NumRows() int {
 	return n
 }
 
-// AppendRow appends one row to the given partition. vals must match the
-// schema (Value.Null for NULLs). Used by loaders and tests; bulk ingest goes
-// through AppendBatch.
-func (t *Table) AppendRow(part int, vals []vector.Value) error {
-	if part < 0 || part >= len(t.partitions) {
-		return fmt.Errorf("storage: table %s: partition %d out of range", t.name, part)
-	}
-	if len(vals) != len(t.schema.Columns) {
-		return fmt.Errorf("storage: table %s: row has %d values, schema has %d columns", t.name, len(vals), len(t.schema.Columns))
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p := t.partitions[part]
-	if err := t.beginWrite(p); err != nil {
-		return err
-	}
-	for c, v := range vals {
-		if err := p.cols[c].vec.Load().AppendValue(v); err != nil {
-			return fmt.Errorf("storage: table %s column %s: %w", t.name, t.schema.Columns[c].Name, err)
-		}
-		p.cols[c].updateSMA(p.nrows)
-	}
-	p.nrows++
-	p.staleRows++
-	t.version.Store(versionCounter.Add(1))
-	t.endWrite(p)
-	return nil
-}
-
-// AppendBatch appends a batch of rows to the given partition.
-func (t *Table) AppendBatch(part int, b *vector.Batch) error {
-	if part < 0 || part >= len(t.partitions) {
-		return fmt.Errorf("storage: table %s: partition %d out of range", t.name, part)
-	}
-	if len(b.Vecs) != len(t.schema.Columns) {
-		return fmt.Errorf("storage: table %s: batch has %d columns, schema has %d", t.name, len(b.Vecs), len(t.schema.Columns))
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p := t.partitions[part]
-	n := b.Len()
-	if err := t.beginWrite(p); err != nil {
-		return err
-	}
-	for c, src := range b.Vecs {
-		dst := p.cols[c]
-		vec := dst.vec.Load()
-		for i := 0; i < n; i++ {
-			vec.Append(src, i)
-			dst.updateSMA(p.nrows + i)
-		}
-	}
-	p.nrows += n
-	p.staleRows += n
-	t.version.Store(versionCounter.Add(1))
-	t.endWrite(p)
-	return nil
-}
-
-// AppendColumns bulk-appends whole column vectors (all of equal length) to a
-// partition. This is the fast path used by the data generators.
+// AppendColumns appends whole column vectors (all of equal length, one per
+// schema column, in schema order) to a partition. It is the table's only
+// append: every engine write and the data generators reach storage here.
 func (t *Table) AppendColumns(part int, cols []*vector.Vector) error {
 	if part < 0 || part >= len(t.partitions) {
 		return fmt.Errorf("storage: table %s: partition %d out of range", t.name, part)

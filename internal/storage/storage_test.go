@@ -45,14 +45,28 @@ func TestNewTableValidation(t *testing.T) {
 	}
 }
 
+// appendRow appends one row through AppendColumns, as one single-row vector
+// per column.
+func appendRow(t *testing.T, tab *Table, part int, vals ...vector.Value) {
+	t.Helper()
+	cols := make([]*vector.Vector, len(vals))
+	for i, v := range vals {
+		cols[i] = vector.New(v.Typ, 1)
+		if err := cols[i].AppendValue(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tab.AppendColumns(part, cols); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAppendRow: single-row appends go to their partition, keep NULLs, and
+// fail on a bad partition, a wrong arity or a wrong type.
 func TestAppendRow(t *testing.T) {
 	tab := newTestTable(t, 2)
-	if err := tab.AppendRow(0, []vector.Value{vector.IntValue(1), vector.StringValue("x")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.AppendRow(1, []vector.Value{vector.NullValue(vector.Int64), vector.StringValue("y")}); err != nil {
-		t.Fatal(err)
-	}
+	appendRow(t, tab, 0, vector.IntValue(1), vector.StringValue("x"))
+	appendRow(t, tab, 1, vector.NullValue(vector.Int64), vector.StringValue("y"))
 	if tab.NumRows() != 2 {
 		t.Fatalf("rows = %d", tab.NumRows())
 	}
@@ -63,17 +77,27 @@ func TestAppendRow(t *testing.T) {
 		t.Error("null lost")
 	}
 	// Errors.
-	if err := tab.AppendRow(5, nil); err == nil {
+	one := vector.NewFromInt64([]int64{1})
+	x := vector.NewFromString([]string{"x"})
+	if err := tab.AppendColumns(5, []*vector.Vector{one, x}); err == nil {
 		t.Error("bad partition must fail")
 	}
-	if err := tab.AppendRow(0, []vector.Value{vector.IntValue(1)}); err == nil {
+	if err := tab.AppendColumns(-1, []*vector.Vector{one, x}); err == nil {
+		t.Error("negative partition must fail")
+	}
+	if err := tab.AppendColumns(0, []*vector.Vector{one}); err == nil {
 		t.Error("wrong arity must fail")
 	}
-	if err := tab.AppendRow(0, []vector.Value{vector.StringValue("no"), vector.StringValue("x")}); err == nil {
+	if err := tab.AppendColumns(0, []*vector.Vector{vector.NewFromString([]string{"no"}), x}); err == nil {
 		t.Error("wrong type must fail")
+	}
+	if tab.NumRows() != 2 {
+		t.Errorf("failed appends changed the row count to %d", tab.NumRows())
 	}
 }
 
+// TestAppendBatchAndColumns: a batch's vectors and plain multi-row columns
+// append through AppendColumns; ragged or mistyped columns are refused.
 func TestAppendBatchAndColumns(t *testing.T) {
 	tab := newTestTable(t, 1)
 	b := vector.NewBatch([]vector.Type{vector.Int64, vector.String})
@@ -81,7 +105,7 @@ func TestAppendBatchAndColumns(t *testing.T) {
 	b.Vecs[1].AppendString("a")
 	b.Vecs[0].AppendInt64(2)
 	b.Vecs[1].AppendString("b")
-	if err := tab.AppendBatch(0, b); err != nil {
+	if err := tab.AppendColumns(0, b.Vecs); err != nil {
 		t.Fatal(err)
 	}
 	if tab.NumRows() != 2 {
@@ -92,20 +116,21 @@ func TestAppendBatchAndColumns(t *testing.T) {
 	if err := tab.AppendColumns(0, []*vector.Vector{av, bv}); err != nil {
 		t.Fatal(err)
 	}
-	if tab.NumRows() != 4 {
-		t.Fatalf("rows = %d", tab.NumRows())
+	if tab.NumRows() != 4 || tab.Partition(0).NumRows() != 4 {
+		t.Fatalf("rows = %d, partition 0 rows = %d", tab.NumRows(), tab.Partition(0).NumRows())
 	}
 	// Errors.
 	if err := tab.AppendColumns(0, []*vector.Vector{av}); err == nil {
 		t.Error("wrong column count must fail")
 	}
-	short := vector.NewFromInt64([]int64{1})
 	if err := tab.AppendColumns(0, []*vector.Vector{av, vector.NewFromString([]string{"x"})}); err == nil {
 		t.Error("ragged columns must fail")
 	}
-	_ = short
 	if err := tab.AppendColumns(0, []*vector.Vector{bv, bv}); err == nil {
 		t.Error("type mismatch must fail")
+	}
+	if tab.NumRows() != 4 {
+		t.Errorf("failed appends changed the row count to %d", tab.NumRows())
 	}
 }
 
@@ -125,9 +150,7 @@ func TestSortKey(t *testing.T) {
 func TestFullRange(t *testing.T) {
 	tab := newTestTable(t, 1)
 	for i := 0; i < 10; i++ {
-		if err := tab.AppendRow(0, []vector.Value{vector.IntValue(int64(i)), vector.StringValue("s")}); err != nil {
-			t.Fatal(err)
-		}
+		appendRow(t, tab, 0, vector.IntValue(int64(i)), vector.StringValue("s"))
 	}
 	r := tab.FullRange(0)
 	if len(r) != 1 || r[0].Start != 0 || r[0].End != 10 {
@@ -252,16 +275,12 @@ func TestZoneStaleness(t *testing.T) {
 		t.Fatalf("fresh table staleness = %d rows / %d parts, want 0/0", sr, sp)
 	}
 
-	// Every append path counts toward staleness.
-	if err := tab.AppendRow(0, []vector.Value{vector.IntValue(1), vector.StringValue("x")}); err != nil {
-		t.Fatal(err)
-	}
-	b := vector.NewBatch([]vector.Type{vector.Int64, vector.String})
-	b.Vecs[0].AppendInt64(2)
-	b.Vecs[1].AppendString("y")
-	b.Vecs[0].AppendInt64(3)
-	b.Vecs[1].AppendString("z")
-	if err := tab.AppendBatch(0, b); err != nil {
+	// Every append counts toward staleness, whatever its size.
+	appendRow(t, tab, 0, vector.IntValue(1), vector.StringValue("x"))
+	if err := tab.AppendColumns(0, []*vector.Vector{
+		vector.NewFromInt64([]int64{2, 3}),
+		vector.NewFromString([]string{"y", "z"}),
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tab.AppendColumns(1, []*vector.Vector{
@@ -290,9 +309,7 @@ func TestZoneStaleness(t *testing.T) {
 	}
 
 	// New appends after the recompute restart the drift counter.
-	if err := tab.AppendRow(1, []vector.Value{vector.IntValue(6), vector.StringValue("r")}); err != nil {
-		t.Fatal(err)
-	}
+	appendRow(t, tab, 1, vector.IntValue(6), vector.StringValue("r"))
 	if sr, sp := tab.ZoneStaleness(); sr != 1 || sp != 1 {
 		t.Fatalf("staleness after fresh append = %d/%d, want 1/1", sr, sp)
 	}

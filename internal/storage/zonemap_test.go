@@ -31,13 +31,9 @@ func TestZoneMapMaintainedOnAppend(t *testing.T) {
 	}
 
 	for _, x := range []int64{5, -3, 17} {
-		if err := tab.AppendRow(0, []vector.Value{vector.IntValue(x), vector.FloatValue(float64(x))}); err != nil {
-			t.Fatal(err)
-		}
+		appendRow(t, tab, 0, vector.IntValue(x), vector.FloatValue(float64(x)))
 	}
-	if err := tab.AppendRow(0, []vector.Value{vector.NullValue(vector.Int64), vector.FloatValue(1)}); err != nil {
-		t.Fatal(err)
-	}
+	appendRow(t, tab, 0, vector.NullValue(vector.Int64), vector.FloatValue(1))
 	z = tab.ZoneMap(0, 0)
 	if !z.Valid || z.Min.I64 != -3 || z.Max.I64 != 17 || !z.HasNull || z.Rows != 4 {
 		t.Fatalf("zone after appends = %+v", z)
@@ -65,9 +61,7 @@ func TestZoneMapMaintainedOnAppend(t *testing.T) {
 func TestZoneMapAllNullColumn(t *testing.T) {
 	tab := numTable(t, 1)
 	for i := 0; i < 3; i++ {
-		if err := tab.AppendRow(0, []vector.Value{vector.NullValue(vector.Int64), vector.FloatValue(0)}); err != nil {
-			t.Fatal(err)
-		}
+		appendRow(t, tab, 0, vector.NullValue(vector.Int64), vector.FloatValue(0))
 	}
 	z := tab.ZoneMap(0, 0)
 	if z.Valid || !z.HasNull || z.Rows != 3 {
@@ -80,44 +74,49 @@ func TestZoneMapAllNullColumn(t *testing.T) {
 	}
 }
 
-// TestZoneMapAllAppendPaths: every ingestion path (row-at-a-time, batch,
-// whole columns) must maintain the same zone map — recovery reloads data
-// through these paths, so this is what makes zone maps rebuild on replay.
+// TestZoneMapAllAppendPaths: every write reaches storage through
+// AppendColumns, but in different chunkings — one row per INSERT row, whole
+// vectors from Append, split chunks from COPY and WAL replay. Each chunking
+// must maintain the same zone map, NULLs included; recovery reloads data
+// through these chunkings, so this is what makes zone maps rebuild on replay.
 func TestZoneMapAllAppendPaths(t *testing.T) {
-	vals := []int64{7, -2, 0, 99, 41}
-	rowTab := numTable(t, 1)
-	batchTab := numTable(t, 1)
-	colTab := numTable(t, 1)
-
-	for _, x := range vals {
-		if err := rowTab.AppendRow(0, []vector.Value{vector.IntValue(x), vector.FloatValue(float64(x))}); err != nil {
+	vals := []vector.Value{
+		vector.IntValue(7), vector.IntValue(-2), vector.NullValue(vector.Int64),
+		vector.IntValue(0), vector.IntValue(99), vector.IntValue(41),
+	}
+	chunk := func(lo, hi int) []*vector.Vector {
+		a := vector.New(vector.Int64, hi-lo)
+		f := vector.New(vector.Float64, hi-lo)
+		for _, v := range vals[lo:hi] {
+			if err := a.AppendValue(v); err != nil {
+				t.Fatal(err)
+			}
+			f.AppendFloat64(float64(v.I64))
+		}
+		return []*vector.Vector{a, f}
+	}
+	rowTab, chunkTab, colTab := numTable(t, 1), numTable(t, 1), numTable(t, 1)
+	for i := range vals {
+		if err := rowTab.AppendColumns(0, chunk(i, i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	b := vector.NewBatch([]vector.Type{vector.Int64, vector.Float64})
-	a := vector.New(vector.Int64, len(vals))
-	f := vector.New(vector.Float64, len(vals))
-	for _, x := range vals {
-		b.Vecs[0].AppendInt64(x)
-		b.Vecs[1].AppendFloat64(float64(x))
-		a.AppendInt64(x)
-		f.AppendFloat64(float64(x))
+	for _, c := range [][2]int{{0, 2}, {2, 5}, {5, 6}} {
+		if err := chunkTab.AppendColumns(0, chunk(c[0], c[1])); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := batchTab.AppendBatch(0, b); err != nil {
-		t.Fatal(err)
-	}
-	if err := colTab.AppendColumns(0, []*vector.Vector{a, f}); err != nil {
+	if err := colTab.AppendColumns(0, chunk(0, len(vals))); err != nil {
 		t.Fatal(err)
 	}
 
 	want := rowTab.ZoneMap(0, 0)
-	for name, tab := range map[string]*Table{"batch": batchTab, "columns": colTab} {
-		got := tab.ZoneMap(0, 0)
-		if got != want {
+	for name, tab := range map[string]*Table{"chunks": chunkTab, "columns": colTab} {
+		if got := tab.ZoneMap(0, 0); got != want {
 			t.Errorf("%s append path zone = %+v, want %+v", name, got, want)
 		}
 	}
-	if !want.Valid || want.Min.I64 != -2 || want.Max.I64 != 99 {
+	if !want.Valid || want.Min.I64 != -2 || want.Max.I64 != 99 || !want.HasNull || want.Rows != 6 {
 		t.Errorf("zone = %+v", want)
 	}
 }
@@ -129,9 +128,7 @@ func TestZoneMapMixedTypeBounds(t *testing.T) {
 	tab := numTable(t, 1)
 	const p53 = int64(1) << 53
 	for _, x := range []int64{-9000, 0, p53 + 1} {
-		if err := tab.AppendRow(0, []vector.Value{vector.IntValue(x), vector.FloatValue(0)}); err != nil {
-			t.Fatal(err)
-		}
+		appendRow(t, tab, 0, vector.IntValue(x), vector.FloatValue(0))
 	}
 	// Max is 2^53+1; a float lo of exactly 2^53 does NOT prune (2^53+1 ≥ lo)
 	// even though float64(2^53+1) == 2^53 would make them look equal.
@@ -157,10 +154,14 @@ func TestZoneMapMixedTypeBounds(t *testing.T) {
 func TestPruneRangesMixedTypeBounds(t *testing.T) {
 	tab := numTable(t, 1)
 	n := 3*BlockSize + 17 // several blocks plus a partial tail
+	a := vector.New(vector.Int64, n)
+	f := vector.New(vector.Float64, n)
 	for i := 0; i < n; i++ {
-		if err := tab.AppendRow(0, []vector.Value{vector.IntValue(-int64(i)), vector.FloatValue(0)}); err != nil {
-			t.Fatal(err)
-		}
+		a.AppendInt64(-int64(i))
+		f.AppendFloat64(0)
+	}
+	if err := tab.AppendColumns(0, []*vector.Vector{a, f}); err != nil {
+		t.Fatal(err)
 	}
 	// Values are 0..-(n-1) descending, so block b spans
 	// [-(end-1), -start]. A fractional lo bound must keep every block whose

@@ -239,11 +239,7 @@ func (e *Engine) replayEntry(entry wal.Entry) error {
 		if e.cat.Index(r.Table, r.Column) == nil {
 			return nil
 		}
-		if err := e.cat.DropIndex(r.Table, r.Column); err != nil {
-			return err
-		}
-		e.invalidateMaintainers(r.Table)
-		return nil
+		return e.cat.DropIndex(r.Table, r.Column)
 	case wal.RecordCreateTable:
 		r := entry.CreateTable
 		if t, _ := e.cat.Table(r.Table); t != nil {
@@ -274,7 +270,6 @@ func (e *Engine) replayEntry(entry wal.Entry) error {
 			return err
 		}
 		t.ReleaseStorage()
-		e.invalidateMaintainers(r.Table)
 		return nil
 	case wal.RecordAppend:
 		r := entry.Append

@@ -305,3 +305,23 @@ func TestFailedOpenStartsNoLoops(t *testing.T) {
 		t.Errorf("goroutines %d after the failed open, %d before", n, before)
 	}
 }
+
+// TestInsertAllOrNothing: an INSERT with a bad value in any row changes
+// nothing, live or after reopen — every row is coerced before any is
+// appended, so the live table and the WAL cannot disagree.
+func TestInsertAllOrNothing(t *testing.T) {
+	dir := t.TempDir()
+	e := newDurableEngine(t, dir, 0)
+	mustExec(t, e, "CREATE TABLE t (a BIGINT, b BIGINT)")
+	if _, err := e.Exec("INSERT INTO t VALUES (1, 1), (2, 2), (3, 'x')"); err == nil {
+		t.Fatal("INSERT of a string into a BIGINT column must fail")
+	}
+	if got := mustExec(t, e, "SELECT COUNT(*) FROM t").Rows[0][0].I64; got != 0 {
+		t.Errorf("live COUNT(*) after failed INSERT = %d, want 0", got)
+	}
+	e = reopen(t, e, dir)
+	defer e.Close()
+	if got := mustExec(t, e, "SELECT COUNT(*) FROM t").Rows[0][0].I64; got != 0 {
+		t.Errorf("reopened COUNT(*) after failed INSERT = %d, want 0", got)
+	}
+}

@@ -19,8 +19,8 @@ import (
 func (e *Engine) Tuner() *tuning.Tuner { return e.tuner }
 
 // DropPatchIndex removes every PatchIndex on table.column — the programmatic
-// counterpart of DROP PATCHINDEX, sharing its catalog, maintainer,
-// materialization and WAL handling. The tuner drops through here.
+// counterpart of DROP PATCHINDEX, sharing its catalog, materialization and
+// WAL handling. The tuner drops through here.
 func (e *Engine) DropPatchIndex(table, column string) error {
 	release := e.acquireLatches(nil, []string{table})
 	defer release()
@@ -33,7 +33,6 @@ func (e *Engine) dropPatchIndexLatched(table, column string) error {
 	if err := e.cat.DropIndex(table, column); err != nil {
 		return err
 	}
-	e.invalidateMaintainers(table)
 	if e.log != nil {
 		for _, c := range []patch.Constraint{patch.NearlyUnique, patch.NearlySorted} {
 			os.Remove(e.indexPath(table, column, c))
