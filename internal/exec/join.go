@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"patchindex/internal/obs"
@@ -14,6 +15,14 @@ import (
 // estimated cardinality to build the hash table on. With leftOuter set the
 // join keeps unmatched left rows, padding the right columns with NULLs (the
 // build side is then forced to the right input).
+//
+// The hash table maps each distinct non-NULL build key to a dense id:
+// through a vector.Int64Table for Int64/Date keys, through a map keyed by
+// encodeValue bytes for the other types. The build rows of id k are
+// rows[start[k]:start[k+1]], in build order, laid out by counting rows per
+// id and then filling one array. A probe batch looks all its keys up at
+// once and gathers each output column over the matched (probe, build) row
+// pairs.
 type HashJoin struct {
 	opStats
 	left, right Operator
@@ -25,12 +34,17 @@ type HashJoin struct {
 	spill       SpillConfig
 
 	buildCols []*vector.Vector
-	table     map[string][]int
-	table64   map[int64][]int32 // typed fast path for int64/date keys
+	ints      *vector.Int64Table
+	strs      map[string]int32
+	start     []int32
+	rows      []int32
 	probe     Operator
 	probeKey  int
 	out       *vector.Batch
 	keyBuf    []byte
+	ids       []int32 // build id per probe row of the current batch, -1 for none
+	probeIdx  []int   // matched (probe row, build row) pairs of the current batch
+	buildIdx  []int
 	buildRows int64
 
 	// Grace mode (build side exceeded spill.Limit): both sides hash-
@@ -45,17 +59,30 @@ type HashJoin struct {
 	spilledBytes int64
 }
 
+// checkJoinKeys validates the key positions of a join of inputs typed lt
+// and rt, and that the two keys are of one type (vector.KeyCompatible): the
+// kernels compare keys without conversion.
+func checkJoinKeys(op string, lt, rt []vector.Type, leftKey, rightKey int) error {
+	if leftKey < 0 || leftKey >= len(lt) {
+		return fmt.Errorf("exec: %s: left key %d out of range", op, leftKey)
+	}
+	if rightKey < 0 || rightKey >= len(rt) {
+		return fmt.Errorf("exec: %s: right key %d out of range", op, rightKey)
+	}
+	if !vector.KeyCompatible(lt[leftKey], rt[rightKey]) {
+		return fmt.Errorf("exec: %s: key types %s and %s differ", op, lt[leftKey], rt[rightKey])
+	}
+	return nil
+}
+
 // NewHashJoin creates an inner hash join of left and right on
 // left.leftKey = right.rightKey. If buildLeft is true the hash table is
 // built on the left input, otherwise on the right. Output columns are the
 // left columns followed by the right columns.
 func NewHashJoin(left, right Operator, leftKey, rightKey int, buildLeft bool) (*HashJoin, error) {
 	lt, rt := left.Types(), right.Types()
-	if leftKey < 0 || leftKey >= len(lt) {
-		return nil, fmt.Errorf("exec: hash join: left key %d out of range", leftKey)
-	}
-	if rightKey < 0 || rightKey >= len(rt) {
-		return nil, fmt.Errorf("exec: hash join: right key %d out of range", rightKey)
+	if err := checkJoinKeys("hash join", lt, rt, leftKey, rightKey); err != nil {
+		return nil, err
 	}
 	types := append(append([]vector.Type{}, lt...), rt...)
 	return &HashJoin{left: left, right: right, leftKey: leftKey, rightKey: rightKey, buildLeft: buildLeft, types: types}, nil
@@ -144,11 +171,8 @@ func (j *HashJoin) open(ctx context.Context) error {
 		if b == nil {
 			break
 		}
-		bl := b.Len()
 		for c := range cols {
-			for i := 0; i < bl; i++ {
-				cols[c].Append(b.Vecs[c], i)
-			}
+			cols[c].AppendRange(b.Vecs[c], 0, b.Len())
 			bytes += b.Vecs[c].ByteSize()
 		}
 		if j.spill.enabled() && bytes > j.spill.Limit {
@@ -169,25 +193,57 @@ func (j *HashJoin) open(ctx context.Context) error {
 
 // buildHashTable (re)builds the probe table over the given build rows.
 func (j *HashJoin) buildHashTable(cols []*vector.Vector, n int) {
-	j.table, j.table64 = nil, nil
 	keyVec := cols[j.buildKey]
+	ids := make([]int32, n)
+	var distinct int
+	j.ints, j.strs = nil, nil
 	if keyVec.Typ == vector.Int64 || keyVec.Typ == vector.Date {
-		j.table64 = make(map[int64][]int32, n)
-		for i := 0; i < n; i++ {
-			if keyVec.IsNull(i) {
-				continue // NULL keys never join
-			}
-			j.table64[keyVec.I64[i]] = append(j.table64[keyVec.I64[i]], int32(i))
-		}
+		j.ints = vector.NewInt64Table(n)
+		j.ints.InsertBatch(keyVec.I64[:n], ids)
+		distinct = j.ints.Len()
 	} else {
-		j.table = make(map[string][]int, n)
-		var buf []byte
-		for i := 0; i < n; i++ {
-			if keyVec.IsNull(i) {
-				continue // NULL keys never join
+		j.strs = make(map[string]int32, n)
+		for i := range ids {
+			j.keyBuf = encodeValue(j.keyBuf[:0], keyVec, i)
+			id, ok := j.strs[string(j.keyBuf)]
+			if !ok {
+				id = int32(len(j.strs))
+				j.strs[string(j.keyBuf)] = id
 			}
-			buf = encodeValue(buf[:0], keyVec, i)
-			j.table[string(buf)] = append(j.table[string(buf)], i)
+			ids[i] = id
+		}
+		distinct = len(j.strs)
+	}
+	maskNullKeys(keyVec, ids)
+	j.start = make([]int32, distinct+1)
+	for _, id := range ids {
+		if id >= 0 {
+			j.start[id+1]++
+		}
+	}
+	for k := 1; k <= distinct; k++ {
+		j.start[k] += j.start[k-1]
+	}
+	j.rows = make([]int32, j.start[distinct])
+	fill := slices.Clone(j.start[:distinct])
+	for i, id := range ids {
+		if id >= 0 {
+			j.rows[fill[id]] = int32(i)
+			fill[id]++
+		}
+	}
+}
+
+// maskNullKeys sets ids[i] to -1 wherever key i is NULL: NULL keys never
+// join. A NULL row's key slot was still hashed on the build side, so its id
+// may hold no rows, which the probe treats as a miss.
+func maskNullKeys(keyVec *vector.Vector, ids []int32) {
+	if keyVec.Nulls == nil {
+		return
+	}
+	for i := range ids {
+		if keyVec.Nulls[i] {
+			ids[i] = -1
 		}
 	}
 }
@@ -381,11 +437,8 @@ func (j *HashJoin) loadGracePartition(p int) error {
 		if frame == nil {
 			break
 		}
-		fl := frame[0].Len()
 		for c := range cols {
-			for i := 0; i < fl; i++ {
-				cols[c].Append(frame[c], i)
-			}
+			cols[c].AppendRange(frame[c], 0, frame[c].Len())
 		}
 	}
 	j.graceBuild[p].close()
@@ -462,45 +515,64 @@ func (j *HashJoin) next() (*vector.Batch, error) {
 			return nil, nil
 		}
 		j.out.Reset()
-		n := b.Len()
-		keyVec := b.Vecs[j.probeKey]
-		if j.table64 != nil && (keyVec.Typ == vector.Int64 || keyVec.Typ == vector.Date) {
-			for i := 0; i < n; i++ {
-				if keyVec.IsNull(i) {
-					j.appendUnmatched(b, i)
-					continue
+		pi, bi := j.probeIdx[:0], j.buildIdx[:0]
+		for i, id := range j.lookup(b.Vecs[j.probeKey], b.Len()) {
+			if id >= 0 && j.start[id] < j.start[id+1] {
+				for _, r := range j.rows[j.start[id]:j.start[id+1]] {
+					pi = append(pi, i)
+					bi = append(bi, int(r))
 				}
-				rows := j.table64[keyVec.I64[i]]
-				if len(rows) == 0 {
-					j.appendUnmatched(b, i)
-					continue
-				}
-				for _, bi := range rows {
-					j.appendJoined(j.out, b, i, int(bi))
-				}
-			}
-		} else if j.table64 != nil {
-			return nil, errOp(j, fmt.Errorf("probe key type does not match build key type"))
-		} else {
-			for i := 0; i < n; i++ {
-				if keyVec.IsNull(i) {
-					j.appendUnmatched(b, i)
-					continue
-				}
-				j.keyBuf = encodeValue(j.keyBuf[:0], keyVec, i)
-				rows, ok := j.table[string(j.keyBuf)]
-				if !ok {
-					j.appendUnmatched(b, i)
-					continue
-				}
-				for _, bi := range rows {
-					j.appendJoined(j.out, b, i, bi)
-				}
+			} else if j.leftOuter {
+				// Emit the pairs so far first, keeping probe order.
+				j.emitPairs(b, pi, bi)
+				pi, bi = pi[:0], bi[:0]
+				j.appendUnmatched(b, i)
 			}
 		}
+		j.emitPairs(b, pi, bi)
+		j.probeIdx, j.buildIdx = pi, bi
 		if j.out.Len() > 0 {
 			return j.out, nil
 		}
+	}
+}
+
+// lookup returns the build id of each of the n probe keys in keyVec, -1
+// where the key is NULL or has no id. The slice is reused per batch.
+func (j *HashJoin) lookup(keyVec *vector.Vector, n int) []int32 {
+	ids := slices.Grow(j.ids[:0], n)[:n]
+	if j.ints != nil {
+		j.ints.LookupBatch(keyVec.I64[:n], ids)
+	} else {
+		for i := range ids {
+			j.keyBuf = encodeValue(j.keyBuf[:0], keyVec, i)
+			id, ok := j.strs[string(j.keyBuf)]
+			if !ok {
+				id = -1
+			}
+			ids[i] = id
+		}
+	}
+	maskNullKeys(keyVec, ids)
+	j.ids = ids
+	return ids
+}
+
+// emitPairs appends the joined rows of the (probe row pi[k], build row
+// bi[k]) pairs to the output, one Gather per column.
+func (j *HashJoin) emitPairs(probe *vector.Batch, pi, bi []int) {
+	if len(pi) == 0 {
+		return
+	}
+	probeAt, buildAt := 0, len(j.left.Types())
+	if j.buildLeft {
+		probeAt, buildAt = buildAt, 0
+	}
+	for c, v := range probe.Vecs {
+		j.out.Vecs[probeAt+c].Gather(v, pi)
+	}
+	for c, v := range j.buildCols {
+		j.out.Vecs[buildAt+c].Gather(v, bi)
 	}
 }
 
@@ -520,30 +592,9 @@ func (j *HashJoin) appendUnmatched(probe *vector.Batch, pi int) {
 	}
 }
 
-// appendJoined writes one joined row (left columns then right columns).
-func (j *HashJoin) appendJoined(out *vector.Batch, probe *vector.Batch, pi, bi int) {
-	nLeft := len(j.left.Types())
-	if j.buildLeft {
-		for c := 0; c < nLeft; c++ {
-			out.Vecs[c].Append(j.buildCols[c], bi)
-		}
-		for c := range probe.Vecs {
-			out.Vecs[nLeft+c].Append(probe.Vecs[c], pi)
-		}
-	} else {
-		for c := range probe.Vecs {
-			out.Vecs[c].Append(probe.Vecs[c], pi)
-		}
-		for c := range j.buildCols {
-			out.Vecs[nLeft+c].Append(j.buildCols[c], bi)
-		}
-	}
-}
-
 // Close closes both children and drops the hash table and any spill runs.
 func (j *HashJoin) Close() error {
-	j.table = nil
-	j.table64 = nil
+	j.ints, j.strs, j.start, j.rows = nil, nil, nil, nil
 	j.buildCols = nil
 	j.out = nil
 	if j.grace {
@@ -562,6 +613,13 @@ func (j *HashJoin) Close() error {
 // current group of equal keys, so it avoids the hash-table build that makes
 // HashJoin "more expensive" (Section VI-B3). NULL keys never match and are
 // skipped.
+//
+// For Int64/Date keys every batch without a NULL key compares the I64
+// values directly: the sortedness check, the search for the next equal key
+// (a galloping search within the batch, not one row per step) and the scan
+// of a key's run. NULL-bearing batches and the other key types compare
+// boxed values. Output is written a run at a time: the left row repeated
+// (AppendRepeat) beside a range of right rows (AppendRange).
 type MergeJoin struct {
 	opStats
 	left, right Operator
@@ -582,14 +640,11 @@ type MergeJoin struct {
 }
 
 // NewMergeJoin creates a merge join; both inputs must be sorted ascending on
-// their key columns (NULLs first, which the cursors skip).
+// their key columns (NULLs anywhere, which the cursors skip).
 func NewMergeJoin(left, right Operator, leftKey, rightKey int) (*MergeJoin, error) {
 	lt, rt := left.Types(), right.Types()
-	if leftKey < 0 || leftKey >= len(lt) {
-		return nil, fmt.Errorf("exec: merge join: left key %d out of range", leftKey)
-	}
-	if rightKey < 0 || rightKey >= len(rt) {
-		return nil, fmt.Errorf("exec: merge join: right key %d out of range", rightKey)
+	if err := checkJoinKeys("merge join", lt, rt, leftKey, rightKey); err != nil {
+		return nil, err
 	}
 	types := append(append([]vector.Type{}, lt...), rt...)
 	return &MergeJoin{left: left, right: right, leftKey: leftKey, rightKey: rightKey, types: types}, nil
@@ -614,7 +669,7 @@ func (j *MergeJoin) Open(ctx context.Context) error {
 	j.rc = newMergeCursor(j.right, j.rightKey)
 	j.lGroup = makeGroupBuf(j.left.Types())
 	j.rGroup = makeGroupBuf(j.right.Types())
-	j.emitting = false
+	j.emitting, j.streaming = false, false
 	j.out = vector.NewBatch(j.types)
 	return nil
 }
@@ -650,85 +705,98 @@ func (j *MergeJoin) Next() (*vector.Batch, error) {
 func (j *MergeJoin) next() (*vector.Batch, error) {
 	j.out.Reset()
 	nLeft := len(j.left.Types())
-	for {
-		// Flush a buffered cross product in progress.
-		if j.emitting {
-			for j.out.Len() < vector.BatchSize && j.emitL < j.lN {
-				for c := 0; c < nLeft; c++ {
-					j.out.Vecs[c].Append(j.lGroup[c], j.emitL)
-				}
-				for c := 0; c < len(j.rGroup); c++ {
-					j.out.Vecs[nLeft+c].Append(j.rGroup[c], j.emitR)
-				}
-				j.emitR++
-				if j.emitR >= j.rN {
-					j.emitR = 0
-					j.emitL++
-				}
-			}
-			if j.emitL >= j.lN {
-				j.emitting = false
-			}
-			if j.out.Len() >= vector.BatchSize {
-				return j.out, nil
-			}
-			continue
-		}
-		// Continue streaming the right side against a single left row.
-		if j.streaming {
+	for j.out.Len() < vector.BatchSize {
+		switch {
+		case j.emitting:
+			j.emitGroups(nLeft)
+		case j.streaming:
 			done, err := j.streamRight(nLeft)
 			if err != nil {
 				return nil, errOp(j, err)
 			}
-			if done {
-				j.streaming = false
+			j.streaming = !done
+		default:
+			ok, err := j.align()
+			if err != nil {
+				return nil, errOp(j, err)
 			}
-			if j.out.Len() >= vector.BatchSize {
-				return j.out, nil
+			if !ok {
+				return j.flush()
+			}
+		}
+	}
+	return j.out, nil
+}
+
+// align advances the cursors to the next key both sides hold and takes its
+// groups: a single left row starts streaming, a larger left group buffers
+// the right group too and starts emitting their cross product. It returns
+// false once either side is exhausted.
+func (j *MergeJoin) align() (bool, error) {
+	for {
+		lb, li, ok, err := j.lc.peek()
+		if err != nil || !ok {
+			return false, err
+		}
+		rb, ri, ok, err := j.rc.peek()
+		if err != nil || !ok {
+			return false, err
+		}
+		if lk, rk := j.lc.keys, j.rc.keys; lk != nil && rk != nil {
+			if lk[li] < rk[ri] {
+				j.lc.seek(rk[ri])
+				continue
+			}
+			if lk[li] > rk[ri] {
+				j.rc.seek(lk[li])
+				continue
+			}
+		} else if cmp := lb.Vecs[j.leftKey].Compare(li, rb.Vecs[j.rightKey], ri); cmp != 0 {
+			if cmp < 0 {
+				j.lc.pos++
+			} else {
+				j.rc.pos++
 			}
 			continue
 		}
-		// Align the cursors on the next equal key.
-		lv, li, ok, err := j.lc.peek()
-		if err != nil {
-			return nil, errOp(j, err)
+		break
+	}
+	ln, err := j.lc.takeGroup(j.lGroup)
+	if err != nil {
+		return false, err
+	}
+	j.lN = ln
+	if ln == 1 {
+		j.streamKey = j.lGroup[j.leftKey].Value(0)
+		j.streaming = true
+		return true, nil
+	}
+	rn, err := j.rc.takeGroup(j.rGroup)
+	if err != nil {
+		return false, err
+	}
+	j.rN, j.emitL, j.emitR, j.emitting = rn, 0, 0, true
+	return true, nil
+}
+
+// emitGroups continues the cross product of the buffered groups, left row
+// major: each left row is repeated beside a range of right rows.
+func (j *MergeJoin) emitGroups(nLeft int) {
+	for j.out.Len() < vector.BatchSize && j.emitL < j.lN {
+		n := min(j.rN-j.emitR, vector.BatchSize-j.out.Len())
+		for c := 0; c < nLeft; c++ {
+			j.out.Vecs[c].AppendRepeat(j.lGroup[c], j.emitL, n)
 		}
-		if !ok {
-			return j.flush()
+		for c, v := range j.rGroup {
+			j.out.Vecs[nLeft+c].AppendRange(v, j.emitR, j.emitR+n)
 		}
-		rv, ri, ok, err := j.rc.peek()
-		if err != nil {
-			return nil, errOp(j, err)
-		}
-		if !ok {
-			return j.flush()
-		}
-		cmp := lv.Vecs[j.leftKey].Compare(li, rv.Vecs[j.rightKey], ri)
-		switch {
-		case cmp < 0:
-			j.lc.pos++
-		case cmp > 0:
-			j.rc.pos++
-		default:
-			ln, err := j.lc.takeGroup(j.lGroup)
-			if err != nil {
-				return nil, errOp(j, err)
-			}
-			j.lN = ln
-			if ln == 1 {
-				j.streamKey = j.lGroup[j.leftKey].Value(0)
-				j.streaming = true
-				continue
-			}
-			rn, err := j.rc.takeGroup(j.rGroup)
-			if err != nil {
-				return nil, errOp(j, err)
-			}
-			j.rN = rn
-			j.emitL, j.emitR = 0, 0
-			j.emitting = true
+		j.emitR += n
+		if j.emitR == j.rN {
+			j.emitR = 0
+			j.emitL++
 		}
 	}
+	j.emitting = j.emitL < j.lN
 }
 
 // flush returns the partially filled output batch at end of stream.
@@ -752,40 +820,18 @@ func (j *MergeJoin) streamRight(nLeft int) (bool, error) {
 		if !ok {
 			return true, nil
 		}
-		kv := b.Vecs[j.rightKey]
-		// Find the run [i,end) of rows whose key equals the stream key.
-		end := i
-		limit := b.Len()
-		if room := vector.BatchSize - j.out.Len(); limit > i+room {
-			limit = i + room
-		}
-		if (kv.Typ == vector.Int64 || kv.Typ == vector.Date) && !j.streamKey.Null {
-			sk := j.streamKey.I64
-			for end < limit && !kv.IsNull(end) && kv.I64[end] == sk {
-				end++
-			}
-		} else {
-			for end < limit && !kv.IsNull(end) && kv.Value(end).Equal(j.streamKey) {
-				end++
-			}
-		}
-		if end == i {
-			if kv.IsNull(i) {
-				j.rc.pos++ // NULL keys never match; skip
-				continue
-			}
-			return true, nil
-		}
+		limit := min(b.Len(), i+vector.BatchSize-j.out.Len())
+		end := j.rc.runEnd(i, limit, j.streamKey)
 		for c := 0; c < nLeft; c++ {
-			lg := j.lGroup[c]
-			for k := i; k < end; k++ {
-				j.out.Vecs[c].Append(lg, 0)
-			}
+			j.out.Vecs[c].AppendRepeat(j.lGroup[c], 0, end-i)
 		}
-		for c := range b.Vecs {
-			j.out.Vecs[nLeft+c].AppendRange(b.Vecs[c], i, end)
+		for c, v := range b.Vecs {
+			j.out.Vecs[nLeft+c].AppendRange(v, i, end)
 		}
 		j.rc.pos = end
+		if end < limit && !b.Vecs[j.rightKey].IsNull(end) {
+			return true, nil // the next key is larger
+		}
 	}
 	return false, nil
 }
@@ -806,7 +852,9 @@ func (j *MergeJoin) Close() error {
 type mergeCursor struct {
 	op    Operator
 	key   int
+	typed bool // Int64/Date key
 	batch *vector.Batch
+	keys  []int64 // the batch's key values if typed and NULL-free, else nil
 	pos   int
 	eof   bool
 	// monotonicity check state: each batch's key column is validated once
@@ -817,7 +865,8 @@ type mergeCursor struct {
 }
 
 func newMergeCursor(op Operator, key int) *mergeCursor {
-	return &mergeCursor{op: op, key: key}
+	t := op.Types()[key]
+	return &mergeCursor{op: op, key: key, typed: t == vector.Int64 || t == vector.Date}
 }
 
 // peek returns the batch and row position of the current non-NULL-key row.
@@ -838,13 +887,13 @@ func (c *mergeCursor) peek() (*vector.Batch, int, bool, error) {
 			if b.Len() == 0 {
 				continue
 			}
-			if err := c.validate(b); err != nil {
+			keys, err := c.validate(b)
+			if err != nil {
 				return nil, 0, false, err
 			}
-			c.batch, c.pos = b, 0
+			c.batch, c.keys, c.pos = b, keys, 0
 		}
-		kv := c.batch.Vecs[c.key]
-		if kv.IsNull(c.pos) {
+		if c.keys == nil && c.batch.Vecs[c.key].IsNull(c.pos) {
 			c.pos++
 			continue
 		}
@@ -852,11 +901,26 @@ func (c *mergeCursor) peek() (*vector.Batch, int, bool, error) {
 	}
 }
 
-// validate verifies that the key column of an incoming batch continues the
-// non-decreasing key sequence (NULLs excepted).
-func (c *mergeCursor) validate(b *vector.Batch) error {
+// validate verifies that the key column of an incoming non-empty batch
+// continues the non-decreasing key sequence (NULLs excepted). It returns
+// the batch's int64 keys when the typed paths can read them: the key is
+// Int64/Date and the batch holds no NULL key.
+func (c *mergeCursor) validate(b *vector.Batch) ([]int64, error) {
 	kv := b.Vecs[c.key]
 	n := kv.Len()
+	if c.typed && !kv.HasNulls() {
+		keys := kv.I64[:n]
+		if c.hasPrev && c.prevKey.I64 > keys[0] {
+			return nil, fmt.Errorf("merge join input not sorted across batches: %v after %v", kv.Value(0), c.prevKey)
+		}
+		for i := 1; i < n; i++ {
+			if keys[i] < keys[i-1] {
+				return nil, fmt.Errorf("merge join input not sorted within batch at row %d", i)
+			}
+		}
+		c.prevKey, c.hasPrev = kv.Value(n-1), true
+		return keys, nil
+	}
 	prev := -1
 	for i := 0; i < n; i++ {
 		if kv.IsNull(i) {
@@ -864,11 +928,11 @@ func (c *mergeCursor) validate(b *vector.Batch) error {
 		}
 		if prev >= 0 {
 			if kv.Compare(prev, kv, i) > 0 {
-				return fmt.Errorf("merge join input not sorted within batch at row %d", i)
+				return nil, fmt.Errorf("merge join input not sorted within batch at row %d", i)
 			}
 		} else if c.hasPrev {
 			if c.prevKey.Compare(kv.Value(i)) > 0 {
-				return fmt.Errorf("merge join input not sorted across batches: %v after %v", kv.Value(i), c.prevKey)
+				return nil, fmt.Errorf("merge join input not sorted across batches: %v after %v", kv.Value(i), c.prevKey)
 			}
 		}
 		prev = i
@@ -876,11 +940,52 @@ func (c *mergeCursor) validate(b *vector.Batch) error {
 	if prev >= 0 {
 		c.prevKey, c.hasPrev = kv.Value(prev), true
 	}
-	return nil
+	return nil, nil
 }
 
-// takeGroup copies all consecutive rows sharing the current key into the
-// caller-provided (reused) group vectors and advances past them.
+// seek moves a typed cursor whose current key is below k to the first row
+// of its batch with a key of at least k, or to the batch end. It gallops
+// (1, 2, 4, … rows ahead) and then binary-searches the last step, so a
+// short skip costs a compare or two and a long one a logarithm of the
+// batch.
+func (c *mergeCursor) seek(k int64) {
+	keys := c.keys
+	lo, step := c.pos+1, 1
+	for lo+step <= len(keys) && keys[lo+step-1] < k {
+		lo += step
+		step <<= 1
+	}
+	i, _ := slices.BinarySearch(keys[lo:min(lo+step, len(keys))], k)
+	c.pos = lo + i
+}
+
+// runEnd returns the end of the run of current-batch rows from i (< limit)
+// whose key equals key, a non-NULL value: the first row in [i, limit) with
+// another key or a NULL one, or limit.
+func (c *mergeCursor) runEnd(i, limit int, key vector.Value) int {
+	end := i
+	if c.keys != nil {
+		for end < limit && c.keys[end] == key.I64 {
+			end++
+		}
+		return end
+	}
+	kv := c.batch.Vecs[c.key]
+	if c.typed {
+		for end < limit && !kv.IsNull(end) && kv.I64[end] == key.I64 {
+			end++
+		}
+		return end
+	}
+	for end < limit && !kv.IsNull(end) && kv.Value(end).Equal(key) {
+		end++
+	}
+	return end
+}
+
+// takeGroup copies all rows sharing the current key (consecutive but for
+// skipped NULL keys, possibly across batches) into the caller-provided
+// (reused) group vectors and advances past them.
 func (c *mergeCursor) takeGroup(group []*vector.Vector) (int, error) {
 	b, i, ok, err := c.peek()
 	if err != nil || !ok {
@@ -889,7 +994,7 @@ func (c *mergeCursor) takeGroup(group []*vector.Vector) (int, error) {
 	for _, v := range group {
 		v.Reset()
 	}
-	keyVal := b.Vecs[c.key].Value(i)
+	key := b.Vecs[c.key].Value(i)
 	n := 0
 	for {
 		b, i, ok, err = c.peek()
@@ -899,14 +1004,15 @@ func (c *mergeCursor) takeGroup(group []*vector.Vector) (int, error) {
 		if !ok {
 			break
 		}
-		if !b.Vecs[c.key].Value(i).Equal(keyVal) {
-			break
+		end := c.runEnd(i, b.Len(), key)
+		for ci, v := range group {
+			v.AppendRange(b.Vecs[ci], i, end)
 		}
-		for ci := range group {
-			group[ci].Append(b.Vecs[ci], i)
+		n += end - i
+		c.pos = end
+		if end < b.Len() && !b.Vecs[c.key].IsNull(end) {
+			break // the next key is larger
 		}
-		n++
-		c.pos++
 	}
 	return n, nil
 }

@@ -1,9 +1,12 @@
 package exec
 
 import (
-	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"patchindex/internal/vector"
@@ -117,6 +120,21 @@ func TestHashJoinValidation(t *testing.T) {
 	if _, err := NewHashJoin(src, src, 0, 5, false); err == nil {
 		t.Error("bad right key must fail")
 	}
+	// The kernels never convert keys: Int64 joins Date, nothing else.
+	floats := newMemOp([]vector.Type{vector.Float64})
+	dates := newMemOp([]vector.Type{vector.Date})
+	if _, err := NewHashJoin(src, floats, 0, 0, false); err == nil {
+		t.Error("hash join of Int64 and Float64 keys must fail")
+	}
+	if _, err := NewMergeJoin(floats, src, 0, 0); err == nil {
+		t.Error("merge join of Float64 and Int64 keys must fail")
+	}
+	if _, err := NewHashJoin(src, dates, 0, 0, false); err != nil {
+		t.Errorf("hash join of Int64 and Date keys: %v", err)
+	}
+	if _, err := NewMergeJoin(dates, src, 0, 0); err != nil {
+		t.Errorf("merge join of Date and Int64 keys: %v", err)
+	}
 }
 
 func TestMergeJoinBasic(t *testing.T) {
@@ -164,45 +182,112 @@ func TestMergeJoinManyToMany(t *testing.T) {
 	}
 }
 
+// keyBatch builds a (key, payload) batch with a key of type typ (Int64 or
+// Date); a NULL entry in keys is written as NULL.
+func keyBatch(typ vector.Type, keys ...any) *vector.Batch {
+	b := vector.NewBatch([]vector.Type{typ, vector.Int64})
+	for i, k := range keys {
+		if k == nil {
+			b.Vecs[0].AppendNull()
+		} else {
+			b.Vecs[0].AppendInt64(int64(k.(int)))
+		}
+		b.Vecs[1].AppendInt64(int64(i))
+	}
+	return b
+}
+
+// The unsortedness checks run for Int64 and Date keys alike, on NULL-free
+// batches (the typed check) and on NULL-bearing ones (the generic check),
+// and report the same errors on both.
 func TestMergeJoinRejectsUnsortedInput(t *testing.T) {
-	left := newMemOp([]vector.Type{vector.Int64, vector.Int64},
-		pairsBatch([][2]int64{{3, 1}, {1, 2}})) // unsorted
-	right := newMemOp([]vector.Type{vector.Int64, vector.Int64},
-		pairsBatch([][2]int64{{1, 10}, {3, 30}}))
-	j, err := NewMergeJoin(left, right, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Open(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if _, err := j.Next(); err == nil {
-		t.Error("unsorted input must be detected")
+	for _, typ := range []vector.Type{vector.Int64, vector.Date} {
+		for _, tc := range []struct {
+			name string
+			keys []any
+			want string
+		}{
+			{"typed", []any{3, 1}, "not sorted within batch at row 1"},
+			{"nulls", []any{3, nil, 1}, "not sorted within batch at row 2"},
+		} {
+			left := newMemOp([]vector.Type{typ, vector.Int64}, keyBatch(typ, tc.keys...))
+			right := newMemOp([]vector.Type{typ, vector.Int64}, keyBatch(typ, 1, 3))
+			j, err := NewMergeJoin(left, right, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Drain(j); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s/%s: err = %v, want %q", typ, tc.name, err, tc.want)
+			}
+		}
 	}
 }
 
 func TestMergeJoinRejectsUnsortedAcrossBatches(t *testing.T) {
-	left := newMemOp([]vector.Type{vector.Int64, vector.Int64},
-		pairsBatch([][2]int64{{5, 1}}),
-		pairsBatch([][2]int64{{2, 2}})) // goes backwards across batches
-	right := newMemOp([]vector.Type{vector.Int64, vector.Int64},
-		pairsBatch([][2]int64{{2, 10}, {5, 50}}))
-	j, _ := NewMergeJoin(left, right, 0, 0)
-	if err := j.Open(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	var err error
-	for err == nil {
-		var b *vector.Batch
-		b, err = j.Next()
-		if b == nil && err == nil {
-			break
+	for _, typ := range []vector.Type{vector.Int64, vector.Date} {
+		for _, tc := range []struct {
+			name        string
+			first, next []any
+		}{
+			{"typed", []any{5}, []any{2}},
+			{"nulls", []any{5, nil}, []any{nil, 2}},
+			{"typed-after-nulls", []any{nil, 5}, []any{2, 6}},
+			{"nulls-after-typed", []any{1, 5}, []any{nil, 2}},
+		} {
+			left := newMemOp([]vector.Type{typ, vector.Int64},
+				keyBatch(typ, tc.first...), keyBatch(typ, tc.next...)) // goes backwards across batches
+			right := newMemOp([]vector.Type{typ, vector.Int64}, keyBatch(typ, 1, 2, 5, 6))
+			j, err := NewMergeJoin(left, right, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("not sorted across batches: %v after %v",
+				keyBatch(typ, 2).Vecs[0].Value(0), keyBatch(typ, 5).Vecs[0].Value(0))
+			if _, err := Drain(j); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s/%s: err = %v, want %q", typ, tc.name, err, want)
+			}
 		}
 	}
-	if err == nil {
-		t.Error("cross-batch unsortedness must be detected")
+}
+
+// TestMergeJoinSkipCrossesBatches: when the keys differ, the cursor behind
+// seeks forward within its batch; here each side has to seek past the end
+// of a batch and continue in the next one.
+func TestMergeJoinSkipCrossesBatches(t *testing.T) {
+	span := func(lo, hi int) []any {
+		var keys []any
+		for k := lo; k < hi; k++ {
+			keys = append(keys, k)
+		}
+		return keys
+	}
+	types := []vector.Type{vector.Int64, vector.Int64}
+	left := newMemOp(types, keyBatch(vector.Int64, span(0, 1000)...),
+		keyBatch(vector.Int64, span(1000, 2000)...), keyBatch(vector.Int64, 5000))
+	right := newMemOp(types, keyBatch(vector.Int64, 1500),
+		keyBatch(vector.Int64, span(1600, 5000)...), keyBatch(vector.Int64, 5000, 5000))
+	j, err := NewMergeJoin(left, right, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Collect(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []int64
+	for _, row := range got {
+		if row[0].I64 != row[2].I64 {
+			t.Fatalf("row %v joins different keys", row)
+		}
+		keys = append(keys, row[0].I64)
+	}
+	want := []int64{1500}
+	for k := int64(1600); k < 2000; k++ {
+		want = append(want, k)
+	}
+	want = append(want, 5000, 5000)
+	if !slices.Equal(keys, want) {
+		t.Fatalf("joined keys = %v…, want %d keys %v…", keys[:min(5, len(keys))], len(want), want[:5])
 	}
 }
 
@@ -298,4 +383,246 @@ func TestMergeJoinStreamingAcrossBatchBoundary(t *testing.T) {
 	if n != total {
 		t.Fatalf("joined %d rows, want %d", n, total)
 	}
+}
+
+// rowText renders a row with each value's type and NULL flag, so rows
+// compare exactly (a Date 0 and an Int64 0 differ, -0.0 and 0.0 too).
+func rowText(row []vector.Value) string {
+	var sb strings.Builder
+	for _, v := range row {
+		if v.Null {
+			fmt.Fprintf(&sb, "%s:NULL|", v.Typ)
+		} else if v.Typ == vector.Float64 {
+			fmt.Fprintf(&sb, "%s:%x|", v.Typ, math.Float64bits(v.F64))
+		} else {
+			fmt.Fprintf(&sb, "%s:%s|", v.Typ, v)
+		}
+	}
+	return sb.String()
+}
+
+// sameRows compares got with want row for row.
+func sameRows(got, want [][]vector.Value) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d rows, reference %d", len(got), len(want))
+	}
+	for i := range got {
+		if g, w := rowText(got[i]), rowText(want[i]); g != w {
+			return fmt.Errorf("row %d = %s, reference %s", i, g, w)
+		}
+	}
+	return nil
+}
+
+// joinKeyValue appends the k-th key of v's type; the order of k is the
+// order of the keys. Float key 20 is 0.0 on even rows and -0.0 on odd ones,
+// which are equal.
+func joinKeyValue(v *vector.Vector, k, row int) {
+	switch v.Typ {
+	case vector.Int64:
+		v.AppendInt64(int64(k)*3 - 100)
+	case vector.Date:
+		v.AppendInt64(int64(k) + 18000)
+	case vector.String:
+		v.AppendString(fmt.Sprintf("k%05d", k))
+	case vector.Float64:
+		f := float64(k)/2 - 10
+		if k == 20 && row%2 == 1 {
+			f = math.Copysign(0, -1)
+		}
+		v.AppendFloat64(f)
+	}
+}
+
+// joinSide generates one sorted join input: every key of [0, universe) is
+// present with probability 3/5 with 1 row (unique) or 1..maxDup rows; a key
+// is NULL with probability nullPct %, anywhere in the stream, and its slot
+// still holds the key it replaced, so a kernel that reads the slot of a NULL
+// finds a match; the payload is NULL one row in eight. Batches hold 1..1500 rows, so groups span batch
+// boundaries.
+func joinSide(rng *rand.Rand, types []vector.Type, keyCol, universe, maxDup, nullPct int) []*vector.Batch {
+	var batches []*vector.Batch
+	var cur *vector.Batch
+	size := 0
+	row := 0
+	for k := 0; k < universe; k++ {
+		if rng.Intn(5) >= 3 {
+			continue
+		}
+		for d := 1 + rng.Intn(maxDup); d > 0; d-- {
+			if cur == nil || cur.Len() >= size {
+				cur = vector.NewBatch(types)
+				batches = append(batches, cur)
+				size = 1 + rng.Intn(1500)
+			}
+			for c, v := range cur.Vecs {
+				switch {
+				case c == keyCol:
+					joinKeyValue(v, k, row)
+					if rng.Intn(100) < nullPct {
+						v.SetNullAt(v.Len() - 1) // the slot keeps a live key
+					}
+				case rng.Intn(8) == 0:
+					v.AppendNull()
+				case v.Typ == vector.String:
+					v.AppendString(fmt.Sprintf("p%d", row))
+				default:
+					v.AppendInt64(int64(row))
+				}
+			}
+			row++
+		}
+	}
+	return batches
+}
+
+// FuzzJoin compares MergeJoin and HashJoin (build left, build right, left
+// outer) row for row, in order, with the kernels as they stood before the
+// typed paths (reference_test.go). An in-memory HashJoin emits in probe
+// order, each probe row's matches in build order, like the reference. typ picks the key type
+// (Int64, Date, String, Float64), nulls the key NULL density (0, 1, 50,
+// 100 %), shape the group shape (1:1, 1:N, N:M) by the maximum duplicates
+// per key on each side; keys are drawn per side, so many are on one side
+// only and the cursors skip.
+func FuzzJoin(f *testing.F) {
+	for typ := uint8(0); typ < 4; typ++ {
+		for shape := uint8(0); shape < 3; shape++ {
+			f.Add(int64(typ)*3+int64(shape), typ, uint8(shape), shape, uint16(400))
+		}
+	}
+	f.Add(int64(99), uint8(1), uint8(3), uint8(2), uint16(300))
+	f.Add(int64(7), uint8(0), uint8(1), uint8(1), uint16(2000))
+	f.Fuzz(func(t *testing.T, seed int64, typ, nulls, shape uint8, universe uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		kt := []vector.Type{vector.Int64, vector.Date, vector.String, vector.Float64}[typ%4]
+		nullPct := []int{0, 1, 50, 100}[nulls%4]
+		maxDup := [][2]int{{1, 1}, {1, 30}, {4, 6}}[shape%3]
+		n := 1 + int(universe%3000)
+		lTypes := []vector.Type{vector.Int64, kt}
+		rTypes := []vector.Type{kt, vector.String}
+		lb := joinSide(rng, lTypes, 1, n, maxDup[0], nullPct)
+		rb := joinSide(rng, rTypes, 0, n, maxDup[1], nullPct)
+		left := func() Operator { return newMemOp(lTypes, lb...) }
+		right := func() Operator { return newMemOp(rTypes, rb...) }
+
+		mj, err := NewMergeJoin(left(), right(), 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Collect(mj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := runRefMergeJoin(left(), right(), 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameRows(got, want); err != nil {
+			t.Fatalf("MergeJoin: %v", err)
+		}
+
+		for _, v := range []struct {
+			name             string
+			buildLeft, outer bool
+		}{{"build=right", false, false}, {"build=left", true, false}, {"left outer", false, true}} {
+			var hj *HashJoin
+			if v.outer {
+				hj, err = NewLeftOuterHashJoin(left(), right(), 1, 0)
+			} else {
+				hj, err = NewHashJoin(left(), right(), 1, 0, v.buildLeft)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Collect(hj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := runRefHashJoin(left(), right(), 1, 0, v.buildLeft, v.outer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameRows(got, want); err != nil {
+				t.Fatalf("HashJoin %s: %v", v.name, err)
+			}
+		}
+	})
+}
+
+// joinBenchInput builds one sorted Int64 key column per side: keys keys,
+// lDup rows per key on the left and rDup on the right, every tenth key NULL
+// when nulls is set, in BatchSize batches. It returns both sides and the
+// join's output row count.
+func joinBenchInput(keys, lDup, rDup int, nulls bool) (l, r []*vector.Batch, out int) {
+	side := func(dup int) []*vector.Batch {
+		var batches []*vector.Batch
+		var cur *vector.Batch
+		for k := 0; k < keys; k++ {
+			for d := 0; d < dup; d++ {
+				if cur == nil || cur.Len() == vector.BatchSize {
+					cur = vector.NewBatch([]vector.Type{vector.Int64})
+					batches = append(batches, cur)
+				}
+				if nulls && k%10 == 0 {
+					cur.Vecs[0].AppendNull()
+				} else {
+					cur.Vecs[0].AppendInt64(int64(k))
+				}
+			}
+		}
+		return batches
+	}
+	matched := keys
+	if nulls {
+		matched -= (keys + 9) / 10
+	}
+	return side(lDup), side(rDup), matched * lDup * rDup
+}
+
+// joinBenchShapes are the join shapes of the kernel benchmarks: 1:1, 1:27
+// (a dimension key against a fact table, the shape of the NSC join rewrite)
+// and N:M.
+var joinBenchShapes = []struct {
+	name             string
+	keys, lDup, rDup int
+}{
+	{"1:1", 1 << 16, 1, 1},
+	{"1:27", 1 << 13, 1, 27},
+	{"N:M", 1 << 12, 4, 8},
+}
+
+// benchJoin reports the cost of join per output row on every shape, with
+// and without NULL keys.
+func benchJoin(b *testing.B, join func(l, r Operator) (Operator, error)) {
+	types := []vector.Type{vector.Int64}
+	for _, sh := range joinBenchShapes {
+		for _, nulls := range []bool{false, true} {
+			name := sh.name
+			if nulls {
+				name += "/nulls"
+			}
+			lb, rb, out := joinBenchInput(sh.keys, sh.lDup, sh.rDup, nulls)
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					j, err := join(newMemOp(types, lb...), newMemOp(types, rb...))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if n, err := Drain(j); err != nil || n != out {
+						b.Fatalf("drained %d rows, want %d, err %v", n, out, err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*out), "ns/row")
+			})
+		}
+	}
+}
+
+func BenchmarkMergeJoin(b *testing.B) {
+	benchJoin(b, func(l, r Operator) (Operator, error) { return NewMergeJoin(l, r, 0, 0) })
+}
+
+// BenchmarkHashJoin builds on the left input, the side with fewer rows.
+func BenchmarkHashJoin(b *testing.B) {
+	benchJoin(b, func(l, r Operator) (Operator, error) { return NewHashJoin(l, r, 0, 0, true) })
 }

@@ -273,3 +273,412 @@ func (p *refPatchSelect) applyMerge(b *vector.Batch, base uint64, n int) *vector
 	}
 	return nil
 }
+
+// The join kernels as they stood before the typed int64 paths, kept as the
+// oracle FuzzJoin compares against. refMergeJoin compared and advanced one
+// boxed row at a time, checked sortedness through Vector.Compare and copied
+// the left row once per matched right row; refHashJoin built a
+// map[int64][]int32 (Int64/Date keys) or a map[string][]int and appended
+// every joined row column by column.
+
+// refMergeJoin is the row-at-a-time MergeJoin.
+type refMergeJoin struct {
+	left, right       Operator
+	leftKey, rightKey int
+	lc, rc            *refMergeCursor
+	lGroup, rGroup    []*vector.Vector
+	lN, rN            int
+	emitL, emitR      int
+	emitting          bool
+	streaming         bool
+	streamKey         vector.Value
+	out               *vector.Batch
+}
+
+// runRefMergeJoin drains refMergeJoin over left and right into rows.
+func runRefMergeJoin(left, right Operator, leftKey, rightKey int) ([][]vector.Value, error) {
+	ctx := context.Background()
+	if err := left.Open(ctx); err != nil {
+		return nil, err
+	}
+	defer left.Close()
+	if err := right.Open(ctx); err != nil {
+		return nil, err
+	}
+	defer right.Close()
+	j := &refMergeJoin{left: left, right: right, leftKey: leftKey, rightKey: rightKey,
+		lc: &refMergeCursor{op: left, key: leftKey}, rc: &refMergeCursor{op: right, key: rightKey},
+		lGroup: makeGroupBuf(left.Types()), rGroup: makeGroupBuf(right.Types()),
+		out: vector.NewBatch(append(append([]vector.Type{}, left.Types()...), right.Types()...))}
+	var rows [][]vector.Value
+	for {
+		b, err := j.next()
+		if err != nil || b == nil {
+			return rows, err
+		}
+		for i := 0; i < b.Len(); i++ {
+			rows = append(rows, b.Row(i))
+		}
+	}
+}
+
+func (j *refMergeJoin) next() (*vector.Batch, error) {
+	j.out.Reset()
+	nLeft := len(j.left.Types())
+	for {
+		if j.emitting {
+			for j.out.Len() < vector.BatchSize && j.emitL < j.lN {
+				for c := 0; c < nLeft; c++ {
+					j.out.Vecs[c].Append(j.lGroup[c], j.emitL)
+				}
+				for c := 0; c < len(j.rGroup); c++ {
+					j.out.Vecs[nLeft+c].Append(j.rGroup[c], j.emitR)
+				}
+				j.emitR++
+				if j.emitR >= j.rN {
+					j.emitR = 0
+					j.emitL++
+				}
+			}
+			if j.emitL >= j.lN {
+				j.emitting = false
+			}
+			if j.out.Len() >= vector.BatchSize {
+				return j.out, nil
+			}
+			continue
+		}
+		if j.streaming {
+			done, err := j.streamRight(nLeft)
+			if err != nil {
+				return nil, err
+			}
+			if done {
+				j.streaming = false
+			}
+			if j.out.Len() >= vector.BatchSize {
+				return j.out, nil
+			}
+			continue
+		}
+		lv, li, ok, err := j.lc.peek()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return j.flush()
+		}
+		rv, ri, ok, err := j.rc.peek()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return j.flush()
+		}
+		cmp := lv.Vecs[j.leftKey].Compare(li, rv.Vecs[j.rightKey], ri)
+		switch {
+		case cmp < 0:
+			j.lc.pos++
+		case cmp > 0:
+			j.rc.pos++
+		default:
+			ln, err := j.lc.takeGroup(j.lGroup)
+			if err != nil {
+				return nil, err
+			}
+			j.lN = ln
+			if ln == 1 {
+				j.streamKey = j.lGroup[j.leftKey].Value(0)
+				j.streaming = true
+				continue
+			}
+			rn, err := j.rc.takeGroup(j.rGroup)
+			if err != nil {
+				return nil, err
+			}
+			j.rN = rn
+			j.emitL, j.emitR = 0, 0
+			j.emitting = true
+		}
+	}
+}
+
+func (j *refMergeJoin) flush() (*vector.Batch, error) {
+	if j.out.Len() > 0 {
+		return j.out, nil
+	}
+	return nil, nil
+}
+
+func (j *refMergeJoin) streamRight(nLeft int) (bool, error) {
+	for j.out.Len() < vector.BatchSize {
+		b, i, ok, err := j.rc.peek()
+		if err != nil {
+			return false, err
+		}
+		if !ok {
+			return true, nil
+		}
+		kv := b.Vecs[j.rightKey]
+		end := i
+		limit := b.Len()
+		if room := vector.BatchSize - j.out.Len(); limit > i+room {
+			limit = i + room
+		}
+		if (kv.Typ == vector.Int64 || kv.Typ == vector.Date) && !j.streamKey.Null {
+			sk := j.streamKey.I64
+			for end < limit && !kv.IsNull(end) && kv.I64[end] == sk {
+				end++
+			}
+		} else {
+			for end < limit && !kv.IsNull(end) && kv.Value(end).Equal(j.streamKey) {
+				end++
+			}
+		}
+		if end == i {
+			if kv.IsNull(i) {
+				j.rc.pos++
+				continue
+			}
+			return true, nil
+		}
+		for c := 0; c < nLeft; c++ {
+			lg := j.lGroup[c]
+			for k := i; k < end; k++ {
+				j.out.Vecs[c].Append(lg, 0)
+			}
+		}
+		for c := range b.Vecs {
+			j.out.Vecs[nLeft+c].AppendRange(b.Vecs[c], i, end)
+		}
+		j.rc.pos = end
+	}
+	return false, nil
+}
+
+type refMergeCursor struct {
+	op      Operator
+	key     int
+	batch   *vector.Batch
+	pos     int
+	eof     bool
+	prevKey vector.Value
+	hasPrev bool
+}
+
+func (c *refMergeCursor) peek() (*vector.Batch, int, bool, error) {
+	for {
+		if c.eof {
+			return nil, 0, false, nil
+		}
+		if c.batch == nil || c.pos >= c.batch.Len() {
+			b, err := c.op.Next()
+			if err != nil {
+				return nil, 0, false, err
+			}
+			if b == nil {
+				c.eof = true
+				return nil, 0, false, nil
+			}
+			if b.Len() == 0 {
+				continue
+			}
+			if err := c.validate(b); err != nil {
+				return nil, 0, false, err
+			}
+			c.batch, c.pos = b, 0
+		}
+		kv := c.batch.Vecs[c.key]
+		if kv.IsNull(c.pos) {
+			c.pos++
+			continue
+		}
+		return c.batch, c.pos, true, nil
+	}
+}
+
+func (c *refMergeCursor) validate(b *vector.Batch) error {
+	kv := b.Vecs[c.key]
+	n := kv.Len()
+	prev := -1
+	for i := 0; i < n; i++ {
+		if kv.IsNull(i) {
+			continue
+		}
+		if prev >= 0 {
+			if kv.Compare(prev, kv, i) > 0 {
+				return fmt.Errorf("merge join input not sorted within batch at row %d", i)
+			}
+		} else if c.hasPrev {
+			if c.prevKey.Compare(kv.Value(i)) > 0 {
+				return fmt.Errorf("merge join input not sorted across batches: %v after %v", kv.Value(i), c.prevKey)
+			}
+		}
+		prev = i
+	}
+	if prev >= 0 {
+		c.prevKey, c.hasPrev = kv.Value(prev), true
+	}
+	return nil
+}
+
+func (c *refMergeCursor) takeGroup(group []*vector.Vector) (int, error) {
+	b, i, ok, err := c.peek()
+	if err != nil || !ok {
+		return 0, err
+	}
+	for _, v := range group {
+		v.Reset()
+	}
+	keyVal := b.Vecs[c.key].Value(i)
+	n := 0
+	for {
+		b, i, ok, err = c.peek()
+		if err != nil {
+			return 0, err
+		}
+		if !ok {
+			break
+		}
+		if !b.Vecs[c.key].Value(i).Equal(keyVal) {
+			break
+		}
+		for ci := range group {
+			group[ci].Append(b.Vecs[ci], i)
+		}
+		n++
+		c.pos++
+	}
+	return n, nil
+}
+
+// runRefHashJoin is the in-memory HashJoin build and probe: it
+// materialises the build side row by row, builds the map, and probes every
+// row of the other side, appending each joined (or, for a left outer join,
+// NULL-padded) row. Outer joins build on the right.
+func runRefHashJoin(left, right Operator, leftKey, rightKey int, buildLeft, leftOuter bool) ([][]vector.Value, error) {
+	ctx := context.Background()
+	build, probe := right, left
+	buildKey, probeKey := rightKey, leftKey
+	if buildLeft && !leftOuter {
+		build, probe = left, right
+		buildKey, probeKey = leftKey, rightKey
+	}
+	if err := build.Open(ctx); err != nil {
+		return nil, err
+	}
+	defer build.Close()
+	cols := makeGroupBuf(build.Types())
+	for {
+		b, err := build.Next()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			break
+		}
+		for c := range cols {
+			for i := 0; i < b.Len(); i++ {
+				cols[c].Append(b.Vecs[c], i)
+			}
+		}
+	}
+	n := cols[0].Len()
+	keyVec := cols[buildKey]
+	var table map[string][]int
+	var table64 map[int64][]int32
+	if keyVec.Typ == vector.Int64 || keyVec.Typ == vector.Date {
+		table64 = make(map[int64][]int32, n)
+		for i := 0; i < n; i++ {
+			if keyVec.IsNull(i) {
+				continue
+			}
+			table64[keyVec.I64[i]] = append(table64[keyVec.I64[i]], int32(i))
+		}
+	} else {
+		table = make(map[string][]int, n)
+		var buf []byte
+		for i := 0; i < n; i++ {
+			if keyVec.IsNull(i) {
+				continue
+			}
+			buf = encodeValue(buf[:0], keyVec, i)
+			table[string(buf)] = append(table[string(buf)], i)
+		}
+	}
+
+	if err := probe.Open(ctx); err != nil {
+		return nil, err
+	}
+	defer probe.Close()
+	nLeft := len(left.Types())
+	out := vector.NewBatch(append(append([]vector.Type{}, left.Types()...), right.Types()...))
+	appendJoined := func(pb *vector.Batch, pi, bi int) {
+		if build == left {
+			for c := 0; c < nLeft; c++ {
+				out.Vecs[c].Append(cols[c], bi)
+			}
+			for c := range pb.Vecs {
+				out.Vecs[nLeft+c].Append(pb.Vecs[c], pi)
+			}
+		} else {
+			for c := range pb.Vecs {
+				out.Vecs[c].Append(pb.Vecs[c], pi)
+			}
+			for c := range cols {
+				out.Vecs[nLeft+c].Append(cols[c], bi)
+			}
+		}
+	}
+	appendUnmatched := func(pb *vector.Batch, pi int) {
+		if !leftOuter {
+			return
+		}
+		for c := range pb.Vecs {
+			out.Vecs[c].Append(pb.Vecs[c], pi)
+		}
+		for c := nLeft; c < len(out.Vecs); c++ {
+			out.Vecs[c].AppendNull()
+		}
+	}
+	var buf []byte
+	for {
+		b, err := probe.Next()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			break
+		}
+		pk := b.Vecs[probeKey]
+		for i := 0; i < b.Len(); i++ {
+			if pk.IsNull(i) {
+				appendUnmatched(b, i)
+				continue
+			}
+			if table64 != nil {
+				rows := table64[pk.I64[i]]
+				if len(rows) == 0 {
+					appendUnmatched(b, i)
+				}
+				for _, bi := range rows {
+					appendJoined(b, i, int(bi))
+				}
+				continue
+			}
+			buf = encodeValue(buf[:0], pk, i)
+			rows, ok := table[string(buf)]
+			if !ok {
+				appendUnmatched(b, i)
+			}
+			for _, bi := range rows {
+				appendJoined(b, i, bi)
+			}
+		}
+	}
+	rows := make([][]vector.Value, out.Len())
+	for i := range rows {
+		rows[i] = out.Row(i)
+	}
+	return rows, nil
+}

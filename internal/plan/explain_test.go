@@ -1,11 +1,13 @@
 package plan
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"patchindex/internal/exec"
 	"patchindex/internal/expr"
+	"patchindex/internal/storage"
 	"patchindex/internal/vector"
 )
 
@@ -103,6 +105,28 @@ func TestJoinNodeValidation(t *testing.T) {
 	}
 	if _, err := NewJoinNode(factScan(fx), factScan(fx), 0, 9); err == nil {
 		t.Error("bad right key must fail")
+	}
+	// Keys of different types are rejected with a typed error in either
+	// orientation; BIGINT and DATE join as one type.
+	dimScan := NewScanNode(fx.dim, []int{0, 1}) // (pk BIGINT, label VARCHAR)
+	for _, tc := range []struct {
+		name string
+		l, r Node
+		lk   int
+	}{{"BIGINT = VARCHAR", factScan(fx), dimScan, 0}, {"VARCHAR = BIGINT", dimScan, factScan(fx), 1}} {
+		rk := 1 - tc.lk
+		_, err := NewJoinNode(tc.l, tc.r, tc.lk, rk)
+		var kerr *JoinKeyTypeError
+		if !errors.As(err, &kerr) {
+			t.Errorf("%s: err = %v, want *JoinKeyTypeError", tc.name, err)
+		}
+	}
+	days, err := storage.NewTable("days", storage.NewSchema(storage.Column{Name: "d", Typ: vector.Date}), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewJoinNode(NewScanNode(days, []int{0}), factScan(fx), 0, 0); err != nil {
+		t.Errorf("DATE = BIGINT must join: %v", err)
 	}
 }
 

@@ -290,7 +290,20 @@ type JoinNode struct {
 	cols              []Column
 }
 
-// NewJoinNode creates an inner equi-join.
+// JoinKeyTypeError rejects an equi-join whose key columns have different
+// types. BIGINT and DATE count as one type, because both compare as int64;
+// no other pair is coerced, so neither join kernel ever sees mixed keys.
+type JoinKeyTypeError struct {
+	Left, Right Column
+}
+
+func (e *JoinKeyTypeError) Error() string {
+	return fmt.Sprintf("plan: join keys %s (%s) and %s (%s) have different types",
+		e.Left.Name, e.Left.Typ, e.Right.Name, e.Right.Typ)
+}
+
+// NewJoinNode creates an inner equi-join. The key columns must be of one
+// type (see JoinKeyTypeError).
 func NewJoinNode(l, r Node, leftKey, rightKey int) (*JoinNode, error) {
 	lc, rc := l.Schema(), r.Schema()
 	if leftKey < 0 || leftKey >= len(lc) {
@@ -298,6 +311,9 @@ func NewJoinNode(l, r Node, leftKey, rightKey int) (*JoinNode, error) {
 	}
 	if rightKey < 0 || rightKey >= len(rc) {
 		return nil, fmt.Errorf("plan: right join key %d out of range", rightKey)
+	}
+	if !vector.KeyCompatible(lc[leftKey].Typ, rc[rightKey].Typ) {
+		return nil, &JoinKeyTypeError{Left: lc[leftKey], Right: rc[rightKey]}
 	}
 	j := &JoinNode{Left: l, Right: r, LeftKey: leftKey, RightKey: rightKey}
 	j.cols = append(append([]Column{}, lc...), rc...)

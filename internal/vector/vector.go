@@ -51,6 +51,13 @@ func (t Type) String() string {
 	}
 }
 
+// KeyCompatible reports whether columns of types a and b can be equated as
+// join keys: the types are the same, or one is Int64 and the other Date,
+// which are both stored and compared as int64.
+func KeyCompatible(a, b Type) bool {
+	return a == b || (a == Int64 || a == Date) && (b == Int64 || b == Date)
+}
+
 // TypeFromName parses a SQL type name into a Type. It accepts the common
 // aliases used by the SQL front-end.
 func TypeFromName(name string) (Type, error) {
@@ -463,6 +470,44 @@ func (v *Vector) AppendRange(src *Vector, lo, hi int) {
 		v.ensureNullsUpTo(v.n - n)
 		v.Nulls = append(v.Nulls, src.Nulls[lo:hi]...)
 	}
+}
+
+// AppendRepeat appends value i of src (same type) n times onto v, with one
+// type switch for the whole call and AppendRange's null-mask handling.
+func (v *Vector) AppendRepeat(src *Vector, i, n int) {
+	if n <= 0 {
+		return
+	}
+	switch v.Typ {
+	case Int64, Date:
+		v.I64 = appendRepeat(v.I64, src.I64[i], n)
+	case Float64:
+		v.F64 = appendRepeat(v.F64, src.F64[i], n)
+	case String:
+		v.Str = appendRepeat(v.Str, src.Str[i], n)
+	case Bool:
+		v.B = appendRepeat(v.B, src.B[i], n)
+	}
+	v.n += n
+	switch {
+	case src.Nulls == nil && v.Nulls == nil:
+		// no masks involved
+	case src.Nulls == nil:
+		v.Nulls = appendRepeat(v.Nulls, false, n)
+	default:
+		v.ensureNullsUpTo(v.n - n)
+		v.Nulls = appendRepeat(v.Nulls, src.Nulls[i], n)
+	}
+}
+
+// appendRepeat appends n copies of x onto dst, growing dst once.
+func appendRepeat[T any](dst []T, x T, n int) []T {
+	dst = slices.Grow(dst, n)
+	tail := dst[len(dst) : len(dst)+n]
+	for k := range tail {
+		tail[k] = x
+	}
+	return dst[:len(dst)+n]
 }
 
 // AppendExcept appends rows [0,n) of src (same type) onto v, except the

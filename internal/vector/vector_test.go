@@ -462,3 +462,62 @@ func TestAppendExceptMatchesAppendRange(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendRepeatMatchesAppend: for every type, a NULL or non-NULL source
+// value (with or without a source mask) and a destination with or without a
+// mask, AppendRepeat reads back exactly as a loop of Append does.
+func TestAppendRepeatMatchesAppend(t *testing.T) {
+	vals := map[Type]Value{Int64: IntValue(-7), Float64: FloatValue(2.5), String: StringValue("x"),
+		Bool: BoolValue(true), Date: DateValue(19000)}
+	for _, typ := range []Type{Int64, Float64, String, Bool, Date} {
+		for _, srcCase := range []string{"value", "value in masked source", "NULL"} {
+			for _, dstMasked := range []bool{false, true} {
+				src := New(typ, 2)
+				if err := src.AppendValue(vals[typ]); err != nil {
+					t.Fatal(err)
+				}
+				switch srcCase {
+				case "value in masked source":
+					src.AppendNull()
+				case "NULL":
+					src = New(typ, 1)
+					src.AppendNull()
+				}
+				got, want := New(typ, 0), New(typ, 0)
+				for _, v := range []*Vector{got, want} {
+					v.AppendValue(vals[typ])
+					if dstMasked {
+						v.AppendNull()
+					}
+				}
+				for _, n := range []int{0, 1, 5} {
+					got.AppendRepeat(src, 0, n)
+					for k := 0; k < n; k++ {
+						want.Append(src, 0)
+					}
+				}
+				if got.Len() != want.Len() {
+					t.Fatalf("%v %s dstMasked=%v: len %d, want %d", typ, srcCase, dstMasked, got.Len(), want.Len())
+				}
+				for i := 0; i < want.Len(); i++ {
+					g, w := got.Value(i), want.Value(i)
+					if g.Null != w.Null || !w.Null && g.Compare(w) != 0 {
+						t.Fatalf("%v %s dstMasked=%v row %d: %v, want %v", typ, srcCase, dstMasked, i, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestKeyCompatible(t *testing.T) {
+	for _, tc := range []struct {
+		a, b Type
+		want bool
+	}{{Int64, Int64, true}, {Int64, Date, true}, {Date, Int64, true}, {String, String, true},
+		{Int64, Float64, false}, {Float64, Date, false}, {String, Int64, false}, {Bool, Int64, false}} {
+		if got := KeyCompatible(tc.a, tc.b); got != tc.want {
+			t.Errorf("KeyCompatible(%v, %v) = %v", tc.a, tc.b, got)
+		}
+	}
+}

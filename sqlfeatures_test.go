@@ -1,12 +1,14 @@
 package patchindex
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
 	"strings"
 	"testing"
 
+	"patchindex/internal/plan"
 	"patchindex/internal/vector"
 )
 
@@ -347,5 +349,47 @@ func TestNegativeZeroIsOneKey(t *testing.T) {
 		if got := render(res.Rows); got != "[[0] [1.5] [2.5]]" {
 			t.Errorf("after append, rewrites=%v: DISTINCT = %s, want [[0] [1.5] [2.5]]", rewrites, got)
 		}
+	}
+}
+
+// TestJoinKeyTypesMustMatch: an equi-join of a BIGINT key with a DOUBLE
+// key is rejected with *plan.JoinKeyTypeError in either orientation, with
+// and without an NSC PatchIndex on the DOUBLE side. Neither join kernel
+// converts keys, so such a join used to count 0 rows, fail in the hash
+// probe, or panic in the merge join.
+func TestJoinKeyTypesMustMatch(t *testing.T) {
+	e := newTestEngine(t)
+	mustExec(t, e, "CREATE TABLE a (k BIGINT, x BIGINT) SORTKEY k")
+	mustExec(t, e, "INSERT INTO a VALUES (1, 10), (2, 20), (3, 30)")
+	mustExec(t, e, "CREATE TABLE b (k DOUBLE, y BIGINT)")
+	mustExec(t, e, "INSERT INTO b VALUES (1.0, 1), (2.5, 2), (3.0, 3), (0.5, 4)")
+	run := func(q string) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		_, err = e.Exec(q)
+		return err
+	}
+	for _, index := range []bool{false, true} {
+		if index {
+			mustExec(t, e, "CREATE PATCHINDEX ON b(k) SORTED")
+		}
+		for _, q := range []string{
+			"SELECT COUNT(*) FROM a JOIN b ON a.k = b.k",
+			"SELECT COUNT(*) FROM b JOIN a ON b.k = a.k",
+		} {
+			var kerr *plan.JoinKeyTypeError
+			if err := run(q); !errors.As(err, &kerr) {
+				t.Errorf("index=%v: %s: err = %v, want *plan.JoinKeyTypeError", index, q, err)
+			}
+		}
+	}
+	// BIGINT = DATE stays a valid join.
+	mustExec(t, e, "CREATE TABLE d (k DATE)")
+	mustExec(t, e, "INSERT INTO d VALUES (DATE '1970-01-02')")
+	if r := mustExec(t, e, "SELECT COUNT(*) FROM a JOIN d ON a.k = d.k"); r.Rows[0][0].I64 != 1 {
+		t.Errorf("BIGINT = DATE join = %v, want 1", r.Rows)
 	}
 }
