@@ -1,9 +1,12 @@
 package exec
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -281,31 +284,77 @@ func sortPermInputs(n int) map[string][]int64 {
 	return in
 }
 
-// TestSortPermutationMatchesReference: the key/row quicksort returns the
-// permutation the closure quicksort returned, tie order included.
+// stablePermutation is the typed sort's oracle: row ids stably sorted by
+// key, so tied rows keep their input order.
+func stablePermutation(vals []int64, desc bool) []int {
+	idx := make([]int, len(vals))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortStableFunc(idx, func(a, b int) int {
+		if desc {
+			return cmp.Compare(vals[b], vals[a])
+		}
+		return cmp.Compare(vals[a], vals[b])
+	})
+	return idx
+}
+
+// checkTypedPermutation requires sortPermutation over one Int64/Date key to
+// return the stable permutation exactly, tie order included, and the key
+// values in that order.
+func checkTypedPermutation(t *testing.T, vals []int64, typ vector.Type, desc bool) {
+	t.Helper()
+	col := vector.NewFromInt64(append([]int64(nil), vals...))
+	col.Typ = typ
+	got, sortedKey := sortPermutation([]*vector.Vector{col}, len(vals), []SortKey{{Col: 0, Desc: desc}})
+	want := stablePermutation(vals, desc)
+	if !slices.Equal(got, want) {
+		t.Fatalf("n=%d %s desc=%v: permutation differs from the stable sort", len(vals), typ, desc)
+	}
+	for i, r := range want {
+		if sortedKey[i] != vals[r] {
+			t.Fatalf("n=%d %s desc=%v: sorted key %d is %d, want %d", len(vals), typ, desc, i, sortedKey[i], vals[r])
+		}
+	}
+}
+
+// TestSortPermutationMatchesReference: the typed radix sort returns exactly
+// the stable order, ties in input order; the generic path (NULL-bearing,
+// multi-column and string keys) returns the closure quicksort's permutation.
 func TestSortPermutationMatchesReference(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 16, 17, 100, 10_000} {
+	for _, n := range []int{0, 1, 2, 16, 17, 47, 48, 100, 10_000} {
 		for name, vals := range sortPermInputs(n) {
 			for _, typ := range []vector.Type{vector.Int64, vector.Date} {
 				for _, desc := range []bool{false, true} {
-					col := vector.NewFromInt64(append([]int64(nil), vals...))
-					col.Typ = typ
-					cols := []*vector.Vector{col}
-					keys := []SortKey{{Col: 0, Desc: desc}}
-					got := sortPermutation(cols, n, keys)
-					want := refSortPermutation(cols, n, keys)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s n=%d %s desc=%v: permutation differs from reference", name, n, typ, desc)
-					}
+					t.Run(name, func(t *testing.T) { checkTypedPermutation(t, vals, typ, desc) })
 				}
 			}
+		}
+	}
+	rng := rand.New(rand.NewSource(42))
+	n := 5000
+	ints, strs := vector.New(vector.Int64, n), vector.New(vector.String, n)
+	for i := 0; i < n; i++ {
+		if rng.Intn(10) == 0 {
+			ints.AppendNull()
+		} else {
+			ints.AppendInt64(rng.Int63n(100))
+		}
+		strs.AppendString([]string{"a", "b", "bb", "c"}[rng.Intn(4)])
+	}
+	cols := []*vector.Vector{ints, strs}
+	for _, keys := range [][]SortKey{{{Col: 0}}, {{Col: 0, Desc: true}}, {{Col: 1}}, {{Col: 1}, {Col: 0, Desc: true}}} {
+		got, sortedKey := sortPermutation(cols, n, keys)
+		if want := refSortPermutation(cols, n, keys); !slices.Equal(got, want) || sortedKey != nil {
+			t.Fatalf("keys %v: generic permutation differs from the closure quicksort", keys)
 		}
 	}
 }
 
 // TestOrganPipeReachesHeapsortGuard: the organ-pipe input above drives the
-// median-of-three quicksort past its depth bound, so the permutation test
-// covers the typed heapsort too. Had the guard never fired, running with and
+// closure quicksort, which multi-column, non-integer and NULL-bearing keys
+// take, past its depth bound. Had the guard never fired, running with and
 // without it would make exactly the same compares.
 func TestOrganPipeReachesHeapsortGuard(t *testing.T) {
 	vals := sortPermInputs(10_000)["organ"]
@@ -323,6 +372,38 @@ func TestOrganPipeReachesHeapsortGuard(t *testing.T) {
 	}
 }
 
+// FuzzSortPermutation checks the typed radix sort against the stable sort.
+// Keys are seeded random offsets of spanBits bits from a random base, so the
+// radix sort makes 1 to 8 passes; dupMod > 0 folds the offsets onto few
+// values, extremes mixes in MinInt64 and MaxInt64, and n reaches 4095.
+func FuzzSortPermutation(f *testing.F) {
+	f.Add(uint16(100), uint8(7), uint8(0), false, false, false, int64(1))
+	f.Add(uint16(3000), uint8(63), uint8(0), true, false, false, int64(2))
+	f.Add(uint16(2000), uint8(24), uint8(7), false, true, true, int64(3))
+	f.Add(uint16(64), uint8(40), uint8(0), true, true, true, int64(4))
+	f.Fuzz(func(t *testing.T, n uint16, spanBits, dupMod uint8, desc, date, extremes bool, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		mask := uint64(1)<<(spanBits%64+1) - 1
+		base := rng.Int63() - rng.Int63()
+		vals := make([]int64, n%4096)
+		for i := range vals {
+			x := rng.Uint64() & mask
+			if dupMod > 0 {
+				x %= uint64(dupMod)
+			}
+			vals[i] = base + int64(x)
+			if extremes && rng.Intn(16) == 0 {
+				vals[i] = []int64{math.MinInt64, math.MaxInt64}[rng.Intn(2)]
+			}
+		}
+		typ := vector.Int64
+		if date {
+			typ = vector.Date
+		}
+		checkTypedPermutation(t, vals, typ, desc)
+	})
+}
+
 // FuzzMergeUnion compares MergeUnion with the row-by-row reference on
 // inputs decoded from data: byte i goes to input i%k, 0xFF is a NULL key,
 // 0xFE and 0xFD the int64 extremes, anything else a small value (ties).
@@ -330,6 +411,17 @@ func FuzzMergeUnion(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6}, uint8(2), false, uint8(3))
 	f.Add([]byte{0xFF, 0xFE, 0xFD, 7, 7, 7, 0xFF, 9}, uint8(3), true, uint8(1))
 	f.Add([]byte{10, 200, 10, 200, 10, 200, 0xFD, 0xFE}, uint8(0x88), false, uint8(0))
+	// Two Date inputs, descending: a long dense one and a sparse one whose
+	// few keys fall between the long one's, the rest trailing as MinInt64.
+	longSparse := make([]byte, 0, 240)
+	for i := 0; i < 120; i++ {
+		sparse := byte(0xFE)
+		if i%8 == 0 {
+			sparse = byte(128 + i*7%120)
+		}
+		longSparse = append(longSparse, byte(128+i), sparse)
+	}
+	f.Add(longSparse, uint8(0x88), true, uint8(15))
 	f.Fuzz(func(t *testing.T, data []byte, shape uint8, desc bool, batch uint8) {
 		k := 1 + int(shape%9)
 		typ := vector.Int64
@@ -381,7 +473,6 @@ func FuzzMergeUnion(f *testing.F) {
 // a second input (the exclude side merged with the sorted patches).
 func BenchmarkMergeUnion(b *testing.B) {
 	const rows = 1 << 18
-	types := []vector.Type{vector.Int64}
 	shapes := map[string][][]*vector.Batch{}
 
 	var parts [][]*vector.Batch
@@ -409,14 +500,27 @@ func BenchmarkMergeUnion(b *testing.B) {
 		return out
 	}
 	shapes["interleaved5pct"] = [][]*vector.Batch{batched(main), batched(patches)}
+	// The same keys as zero-padded strings take the generic run search.
+	batchedStr := func(vals []int64) []*vector.Batch {
+		var out []*vector.Batch
+		for lo := 0; lo < len(vals); lo += vector.BatchSize {
+			b := vector.NewBatch([]vector.Type{vector.String})
+			for _, v := range vals[lo:min(lo+vector.BatchSize, len(vals))] {
+				b.Vecs[0].AppendString(fmt.Sprintf("%08d", v))
+			}
+			out = append(out, b)
+		}
+		return out
+	}
+	shapes["interleaved5pct_str"] = [][]*vector.Batch{batchedStr(main), batchedStr(patches)}
 
-	for _, name := range []string{"disjoint8", "interleaved5pct"} {
+	for _, name := range []string{"disjoint8", "interleaved5pct", "interleaved5pct_str"} {
 		inputs := shapes[name]
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ops := make([]Operator, len(inputs))
 				for c, bs := range inputs {
-					ops[c] = newMemOp(types, bs...)
+					ops[c] = newMemOp([]vector.Type{inputs[0][0].Vecs[0].Typ}, bs...)
 				}
 				mu, err := NewMergeUnion([]SortKey{{Col: 0}}, ops...)
 				if err != nil {
@@ -427,6 +531,48 @@ func BenchmarkMergeUnion(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
+	}
+}
+
+// BenchmarkSortPermutation reports the single-integer-key sort's cost per
+// row for the shapes the sort rewrite and its no-rewrite arm produce: 50 k
+// random keys (the patch sort), 1 M nearly sorted keys with 5 % of them
+// displaced (the no-rewrite arm), heavy duplicates, and a descending key.
+func BenchmarkSortPermutation(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	gen := func(n int, f func(i int) int64) []int64 {
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = f(i)
+		}
+		return vals
+	}
+	cases := []struct {
+		name string
+		desc bool
+		vals []int64
+	}{
+		{"random50k", false, gen(50_000, func(int) int64 { return rng.Int63n(1_000_000) })},
+		{"nearlysorted1M", false, gen(1_000_000, func(i int) int64 {
+			if rng.Intn(20) == 0 {
+				return rng.Int63n(1_000_000)
+			}
+			return int64(i)
+		})},
+		{"dups50k", false, gen(50_000, func(int) int64 { return rng.Int63n(64) })},
+		{"desc50k", true, gen(50_000, func(int) int64 { return rng.Int63n(1_000_000) })},
+	}
+	for _, c := range cases {
+		cols := []*vector.Vector{vector.NewFromInt64(c.vals)}
+		keys := []SortKey{{Col: 0, Desc: c.desc}}
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if idx, _ := sortPermutation(cols, len(c.vals), keys); len(idx) != len(c.vals) {
+					b.Fatalf("permutation of %d rows, want %d", len(idx), len(c.vals))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.vals)), "ns/row")
 		})
 	}
 }

@@ -168,24 +168,14 @@ func (m *refMergeUnion) Close() error {
 	return first
 }
 
-// refSortPermutation is the closure-based sortPermutation.
+// refSortPermutation is the closure-based sortPermutation: the generic
+// path's oracle. The typed path's oracle is a stable sort (stablePermutation).
 func refSortPermutation(cols []*vector.Vector, n int, keys []SortKey) []int {
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	if key := cols[keys[0].Col]; len(keys) == 1 &&
-		(key.Typ == vector.Int64 || key.Typ == vector.Date) && !key.HasNulls() {
-		vals := key.I64
-		if keys[0].Desc {
-			quicksort(idx, func(a, b int) bool { return vals[a] > vals[b] })
-		} else {
-			quicksort(idx, func(a, b int) bool { return vals[a] < vals[b] })
-		}
-	} else {
-		less := func(a, b int) bool { return compareRows(cols, keys, a, b) < 0 }
-		quicksort(idx, less)
-	}
+	quicksort(idx, func(a, b int) bool { return compareRows(cols, keys, a, b) < 0 })
 	return idx
 }
 

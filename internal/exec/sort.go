@@ -3,6 +3,8 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"time"
 
 	"patchindex/internal/obs"
@@ -15,11 +17,13 @@ type SortKey struct {
 	Desc bool
 }
 
-// Sort is a full-materialization sort operator using the engine's own
-// quicksort (median-of-three pivoting with an insertion-sort cutoff). The
-// pivoting strategy makes nearly sorted inputs sort measurably faster than
-// random inputs — the property the paper's Figure 5 discussion attributes to
-// the internal QuickSort of Actian Vector.
+// Sort is a full-materialization sort operator. A single NULL-free
+// Int64/Date key takes a stable LSD radix sort, whose cost follows the row
+// count and the key span, not how sorted the input already is; tied rows
+// keep their input order. Every other key shape takes the engine's quicksort
+// (median-of-three pivoting, insertion-sort cutoff, heapsort guard), whose
+// pivoting still favours nearly sorted input — the property the paper's
+// Figure 5 discussion attributes to the internal QuickSort of Actian Vector.
 type Sort struct {
 	opStats
 	child Operator
@@ -93,15 +97,7 @@ func (s *Sort) open(ctx context.Context) error {
 	if err != nil {
 		return errOp(s, err)
 	}
-	idx := sortPermutation(cols, n, s.keys)
-	// Apply the permutation column-wise.
-	sorted := make([]*vector.Vector, len(cols))
-	for c, v := range cols {
-		nv := vector.New(v.Typ, n)
-		nv.Gather(v, idx)
-		sorted[c] = nv
-	}
-	s.emit = &sliceEmitter{cols: sorted, n: n}
+	s.emit = &sliceEmitter{cols: sortColumns(cols, n, s.keys), n: n}
 	s.sortedRows = int64(n)
 	return nil
 }
@@ -128,28 +124,19 @@ func (s *Sort) openSpilling(ctx context.Context) error {
 	acc := newAcc()
 	var accBytes int64
 	chunk := make([]*vector.Vector, len(types))
-	for i, t := range types {
-		chunk[i] = vector.New(t, vector.BatchSize)
-	}
 	flushRun := func() error {
 		n := acc[0].Len()
 		if n == 0 {
 			return nil
 		}
-		idx := sortPermutation(acc, n, s.keys)
+		idx, sortedKey := sortPermutation(acc, n, s.keys)
 		sf, err := newSpillFile(s.spill.Dir)
 		if err != nil {
 			return err
 		}
+		// Gather one chunk at a time: the run never exists twice in memory.
 		for lo := 0; lo < n; lo += vector.BatchSize {
-			hi := lo + vector.BatchSize
-			if hi > n {
-				hi = n
-			}
-			for c := range chunk {
-				chunk[c].Reset()
-				chunk[c].Gather(acc[c], idx[lo:hi])
-			}
+			gatherSorted(chunk, acc, s.keys[0].Col, idx, sortedKey, lo, min(lo+vector.BatchSize, n))
 			if err := sf.writeCols(chunk); err != nil {
 				sf.discard()
 				return err
@@ -189,14 +176,7 @@ func (s *Sort) openSpilling(ctx context.Context) error {
 	if len(runs) == 0 {
 		// Never crossed the limit: plain in-memory sort of the accumulation.
 		n := acc[0].Len()
-		idx := sortPermutation(acc, n, s.keys)
-		sorted := make([]*vector.Vector, len(acc))
-		for c, v := range acc {
-			nv := vector.New(v.Typ, n)
-			nv.Gather(v, idx)
-			sorted[c] = nv
-		}
-		s.emit = &sliceEmitter{cols: sorted, n: n}
+		s.emit = &sliceEmitter{cols: sortColumns(acc, n, s.keys), n: n}
 		return nil
 	}
 	if err := flushRun(); err != nil {
@@ -210,33 +190,73 @@ func (s *Sort) openSpilling(ctx context.Context) error {
 	return nil
 }
 
+// sortColumns returns the n rows of cols reordered under keys, as new
+// vectors.
+func sortColumns(cols []*vector.Vector, n int, keys []SortKey) []*vector.Vector {
+	idx, sortedKey := sortPermutation(cols, n, keys)
+	sorted := make([]*vector.Vector, len(cols))
+	gatherSorted(sorted, cols, keys[0].Col, idx, sortedKey, 0, n)
+	return sorted
+}
+
+// gatherSorted sets dst to the sorted rows lo..hi-1 of cols: rows idx[lo:hi]
+// in that order. A nil dst vector is allocated, any other is reused. When
+// the sort returned sortedKey, column keyCol wraps sortedKey[lo:hi] instead
+// of gathering it.
+func gatherSorted(dst, cols []*vector.Vector, keyCol int, idx []int, sortedKey []int64, lo, hi int) {
+	for c, v := range cols {
+		if sortedKey != nil && c == keyCol {
+			dst[c] = vector.NewFromInt64(sortedKey[lo:hi])
+			dst[c].Typ = v.Typ
+			continue
+		}
+		if dst[c] == nil {
+			dst[c] = vector.New(v.Typ, hi-lo)
+		} else {
+			dst[c].Reset()
+		}
+		dst[c].Gather(v, idx[lo:hi])
+	}
+}
+
 // sortPermutation returns the row permutation ordering cols under keys. A
-// single non-NULL Int64/Date key sorts (key, row) pairs with no comparator
-// closure; every other key shape sorts row indices through compareRows. Both
-// run the same quicksort and so return the same permutation.
-func sortPermutation(cols []*vector.Vector, n int, keys []SortKey) []int {
-	idx := make([]int, n)
+// single NULL-free Int64/Date key radix-sorts (key, row) pairs, which keeps
+// tied rows in input order, and also returns the key values in sorted order.
+// Every other key shape quicksorts row indices through compareRows and
+// returns a nil key slice.
+func sortPermutation(cols []*vector.Vector, n int, keys []SortKey) ([]int, []int64) {
 	if key := cols[keys[0].Col]; len(keys) == 1 &&
 		(key.Typ == vector.Int64 || key.Typ == vector.Date) && !key.HasNulls() {
 		var flip int64 // ^key orders descending keys ascending
 		if keys[0].Desc {
 			flip = ^0
 		}
+		vals := key.I64[:n]
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+		for _, x := range vals {
+			x ^= flip
+			lo, hi = min(lo, x), max(hi, x)
+		}
+		// Subtracting the smallest key makes every key an unsigned offset
+		// whose order is the sort order, however far apart the extremes are.
 		kr := make([]keyRow, n)
-		for i := range kr {
-			kr[i] = keyRow{key: key.I64[i] ^ flip, row: i}
+		for i, x := range vals {
+			kr[i] = keyRow{key: uint64(x^flip) - uint64(lo), row: i}
 		}
-		quicksortKeyRows(kr)
-		for i := range kr {
-			idx[i] = kr[i].row
+		kr = radixSortKeyRows(kr, uint64(hi)-uint64(lo))
+		idx, sorted := make([]int, n), make([]int64, n)
+		for i, e := range kr {
+			idx[i] = e.row
+			sorted[i] = int64(e.key+uint64(lo)) ^ flip
 		}
-		return idx
+		return idx, sorted
 	}
+	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
 	quicksort(idx, func(a, b int) bool { return compareRows(cols, keys, a, b) < 0 })
-	return idx
+	return idx, nil
 }
 
 // Next emits the next sorted batch.
@@ -408,96 +428,64 @@ func heapsortRange(idx []int, lo, hi int, less func(a, b int) bool) {
 	}
 }
 
-// keyRow is one row of a single-integer-key sort: its key and position.
+// keyRow is one row of a single-integer-key sort: its key, mapped so that
+// unsigned order is the sort order, and its position.
 type keyRow struct {
-	key int64
+	key uint64
 	row int
 }
 
-// quicksortKeyRows is quicksort specialised to keyRow by ascending key: the
-// same pivots, partitioning, insertion-sort cutoff and heapsort guard, with
-// the key compare inlined, so it permutes rows exactly as quicksort does
-// under the equivalent comparator.
-func quicksortKeyRows(kr []keyRow) {
-	quicksortKeyRowsRange(kr, 0, len(kr), maxDepth(len(kr)))
-}
+// radixCutoff is the size below which radixSortKeyRows insertion-sorts
+// instead: a 256-bucket histogram per pass does not pay for a few rows.
+const radixCutoff = 48
 
-func quicksortKeyRowsRange(kr []keyRow, lo, hi, depth int) {
-	for hi-lo > 16 {
-		if depth == 0 {
-			heapsortKeyRows(kr[lo:hi])
-			return
+// radixSortKeyRows sorts kr stably by key with one 8-bit LSD pass per byte
+// of span, the largest key, skipping a pass whose bytes all fall in one
+// bucket. It ping-pongs between kr and one scratch buffer and returns the
+// one holding the result.
+func radixSortKeyRows(kr []keyRow, span uint64) []keyRow {
+	n := len(kr)
+	if n < radixCutoff {
+		for i := 1; i < n; i++ {
+			for j := i; j > 0 && kr[j].key < kr[j-1].key; j-- {
+				kr[j], kr[j-1] = kr[j-1], kr[j]
+			}
 		}
-		depth--
-		p := partitionKeyRows(kr, lo, hi)
-		if p-lo < hi-p-1 {
-			quicksortKeyRowsRange(kr, lo, p, depth)
-			lo = p + 1
-		} else {
-			quicksortKeyRowsRange(kr, p+1, hi, depth)
-			hi = p
+		return kr
+	}
+	passes := (bits.Len64(span) + 7) / 8
+	var counts [8][256]int
+	for _, e := range kr {
+		k := e.key
+		for p := 0; p < passes; p++ {
+			counts[p][byte(k)]++
+			k >>= 8
 		}
 	}
-	for i := lo + 1; i < hi; i++ {
-		for j := i; j > lo && kr[j].key < kr[j-1].key; j-- {
-			kr[j], kr[j-1] = kr[j-1], kr[j]
+	var tmp []keyRow
+	src := kr
+	for p := 0; p < passes; p++ {
+		c := &counts[p]
+		if c[byte(src[0].key>>(8*p))] == n {
+			continue // every key has this byte: the pass would copy src
 		}
-	}
-}
-
-func partitionKeyRows(kr []keyRow, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	last := hi - 1
-	if kr[mid].key < kr[lo].key {
-		kr[mid], kr[lo] = kr[lo], kr[mid]
-	}
-	if kr[last].key < kr[lo].key {
-		kr[last], kr[lo] = kr[lo], kr[last]
-	}
-	if kr[last].key < kr[mid].key {
-		kr[last], kr[mid] = kr[mid], kr[last]
-	}
-	kr[mid], kr[last-1] = kr[last-1], kr[mid]
-	pivot := kr[last-1].key
-	i := lo
-	j := last - 1
-	for {
-		for i++; kr[i].key < pivot; i++ {
+		if tmp == nil {
+			tmp = make([]keyRow, n)
 		}
-		for j--; pivot < kr[j].key; j-- {
+		dst := tmp
+		var off [256]int
+		sum := 0
+		for b, cnt := range c {
+			off[b] = sum
+			sum += cnt
 		}
-		if i >= j {
-			break
+		shift := 8 * p
+		for _, e := range src {
+			b := byte(e.key >> shift)
+			dst[off[b]] = e
+			off[b]++
 		}
-		kr[i], kr[j] = kr[j], kr[i]
+		src, tmp = dst, src
 	}
-	kr[i], kr[last-1] = kr[last-1], kr[i]
-	return i
-}
-
-func heapsortKeyRows(kr []keyRow) {
-	for i := len(kr)/2 - 1; i >= 0; i-- {
-		siftKeyRows(kr, i, len(kr))
-	}
-	for i := len(kr) - 1; i > 0; i-- {
-		kr[0], kr[i] = kr[i], kr[0]
-		siftKeyRows(kr, 0, i)
-	}
-}
-
-func siftKeyRows(kr []keyRow, root, n int) {
-	for {
-		child := 2*root + 1
-		if child >= n {
-			return
-		}
-		if child+1 < n && kr[child].key < kr[child+1].key {
-			child++
-		}
-		if !(kr[root].key < kr[child].key) {
-			return
-		}
-		kr[root], kr[child] = kr[child], kr[root]
-		root = child
-	}
+	return src
 }

@@ -115,7 +115,7 @@ func TestSortProperty(t *testing.T) {
 	}
 }
 
-// TestSortLarge exercises the multi-batch path and heap fallback guard.
+// TestSortLarge exercises the multi-batch path of the radix sort.
 func TestSortLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	n := 50_000
@@ -124,7 +124,7 @@ func TestSortLarge(t *testing.T) {
 	for i := 0; i < n; i += 1000 {
 		b := vector.NewBatch([]vector.Type{vector.Int64})
 		for j := 0; j < 1000; j++ {
-			v := rng.Int63n(500) // heavy duplicates stress partitioning
+			v := rng.Int63n(500) // heavy duplicates
 			b.Vecs[0].AppendInt64(v)
 			all = append(all, v)
 		}

@@ -132,10 +132,11 @@ func (r *spillRun) close() {
 }
 
 // runMerger k-way merges sorted spilled runs through the merge kernel
-// MergeUnion uses, so each run of rows is copied with one AppendRange.
+// MergeUnion uses: each run of rows is copied with one AppendRange per
+// column, or passed through when it is a whole spilled chunk.
 type runMerger struct {
 	*merger
-	runs []*spillRun
+	spills []*spillRun // not runs: that is the embedded merger's counter
 }
 
 func newRunMerger(runs []*spillRun, keys []SortKey, types []vector.Type) (*runMerger, error) {
@@ -147,7 +148,7 @@ func newRunMerger(runs []*spillRun, keys []SortKey, types []vector.Type) (*runMe
 	if err != nil {
 		return nil, err
 	}
-	return &runMerger{merger: m, runs: runs}, nil
+	return &runMerger{merger: m, spills: runs}, nil
 }
 
 // pullRun adapts a spilled run to the merger's input, closing the run as
@@ -164,7 +165,7 @@ func pullRun(r *spillRun) func() ([]*vector.Vector, error) {
 
 // close releases any runs not yet drained.
 func (m *runMerger) close() {
-	for _, r := range m.runs {
+	for _, r := range m.spills {
 		r.close()
 	}
 }

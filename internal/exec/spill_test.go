@@ -101,6 +101,81 @@ func TestSortSpillMatchesInMemory(t *testing.T) {
 	}
 }
 
+// TestSortSpillRangeDisjointRuns: input that arrives in ascending key
+// blocks spills runs covering disjoint key ranges, so the run merger passes
+// whole spilled chunks through instead of copying them. The spill readers
+// reuse their frame buffers; the output must still match the in-memory sort
+// row for row.
+func TestSortSpillRangeDisjointRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	n := 10_000
+	keys := make([]int64, n)
+	payload := make([]string, n)
+	for i := range keys {
+		keys[i] = int64(i)
+		payload[i] = fmt.Sprintf("p%06d", i)
+	}
+	// Runs end on input batch boundaries, so shuffling within batch-sized
+	// blocks keeps every run's key range apart from the others'.
+	for lo := 0; lo < n; lo += vector.BatchSize {
+		rng.Shuffle(min(vector.BatchSize, n-lo), func(i, j int) {
+			keys[lo+i], keys[lo+j] = keys[lo+j], keys[lo+i]
+			payload[lo+i], payload[lo+j] = payload[lo+j], payload[lo+i]
+		})
+	}
+	batches, types := intBatches(keys, payload)
+	want := collectRows(t, mustSort(t, newMemOp(types, batches...), SpillConfig{}))
+
+	s := mustSort(t, newMemOp(types, batches...), SpillConfig{Dir: t.TempDir(), Limit: 16 * 1024})
+	if err := s.Open(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.spilledRuns < 2 {
+		t.Fatalf("expected several spilled runs, got %d", s.spilledRuns)
+	}
+	var got []string
+	passed := 0
+	for {
+		b, err := s.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		if b != s.merge.out {
+			passed++
+		}
+		for i := 0; i < b.Len(); i++ {
+			got = append(got, fmt.Sprintf("%d|%s", b.Vecs[0].I64[i], b.Vecs[1].Str[i]))
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("spilled sort returned %d rows, in-memory %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("row %d: spilled %q, in-memory %q", i, got[i], want[i])
+		}
+	}
+	if passed == 0 || s.merge.wholeRuns == 0 {
+		t.Errorf("no spilled chunk was passed through (%d passed, %d whole-batch runs)", passed, s.merge.wholeRuns)
+	}
+}
+
+// mustSort builds a one-key ascending Sort over child with the given spill
+// configuration.
+func mustSort(t *testing.T, child Operator, spill SpillConfig) *Sort {
+	t.Helper()
+	s, err := NewSort(child, []SortKey{{Col: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetSpill(spill)
+	return s
+}
+
 // TestSortSpillStats checks the spill path actually engaged.
 func TestSortSpillStats(t *testing.T) {
 	keys := make([]int64, 5000)

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"sort"
 	"time"
 
 	"patchindex/internal/obs"
@@ -152,10 +153,11 @@ func (m *MergeUnion) Types() []vector.Type { return m.types }
 // Children returns the merged inputs.
 func (m *MergeUnion) Children() []Operator { return m.children }
 
-// ExtraStats reports the range copies the merge made (merge_runs) and how
-// many of them a single compare of the last row in reach decided
-// (whole_batch_runs): on range-disjoint children nearly every run is a whole
-// batch, which is why the merge costs little per row there.
+// ExtraStats reports the runs the merge emitted, copied or passed through
+// (merge_runs), and how many of them a single compare of the last row in
+// reach decided (whole_batch_runs): on range-disjoint children nearly every
+// run is a whole batch, passed on uncopied, which is why the merge costs
+// little per row there.
 func (m *MergeUnion) ExtraStats() []obs.KV {
 	var runs, whole int64
 	if m.merge != nil {
@@ -233,19 +235,24 @@ func (m *MergeUnion) Close() error {
 }
 
 // merger is the k-way merge kernel behind MergeUnion and the Sort spill's
-// runMerger. A binary min-heap of inputs (O(log k) per step) picks the input
-// with the smallest current row; every row of it that sorts no later than
-// the runner-up's current row then forms one *run*, copied with a single
-// AppendRange per column.
+// runMerger. A binary min-heap of inputs picks the input with the smallest
+// current row; every row of it that sorts no later than the runner-up's
+// current row then forms one *run*. Restoring the heap after a run costs
+// O(log k) compares: one compare and at most one swap for two live inputs.
 //
 // The run end is found without a row-by-row walk: the last row in reach is
 // tested first, which moves a whole batch in one compare when the inputs
-// cover disjoint key ranges (e.g. partitions of a range-clustered table);
-// otherwise an exponential search followed by a binary search finds it.
-// Both rely on each input being sorted. For a single Int64/Date key the
-// compares read the I64 values directly whenever neither batch has a NULL
-// key (checked once per batch); every other shape compares through
-// compareRowsAcross.
+// cover disjoint key ranges (e.g. partitions of a range-clustered table).
+// Otherwise, for a single Int64/Date key whose batches both have no NULL
+// (checked once per batch), an exponential search followed by a binary
+// search reads the I64 values directly; every other shape runs the same
+// search through compareRowsAcross. Both rely on each input being sorted.
+//
+// A run is copied with one AppendRange per column, except when it is an
+// input's entire current batch and the output is still empty: then the
+// input's vectors go out as they are, and the input is refilled only at the
+// start of the next call, so they stay valid as long as Operator's batch
+// ownership contract requires.
 type merger struct {
 	keys   []SortKey
 	intKey bool  // single Int64/Date key
@@ -253,8 +260,10 @@ type merger struct {
 	inputs []*mergeInput
 	heap   []int // indices into inputs, min-heap by current row
 	out    *vector.Batch
+	pass   *vector.Batch // wraps a passed-through input batch
+	passed *mergeInput   // the input whose batch pass holds, refilled next call
 
-	runs      int64 // range copies made
+	runs      int64 // runs emitted
 	wholeRuns int64 // runs decided by the single last-row compare
 }
 
@@ -270,7 +279,11 @@ type mergeInput struct {
 
 // newMerger primes every input and builds the heap.
 func newMerger(keys []SortKey, types []vector.Type, pulls []func() ([]*vector.Vector, error)) (*merger, error) {
-	m := &merger{keys: keys, out: vector.NewBatch(types)}
+	m := &merger{
+		keys: keys,
+		out:  vector.NewBatch(types),
+		pass: &vector.Batch{Vecs: make([]*vector.Vector, len(types))},
+	}
 	if t := types[keys[0].Col]; len(keys) == 1 && (t == vector.Int64 || t == vector.Date) {
 		m.intKey = true
 		if keys[0].Desc {
@@ -321,14 +334,6 @@ func (m *merger) less(a, b int) bool {
 	return compareRowsAcross(x.cols, x.pos, y.cols, y.pos, m.keys) < 0
 }
 
-// after reports whether row r of in sorts after other's current row.
-func (m *merger) after(in *mergeInput, r int, other *mergeInput) bool {
-	if in.key != nil && other.key != nil {
-		return in.key[r]^m.flip > other.key[other.pos]^m.flip
-	}
-	return compareRowsAcross(in.cols, r, other.cols, other.pos, m.keys) > 0
-}
-
 // runEnd returns the end of best's run in [best.pos, limit): the first row
 // after best.pos that sorts after second's current row, or limit. best's
 // current row is known not to.
@@ -337,28 +342,58 @@ func (m *merger) runEnd(best, second *mergeInput, limit int) int {
 	if hi == best.pos {
 		return limit
 	}
-	if !m.after(best, hi, second) {
+	if best.key != nil && second.key != nil {
+		return m.runEndInt(best.key[:limit], best.pos, second.key[second.pos]^m.flip)
+	}
+	after := func(r int) bool {
+		return compareRowsAcross(best.cols, r, second.cols, second.pos, m.keys) > 0
+	}
+	if !after(hi) {
 		m.wholeRuns++
 		return limit
 	}
-	// Invariant: row lo does not sort after second, row hi does.
+	// Invariant: row lo does not sort after second, row hi does. Gallop
+	// from lo, then bisect the rows between lo and hi for the first that does.
 	lo := best.pos
 	for step := 1; lo+step < hi; step <<= 1 {
-		if m.after(best, lo+step, second) {
+		if after(lo + step) {
 			hi = lo + step
 			break
 		}
 		lo += step
 	}
-	for hi-lo > 1 {
-		mid := int(uint(lo+hi) >> 1)
-		if m.after(best, mid, second) {
-			hi = mid
-		} else {
-			lo = mid
-		}
+	lo++
+	return lo + sort.Search(hi-lo, func(i int) bool { return after(lo + i) })
+}
+
+// runEndInt is runEnd over typed keys: the first index past lo whose key
+// sorts after pivot (already flipped), or len(keys). keys[lo] does not.
+func (m *merger) runEndInt(keys []int64, lo int, pivot int64) int {
+	flip := m.flip
+	hi := len(keys) - 1
+	if keys[hi]^flip <= pivot {
+		m.wholeRuns++
+		return len(keys)
 	}
-	return hi
+	// Invariant: keys[lo] does not sort after pivot, keys[hi] does.
+	for step := 1; lo+step < hi; step <<= 1 {
+		if keys[lo+step]^flip > pivot {
+			hi = lo + step
+			break
+		}
+		lo += step
+	}
+	// Bisect without a branch on the compare, which is a coin flip to the
+	// predictor: n halves, lo moves up by half when keys[lo+half] does not
+	// sort after pivot, and the answer stays in (lo, lo+n].
+	for n := hi - lo; n > 1; n -= n / 2 {
+		b := 0
+		if keys[lo+n/2]^flip <= pivot {
+			b = 1 // compiled to SETcc, not a jump
+		}
+		lo += n / 2 * b
+	}
+	return lo + 1
 }
 
 func (m *merger) siftDown(i int) {
@@ -379,17 +414,35 @@ func (m *merger) siftDown(i int) {
 	}
 }
 
+// advance refills the heap's top input after a run, retires it at end of
+// stream, and restores the heap.
+func (m *merger) advance(top *mergeInput) error {
+	if err := m.fill(top); err != nil {
+		return err
+	}
+	if top.eof {
+		m.heap[0] = m.heap[len(m.heap)-1]
+		m.heap = m.heap[:len(m.heap)-1]
+	}
+	m.siftDown(0)
+	return nil
+}
+
 // next emits the next batch of globally smallest rows, or nil when every
-// input is drained. The batch is reused by the following call.
+// input is drained. The batch is valid until the following call.
 func (m *merger) next() (*vector.Batch, error) {
+	if in := m.passed; in != nil {
+		m.passed = nil
+		if err := m.advance(in); err != nil {
+			return nil, err
+		}
+	}
 	out := m.out
 	out.Reset()
-	for out.Len() < vector.BatchSize && len(m.heap) > 0 {
+	filled := 0
+	for filled < vector.BatchSize && len(m.heap) > 0 {
 		best := m.inputs[m.heap[0]]
-		limit := best.n
-		if room := vector.BatchSize - out.Len(); best.pos+room < limit {
-			limit = best.pos + room
-		}
+		limit := min(best.n, best.pos+vector.BatchSize-filled)
 		// The second-smallest input bounds how far the best one may run.
 		end := limit
 		if len(m.heap) > 1 {
@@ -399,24 +452,23 @@ func (m *merger) next() (*vector.Batch, error) {
 			}
 			end = m.runEnd(best, m.inputs[second], limit)
 		}
+		m.runs++
+		if filled == 0 && best.pos == 0 && end == best.n {
+			copy(m.pass.Vecs, best.cols)
+			best.pos = end
+			m.passed = best
+			return m.pass, nil
+		}
 		for col, v := range out.Vecs {
 			v.AppendRange(best.cols[col], best.pos, end)
 		}
-		m.runs++
+		filled += end - best.pos
 		best.pos = end
-		// Refill or retire the input, then restore the heap.
-		if err := m.fill(best); err != nil {
+		if err := m.advance(best); err != nil {
 			return nil, err
 		}
-		if best.eof {
-			m.heap[0] = m.heap[len(m.heap)-1]
-			m.heap = m.heap[:len(m.heap)-1]
-		}
-		if len(m.heap) > 0 {
-			m.siftDown(0)
-		}
 	}
-	if out.Len() == 0 {
+	if filled == 0 {
 		return nil, nil
 	}
 	return out, nil

@@ -139,6 +139,95 @@ func TestMergeUnionLargeBatches(t *testing.T) {
 	}
 }
 
+// reusingOp serves the keys from..from+n-1 in batches of size rows through
+// one output batch it overwrites on every Next, as Scan and PatchSelect
+// reuse their output buffers.
+type reusingOp struct {
+	opStats
+	from    int64
+	n, size int
+	pos     int
+	out     *vector.Batch
+}
+
+func (r *reusingOp) Name() string         { return "reusing" }
+func (r *reusingOp) Types() []vector.Type { return []vector.Type{vector.Int64} }
+func (r *reusingOp) Children() []Operator { return nil }
+func (r *reusingOp) Close() error         { return nil }
+
+func (r *reusingOp) Open(ctx context.Context) error {
+	r.bindCtx(ctx)
+	r.pos, r.out = 0, vector.NewBatch(r.Types())
+	return nil
+}
+
+func (r *reusingOp) Next() (*vector.Batch, error) {
+	if r.pos >= r.n {
+		return nil, nil
+	}
+	r.out.Reset()
+	for end := min(r.pos+r.size, r.n); r.pos < end; r.pos++ {
+		r.out.Vecs[0].AppendInt64(r.from + int64(r.pos))
+	}
+	return r.out, nil
+}
+
+// TestMergeUnionPassThrough: over range-disjoint inputs whose operators
+// reuse their output batch, MergeUnion hands each whole input batch on
+// without copying it, in its own wrapper batch. The consumer checks every
+// batch before asking for the next one, so the input behind a passed-through
+// batch must not be refilled, which would overwrite the batch, until that
+// next call.
+func TestMergeUnionPassThrough(t *testing.T) {
+	a := &reusingOp{from: 0, n: 3000, size: 500}
+	b := &reusingOp{from: 3000, n: 2000, size: 700}
+	mu, err := NewMergeUnion([]SortKey{{Col: 0}}, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mu.Open(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer mu.Close()
+	var want int64
+	passed := 0
+	for {
+		batch, err := mu.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batch == nil {
+			break
+		}
+		if v := batch.Vecs[0]; v == a.out.Vecs[0] || v == b.out.Vecs[0] {
+			passed++
+			if batch == a.out || batch == b.out || batch.Contiguous || batch.Sel != nil {
+				t.Fatalf("passed-through batch is not a fresh non-contiguous wrapper: %+v", batch)
+			}
+		}
+		for i, x := range batch.Vecs[0].I64 {
+			if x != want {
+				t.Fatalf("output row %d of batch is %d, want %d", i, x, want)
+			}
+			want++
+		}
+	}
+	if want != 5000 {
+		t.Fatalf("merged %d rows, want 5000", want)
+	}
+	// 6 batches of a, each bounded by b's first key; then 3 of b alone.
+	if passed != 9 {
+		t.Errorf("%d batches passed through, want 9", passed)
+	}
+	stats := map[string]int64{}
+	for _, kv := range mu.ExtraStats() {
+		stats[kv.Key] = kv.Value
+	}
+	if stats["merge_runs"] != 9 || stats["whole_batch_runs"] != 6 {
+		t.Errorf("stats %v, want merge_runs=9 whole_batch_runs=6", stats)
+	}
+}
+
 func TestLimitOperator(t *testing.T) {
 	src := newMemOp([]vector.Type{vector.Int64}, intBatch(1, 2, 3), intBatch(4, 5))
 	l, err := NewLimit(src, 4)
