@@ -246,6 +246,10 @@ type Engine struct {
 	recovery     RecoveryStats
 	gen          uint64
 	checkpointMu sync.Mutex
+
+	// executed, when set, is handed every SELECT's operator tree after it
+	// ran; tests read the operators' stats through it.
+	executed func(exec.Operator)
 }
 
 // New creates an engine. With cfg.DataDir set it opens (or creates) the data
@@ -766,9 +770,10 @@ func (e *Engine) DrainWithContext(ctx context.Context, query string, opts ExecOp
 		return 0, err
 	}
 	execSp := at.StartSpan("execute", -1)
-	n, err := exec.DrainContext(ctx, op)
+	n, err := exec.DrainContext(execContext(ctx, at), op)
 	at.EndSpan(execSp)
 	elapsed := time.Since(start)
+	e.noteExecuted(op)
 	if err == nil {
 		at.AddPatchHits(exec.AppendOpSpans(at, execSp, op))
 		exec.AppendIndexUses(so, op)
@@ -869,6 +874,24 @@ func (e *Engine) buildPlan(ctx context.Context, node plan.Node, opts ExecOptions
 	return op, err
 }
 
+// execContext is the context a SELECT's operator tree runs under: operators
+// read the clock only when a detailed trace copies their times into spans.
+// Statement wall time (Result.Duration, the slow log, the profiler) is
+// measured outside the tree and stays on either way.
+func execContext(ctx context.Context, at *obs.ActiveTrace) context.Context {
+	if at.Detailed() {
+		return ctx
+	}
+	return exec.WithoutTiming(ctx)
+}
+
+// noteExecuted hands an executed operator tree to the executed observer.
+func (e *Engine) noteExecuted(op exec.Operator) {
+	if e.executed != nil {
+		e.executed(op)
+	}
+}
+
 func (e *Engine) runSelect(ctx context.Context, query string, s *sql.SelectStmt, opts ExecOptions) (*Result, error) {
 	node, err := e.planSelectCached(ctx, query, s, opts)
 	if err != nil {
@@ -894,8 +917,9 @@ func (e *Engine) runSelect(ctx context.Context, query string, s *sql.SelectStmt,
 	}
 	at := obs.TraceFromContext(ctx)
 	execSp := at.StartSpan("execute", -1)
-	rows, err := exec.CollectContext(ctx, op)
+	rows, err := exec.CollectContext(execContext(ctx, at), op)
 	at.EndSpan(execSp)
+	e.noteExecuted(op)
 	if err != nil {
 		return nil, err
 	}
@@ -949,6 +973,7 @@ func (e *Engine) explainAnalyze(ctx context.Context, query string, s *sql.Select
 	n, err := exec.DrainContext(ctx, op)
 	elapsed := time.Since(start)
 	at.EndSpan(execSp)
+	e.noteExecuted(op)
 	if err != nil {
 		return "", err
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"patchindex/internal/obs"
 	"patchindex/internal/vector"
@@ -169,9 +168,7 @@ func (h *HashAgg) ExtraStats() []obs.KV {
 // failed pipeline stops the pool claiming further morsels.
 func (h *HashAgg) Open(ctx context.Context) error {
 	h.bindCtx(ctx)
-	start := time.Now()
-	err := h.open(h.ctx) // bindCtx normalized nil to Background
-	h.stats.AddTime(start)
+	err := h.openTimed(func() error { return h.open(h.ctx) }) // bindCtx normalized nil to Background
 	h.built = int64(h.groups)
 	return err
 }
@@ -223,7 +220,7 @@ func (h *HashAgg) runWorkers(ctx context.Context) ([]aggPartial, error) {
 				if i >= len(h.children) {
 					return
 				}
-				start := time.Now()
+				start := h.clock()
 				ws.Morsels++
 				err := h.children[i].Open(ctx)
 				if err == nil {
@@ -268,16 +265,7 @@ func (h *HashAgg) drain(child Operator, ws *obs.WorkerStats) (aggPartial, error)
 
 // Next emits result groups in merged first-occurrence order.
 func (h *HashAgg) Next() (*vector.Batch, error) {
-	if err := h.ctxErr(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	b, err := h.next()
-	h.stats.AddTime(start)
-	if b != nil {
-		h.stats.AddBatch(b.Len())
-	}
-	return b, err
+	return h.nextBatch(h.next)
 }
 
 func (h *HashAgg) next() (*vector.Batch, error) {

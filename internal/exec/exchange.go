@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"patchindex/internal/obs"
 	"patchindex/internal/vector"
@@ -169,8 +168,7 @@ func (x *Exchange) worker(ctx context.Context, ws *obs.WorkerStats) {
 // drive runs one morsel pipeline to completion, forwarding its batches.
 // It returns false when the worker should stop (error sent or cancelled).
 func (x *Exchange) drive(ctx context.Context, op Operator, ws *obs.WorkerStats) bool {
-	start := time.Now()
-	defer ws.AddTime(start)
+	defer ws.AddTime(x.clock())
 	ws.Morsels++
 	if err := op.Open(ctx); err != nil {
 		x.send(parallelItem{err: err})
@@ -214,16 +212,7 @@ func (x *Exchange) send(it parallelItem) bool {
 // Next returns the next batch from any worker. The recorded time includes
 // waiting for producers, so it reflects the critical path, not CPU work.
 func (x *Exchange) Next() (*vector.Batch, error) {
-	if err := x.ctxErr(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	b, err := x.nextItem()
-	x.stats.AddTime(start)
-	if b != nil {
-		x.stats.AddBatch(b.Len())
-	}
-	return b, err
+	return x.nextBatch(x.nextItem)
 }
 
 func (x *Exchange) nextItem() (*vector.Batch, error) {

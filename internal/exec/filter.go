@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"patchindex/internal/expr"
 	"patchindex/internal/vector"
@@ -63,16 +62,7 @@ func (f *Filter) Children() []Operator { return []Operator{f.child} }
 
 // Next evaluates the predicate and gathers qualifying rows.
 func (f *Filter) Next() (*vector.Batch, error) {
-	if err := f.ctxErr(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	b, err := f.next()
-	f.stats.AddTime(start)
-	if b != nil {
-		f.stats.AddBatch(b.RowCount())
-	}
-	return b, err
+	return f.nextBatch(f.next)
 }
 
 func (f *Filter) next() (*vector.Batch, error) {
@@ -204,16 +194,7 @@ func (p *Project) Children() []Operator { return []Operator{p.child} }
 
 // Next evaluates all projection expressions over the next batch.
 func (p *Project) Next() (*vector.Batch, error) {
-	if err := p.ctxErr(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	b, err := p.next()
-	p.stats.AddTime(start)
-	if b != nil {
-		p.stats.AddBatch(b.Len())
-	}
-	return b, err
+	return p.nextBatch(p.next)
 }
 
 func (p *Project) next() (*vector.Batch, error) {
@@ -290,16 +271,7 @@ func (l *Limit) Children() []Operator { return []Operator{l.child} }
 
 // Next truncates the stream after n rows.
 func (l *Limit) Next() (*vector.Batch, error) {
-	if err := l.ctxErr(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	b, err := l.next()
-	l.stats.AddTime(start)
-	if b != nil {
-		l.stats.AddBatch(b.Len())
-	}
-	return b, err
+	return l.nextBatch(l.next)
 }
 
 func (l *Limit) next() (*vector.Batch, error) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"time"
 
 	"patchindex/internal/obs"
 	"patchindex/internal/vector"
@@ -136,10 +135,7 @@ func (j *HashJoin) ExtraStats() []obs.KV {
 // aborts the build through the build child's Next.
 func (j *HashJoin) Open(ctx context.Context) error {
 	j.bindCtx(ctx)
-	start := time.Now()
-	err := j.open(ctx)
-	j.stats.AddTime(start)
-	return err
+	return j.openTimed(func() error { return j.open(ctx) })
 }
 
 func (j *HashJoin) open(ctx context.Context) error {
@@ -171,9 +167,10 @@ func (j *HashJoin) open(ctx context.Context) error {
 		if b == nil {
 			break
 		}
+		bl := b.Len()
 		for c := range cols {
-			cols[c].AppendRange(b.Vecs[c], 0, b.Len())
-			bytes += b.Vecs[c].ByteSize()
+			cols[c].AppendRange(b.Vecs[c], 0, bl)
+			bytes += b.Vecs[c].RowsByteSize(bl)
 		}
 		if j.spill.enabled() && bytes > j.spill.Limit {
 			overflow = true
@@ -493,16 +490,7 @@ func (j *HashJoin) closeGrace() {
 
 // Next probes the hash table with the next probe-side batch.
 func (j *HashJoin) Next() (*vector.Batch, error) {
-	if err := j.ctxErr(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	b, err := j.next()
-	j.stats.AddTime(start)
-	if b != nil {
-		j.stats.AddBatch(b.Len())
-	}
-	return b, err
+	return j.nextBatch(j.next)
 }
 
 func (j *HashJoin) next() (*vector.Batch, error) {
@@ -690,16 +678,7 @@ func (j *MergeJoin) Children() []Operator { return []Operator{j.left, j.right} }
 // row on the left, e.g. a dimension primary key) streams the right side
 // directly into the output without buffering the right group.
 func (j *MergeJoin) Next() (*vector.Batch, error) {
-	if err := j.ctxErr(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	b, err := j.next()
-	j.stats.AddTime(start)
-	if b != nil {
-		j.stats.AddBatch(b.Len())
-	}
-	return b, err
+	return j.nextBatch(j.next)
 }
 
 func (j *MergeJoin) next() (*vector.Batch, error) {

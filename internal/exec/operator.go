@@ -10,6 +10,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"patchindex/internal/obs"
 	"patchindex/internal/vector"
@@ -65,23 +66,81 @@ type WorkerStatser interface {
 	WorkerStats() []obs.WorkerStats
 }
 
+// untimedKey is the context key of the WithoutTiming marker.
+type untimedKey struct{}
+
+// WithoutTiming returns ctx marked so that the operators opened under it
+// never read the clock: OpStats.Nanos and WorkerStats.Nanos stay 0 while
+// every row, batch, kernel and patch counter still counts. Worker pipelines
+// inherit the marker through the context their parent opens them with. The
+// engine marks every statement whose operator times nobody reads (neither
+// EXPLAIN ANALYZE nor a detailed trace); an unmarked context keeps timing.
+func WithoutTiming(ctx context.Context) context.Context {
+	return context.WithValue(ctx, untimedKey{}, true)
+}
+
 // opStats is embedded by every operator to satisfy Stats() and to hold the
 // execution context bound at Open.
 type opStats struct {
-	stats obs.OpStats
-	ctx   context.Context
+	stats   obs.OpStats
+	ctx     context.Context
+	untimed bool // ctx carries the WithoutTiming marker
 }
 
 // Stats returns the operator's runtime statistics.
 func (o *opStats) Stats() *obs.OpStats { return &o.stats }
 
-// bindCtx records the execution context; nil defaults to Background so
-// operators opened outside a request (tests, tools) need no special casing.
+// bindCtx records the execution context and whether it is timed; nil
+// defaults to Background so operators opened outside a request (tests,
+// tools) need no special casing.
 func (o *opStats) bindCtx(ctx context.Context) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	o.ctx = ctx
+	o.untimed = ctx.Value(untimedKey{}) != nil
+}
+
+// clock returns the current time in a timed statement and the zero time,
+// which AddTime ignores, in an untimed one. With nextBatch it is the only
+// place the executor reads the clock.
+func (o *opStats) clock() time.Time {
+	if o.untimed {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// openTimed runs the build phase of a pipeline breaker's Open and charges
+// its time to the operator.
+func (o *opStats) openTimed(open func() error) error {
+	start := o.clock()
+	err := open()
+	o.stats.AddTime(start)
+	return err
+}
+
+// nextBatch is the body every Next shares: it checks the bound context,
+// runs next, charges its time and counts the batch it returns. It tests
+// untimed once and reads the clock directly, not through clock and
+// AddTime, to keep the timed path short.
+func (o *opStats) nextBatch(next func() (*vector.Batch, error)) (*vector.Batch, error) {
+	if err := o.ctxErr(); err != nil {
+		return nil, err
+	}
+	var b *vector.Batch
+	var err error
+	if o.untimed {
+		b, err = next()
+	} else {
+		start := time.Now()
+		b, err = next()
+		o.stats.Nanos += int64(time.Since(start))
+	}
+	if b != nil {
+		o.stats.AddBatch(b.RowCount())
+	}
+	return b, err
 }
 
 // ctxErr reports the bound context's cancellation state; checked once per

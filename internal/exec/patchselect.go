@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"patchindex/internal/obs"
 	"patchindex/internal/patch"
@@ -138,16 +137,7 @@ func (p *PatchSelect) ExtraStats() []obs.KV {
 
 // Next applies the patch information to the next child batch.
 func (p *PatchSelect) Next() (*vector.Batch, error) {
-	if err := p.ctxErr(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	b, err := p.next()
-	p.stats.AddTime(start)
-	if b != nil {
-		p.stats.AddBatch(b.Len())
-	}
-	return b, err
+	return p.nextBatch(p.next)
 }
 
 func (p *PatchSelect) next() (*vector.Batch, error) {

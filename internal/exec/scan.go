@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"patchindex/internal/compress"
 	"patchindex/internal/obs"
@@ -174,16 +173,7 @@ func (s *Scan) ExtraStats() []obs.KV {
 
 // Next emits up to BatchSize contiguous rows from the current range.
 func (s *Scan) Next() (*vector.Batch, error) {
-	if err := s.ctxErr(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	b, err := s.next()
-	s.stats.AddTime(start)
-	if b != nil {
-		s.stats.AddBatch(b.Len())
-	}
-	return b, err
+	return s.nextBatch(s.next)
 }
 
 func (s *Scan) next() (*vector.Batch, error) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"time"
 
 	"patchindex/internal/obs"
 	"patchindex/internal/vector"
@@ -80,10 +79,7 @@ func (s *Sort) ExtraStats() []obs.KV {
 // cancelled context aborts the materialization through the child's Next.
 func (s *Sort) Open(ctx context.Context) error {
 	s.bindCtx(ctx)
-	start := time.Now()
-	err := s.open(ctx)
-	s.stats.AddTime(start)
-	return err
+	return s.openTimed(func() error { return s.open(ctx) })
 }
 
 func (s *Sort) open(ctx context.Context) error {
@@ -164,7 +160,7 @@ func (s *Sort) openSpilling(ctx context.Context) error {
 		bl := b.Len()
 		for c := range acc {
 			acc[c].AppendRange(b.Vecs[c], 0, bl)
-			accBytes += b.Vecs[c].ByteSize() // upper bound; re-priced per run
+			accBytes += b.Vecs[c].RowsByteSize(bl)
 		}
 		s.sortedRows += int64(bl)
 		if accBytes >= s.spill.Limit {
@@ -261,28 +257,21 @@ func sortPermutation(cols []*vector.Vector, n int, keys []SortKey) ([]int, []int
 
 // Next emits the next sorted batch.
 func (s *Sort) Next() (*vector.Batch, error) {
-	if err := s.ctxErr(); err != nil {
-		return nil, err
-	}
-	if s.emit == nil && s.merge == nil {
-		return nil, errOp(s, fmt.Errorf("not opened"))
-	}
-	start := time.Now()
-	var b *vector.Batch
-	var err error
+	return s.nextBatch(s.next)
+}
+
+func (s *Sort) next() (*vector.Batch, error) {
 	if s.merge != nil {
-		b, err = s.merge.next()
+		b, err := s.merge.next()
 		if err != nil {
 			return nil, errOp(s, err)
 		}
-	} else {
-		b = s.emit.next()
+		return b, nil
 	}
-	s.stats.AddTime(start)
-	if b != nil {
-		s.stats.AddBatch(b.Len())
+	if s.emit == nil {
+		return nil, errOp(s, fmt.Errorf("not opened"))
 	}
-	return b, nil
+	return s.emit.next(), nil
 }
 
 // Close closes the child and drops the sorted data (and any leftover runs).

@@ -312,3 +312,52 @@ func quicksort2(s []string) {
 	}
 	copy(s, out)
 }
+
+// smallBatches returns 100 batches of 10 Int64 rows each, every one backed
+// by a BatchSize-capacity vector: 8 000 bytes of keys in 800 KiB of
+// capacity.
+func smallBatches() ([]*vector.Batch, []vector.Type) {
+	types := []vector.Type{vector.Int64}
+	var batches []*vector.Batch
+	for i := 0; i < 100; i++ {
+		b := vector.NewBatch(types)
+		for r := 0; r < 10; r++ {
+			b.Vecs[0].AppendInt64(int64(1000 - 10*i - r))
+		}
+		batches = append(batches, b)
+	}
+	return batches, types
+}
+
+// TestSortSpillChargesRowsNotCapacity: the spill budget charges the rows a
+// batch adds, not its vectors' capacity, so 8 000 bytes of keys stay in
+// memory under a 64 KiB limit.
+func TestSortSpillChargesRowsNotCapacity(t *testing.T) {
+	batches, types := smallBatches()
+	s := mustSort(t, newMemOp(types, batches...), SpillConfig{Dir: t.TempDir(), Limit: 64 << 10})
+	rows := collectRows(t, s)
+	if len(rows) != 1000 || rows[0] != "1" || rows[999] != "1000" {
+		t.Fatalf("sorted %d rows, first %q last %q", len(rows), rows[0], rows[len(rows)-1])
+	}
+	if s.spilledRuns != 0 {
+		t.Errorf("%d spilled runs for 8 000 bytes under a 64 KiB limit, want 0", s.spilledRuns)
+	}
+}
+
+// TestHashJoinGraceChargesRowsNotCapacity: the hash build charges the rows
+// it adds, so a small build side made of small batches never goes Grace.
+func TestHashJoinGraceChargesRowsNotCapacity(t *testing.T) {
+	build, types := smallBatches()
+	probe, _ := smallBatches()
+	j, err := NewHashJoin(newMemOp(types, probe...), newMemOp(types, build...), 0, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.SetSpill(SpillConfig{Dir: t.TempDir(), Limit: 64 << 10})
+	if rows := collectRows(t, j); len(rows) != 1000 {
+		t.Fatalf("joined %d rows, want 1000", len(rows))
+	}
+	if j.grace {
+		t.Errorf("8 000 build bytes went Grace under a 64 KiB limit (%d bytes spilled)", j.spilledBytes)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"patchindex/internal/obs"
 	"patchindex/internal/vector"
@@ -55,15 +54,15 @@ func (u *Union) Types() []vector.Type { return u.types }
 // a child that works in Open (a Sort) never reports more than its parent.
 func (u *Union) Open(ctx context.Context) error {
 	u.bindCtx(ctx)
-	start := time.Now()
-	defer u.stats.AddTime(start)
 	u.cur = 0
-	for _, c := range u.children {
-		if err := c.Open(ctx); err != nil {
-			return err
+	return u.openTimed(func() error {
+		for _, c := range u.children {
+			if err := c.Open(ctx); err != nil {
+				return err
+			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // Children returns the unioned inputs.
@@ -71,16 +70,7 @@ func (u *Union) Children() []Operator { return u.children }
 
 // Next drains children in order.
 func (u *Union) Next() (*vector.Batch, error) {
-	if err := u.ctxErr(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	b, err := u.next()
-	u.stats.AddTime(start)
-	if b != nil {
-		u.stats.AddBatch(b.Len())
-	}
-	return b, err
+	return u.nextBatch(u.next)
 }
 
 func (u *Union) next() (*vector.Batch, error) {
@@ -169,10 +159,7 @@ func (m *MergeUnion) ExtraStats() []obs.KV {
 // Open opens all children, primes the cursors and builds the heap.
 func (m *MergeUnion) Open(ctx context.Context) error {
 	m.bindCtx(ctx)
-	start := time.Now()
-	err := m.open(ctx)
-	m.stats.AddTime(start)
-	return err
+	return m.openTimed(func() error { return m.open(ctx) })
 }
 
 func (m *MergeUnion) open(ctx context.Context) error {
@@ -205,20 +192,16 @@ func pullOperator(op Operator) func() ([]*vector.Vector, error) {
 
 // Next emits the next batch of globally smallest rows.
 func (m *MergeUnion) Next() (*vector.Batch, error) {
-	if err := m.ctxErr(); err != nil {
-		return nil, err
-	}
+	return m.nextBatch(m.next)
+}
+
+func (m *MergeUnion) next() (*vector.Batch, error) {
 	if m.merge == nil {
 		return nil, errOp(m, fmt.Errorf("not opened"))
 	}
-	start := time.Now()
 	b, err := m.merge.next()
-	m.stats.AddTime(start)
 	if err != nil {
 		return nil, errOp(m, err)
-	}
-	if b != nil {
-		m.stats.AddBatch(b.Len())
 	}
 	return b, nil
 }

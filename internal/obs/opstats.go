@@ -12,7 +12,9 @@ type OpStats struct {
 	Batches int64
 	Rows    int64
 	// Nanos is cumulative wall time spent inside the operator's Open/Next,
-	// inclusive of its children (Postgres EXPLAIN ANALYZE semantics).
+	// inclusive of its children (Postgres EXPLAIN ANALYZE semantics). It
+	// reads 0 in an untimed statement: the engine times operators only under
+	// EXPLAIN ANALYZE and detailed traces (exec.WithoutTiming marks the rest).
 	Nanos int64
 	// EstRows is the cost model's cardinality estimate attached at plan
 	// build time; 0 means unknown (e.g. an operator synthesized below the
@@ -37,9 +39,12 @@ func (s *OpStats) AddBatch(n int) {
 	s.Rows += int64(n)
 }
 
-// AddTime accumulates the wall time elapsed since start.
+// AddTime accumulates the wall time elapsed since start. A zero start is
+// an untimed step and adds nothing.
 func (s *OpStats) AddTime(start time.Time) {
-	s.Nanos += int64(time.Since(start))
+	if !start.IsZero() {
+		s.Nanos += int64(time.Since(start))
+	}
 }
 
 // Duration returns the accumulated wall time.
@@ -67,7 +72,7 @@ type WorkerStats struct {
 	Rows    int64
 	// Nanos is wall time the worker spent driving morsels, including time
 	// blocked handing batches to the consumer (backpressure is part of the
-	// critical path).
+	// critical path). It reads 0 in an untimed statement, like OpStats.Nanos.
 	Nanos int64
 }
 
@@ -77,9 +82,12 @@ func (w *WorkerStats) AddBatch(n int) {
 	w.Rows += int64(n)
 }
 
-// AddTime accumulates the wall time elapsed since start.
+// AddTime accumulates the wall time elapsed since start; a zero start adds
+// nothing.
 func (w *WorkerStats) AddTime(start time.Time) {
-	w.Nanos += int64(time.Since(start))
+	if !start.IsZero() {
+		w.Nanos += int64(time.Since(start))
+	}
 }
 
 // Duration returns the accumulated wall time.

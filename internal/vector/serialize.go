@@ -44,6 +44,31 @@ func (v *Vector) ByteSize() int64 {
 	return b
 }
 
+// RowsByteSize prices the first n rows by what they hold rather than by
+// the backing array: 8 B a row for Int64, Date and Float64, 1 B for Bool,
+// the 16 B header plus the bytes for String, and 1 B a row more under a
+// null mask. A batch that views a larger array (a scan's SliceInto) costs
+// only its own rows, so a spill budget charges what an accumulator gains.
+func (v *Vector) RowsByteSize(n int) int64 {
+	rows := int64(n)
+	var b int64
+	switch v.Typ {
+	case Int64, Date, Float64:
+		b = 8 * rows
+	case String:
+		b = 16 * rows
+		for _, s := range v.Str[:n] {
+			b += int64(len(s))
+		}
+	case Bool:
+		b = rows
+	}
+	if v.Nulls != nil {
+		b += rows
+	}
+	return b
+}
+
 // AppendBinary serializes the vector onto buf and returns the extended
 // buffer.
 func (v *Vector) AppendBinary(buf []byte) []byte {
