@@ -435,15 +435,27 @@ func (e *Engine) ExecWith(query string, opts ExecOptions) (*Result, error) {
 
 // ExecWithContext is ExecWith under a cancellable context.
 func (e *Engine) ExecWithContext(ctx context.Context, query string, opts ExecOptions) (*Result, error) {
+	res, _, err := e.parseAndExec(ctx, query, opts, collectRows)
+	return res, err
+}
+
+// parseAndExec parses one statement under a "parse" span and executes it.
+// Draining accepts only a SELECT.
+func (e *Engine) parseAndExec(ctx context.Context, query string, opts ExecOptions, sk sink) (*Result, int, error) {
 	at, ctx := e.beginTrace(ctx, query, opts)
 	sp := at.StartSpan("parse", -1)
 	stmt, err := sql.Parse(query)
 	at.EndSpan(sp)
+	if err == nil && sk == drainRows {
+		if _, ok := stmt.(*sql.SelectStmt); !ok {
+			err = fmt.Errorf("patchindex: DrainWith requires a SELECT statement")
+		}
+	}
 	if err != nil {
 		at.Finish(0, err)
-		return nil, err
+		return nil, 0, err
 	}
-	return e.execPrepared(ctx, query, stmt, opts)
+	return e.execPrepared(ctx, query, stmt, opts, sk)
 }
 
 // beginTrace starts a trace for one statement (nil when tracing is off and
@@ -486,14 +498,17 @@ func (e *Engine) ExecPrepared(p *Prepared) (*Result, error) {
 
 // ExecPreparedContext executes a prepared statement under a context.
 func (e *Engine) ExecPreparedContext(ctx context.Context, p *Prepared, opts ExecOptions) (*Result, error) {
-	return e.execPrepared(ctx, p.text, p.stmt, opts)
+	res, _, err := e.execPrepared(ctx, p.text, p.stmt, opts, collectRows)
+	return res, err
 }
 
-// execPrepared latches the referenced tables, dispatches the statement, and
-// records duration metrics, the trace, and the slow-query log. A trace
-// begun by ExecWithContext (with its parse span) rides in on the context;
-// the prepared path starts one here (no parse happened).
-func (e *Engine) execPrepared(ctx context.Context, query string, stmt sql.Statement, opts ExecOptions) (*Result, error) {
+// execPrepared is the lifecycle of every statement, DrainWith's included:
+// it latches the referenced tables, dispatches the statement, and records
+// duration metrics, the profile, the trace, and the slow-query log. It
+// returns the statement's row count beside its result (nil when a SELECT
+// is drained). A trace begun by parseAndExec (with its parse span) rides in
+// on the context; the prepared path starts one here (no parse happened).
+func (e *Engine) execPrepared(ctx context.Context, query string, stmt sql.Statement, opts ExecOptions, sk sink) (*Result, int, error) {
 	at := obs.TraceFromContext(ctx)
 	if at == nil {
 		at, ctx = e.beginTrace(ctx, query, opts)
@@ -504,23 +519,28 @@ func (e *Engine) execPrepared(ctx context.Context, query string, stmt sql.Statem
 	}
 	start := time.Now()
 	release := e.latchStmt(stmt)
-	res, err := e.execStmt(ctx, query, stmt, opts)
+	var res *Result
+	var rows int
+	var err error
+	if s, ok := stmt.(*sql.SelectStmt); ok {
+		var run selectRun
+		run, err = e.runSelect(ctx, query, s, opts, sk)
+		res, rows = run.res, run.rows
+	} else if res, err = e.execStmt(ctx, query, stmt, opts); res != nil {
+		rows = len(res.Rows)
+	}
 	release()
 	elapsed := time.Since(start)
 	e.mStatements.Inc()
 	e.hQuery.Observe(elapsed)
-	var rows int64
-	if res != nil {
-		rows = int64(len(res.Rows))
-	}
 	var fp uint64
 	if e.profiler.Enabled() {
 		var norm string
 		fp, norm = sql.Fingerprint(query)
 		at.SetFingerprint(fp)
-		e.profiler.Record(so, fp, norm, elapsed, rows, err, e.effectiveParallelism(opts))
+		e.profiler.Record(so, fp, norm, elapsed, int64(rows), err, e.effectiveParallelism(opts))
 	}
-	tr := at.Finish(rows, err)
+	tr := at.Finish(int64(rows), err)
 	if res != nil {
 		res.Duration = elapsed
 		if tr != nil {
@@ -528,7 +548,7 @@ func (e *Engine) execPrepared(ctx context.Context, query string, stmt sql.Statem
 		}
 	}
 	e.noteSlow(query, elapsed, opts, at.ID(), fp)
-	return res, err
+	return res, rows, err
 }
 
 // noteSlow logs a statement that crossed the slow-query threshold, tagging
@@ -670,10 +690,10 @@ func tableRefTables(r *sql.TableRef, acc []string) []string {
 	return append(acc, r.Name)
 }
 
+// execStmt dispatches every statement but SELECT, which execPrepared runs
+// through runSelect.
 func (e *Engine) execStmt(ctx context.Context, query string, stmt sql.Statement, opts ExecOptions) (*Result, error) {
 	switch s := stmt.(type) {
-	case *sql.SelectStmt:
-		return e.runSelect(ctx, query, s, opts)
 	case *sql.ExplainStmt:
 		var text string
 		var err error
@@ -736,59 +756,11 @@ func (e *Engine) DrainWith(query string, opts ExecOptions) (int, error) {
 	return e.DrainWithContext(context.Background(), query, opts)
 }
 
-// DrainWithContext is DrainWith under a cancellable context.
+// DrainWithContext is DrainWith under a cancellable context. It runs the
+// statement lifecycle of Exec: the same counters, profile, trace and slow
+// log, failed statements included.
 func (e *Engine) DrainWithContext(ctx context.Context, query string, opts ExecOptions) (int, error) {
-	at, ctx := e.beginTrace(ctx, query, opts)
-	sp := at.StartSpan("parse", -1)
-	stmt, err := sql.Parse(query)
-	at.EndSpan(sp)
-	if err != nil {
-		at.Finish(0, err)
-		return 0, err
-	}
-	s, ok := stmt.(*sql.SelectStmt)
-	if !ok {
-		err := fmt.Errorf("patchindex: DrainWith requires a SELECT statement")
-		at.Finish(0, err)
-		return 0, err
-	}
-	so := e.profiler.Begin()
-	if so != nil {
-		ctx = obs.ContextWithStmtObs(ctx, so)
-	}
-	start := time.Now()
-	release := e.acquireLatches(selectTables(s, nil), nil)
-	defer release()
-	node, err := e.planSelectCached(ctx, query, s, opts)
-	if err != nil {
-		at.Finish(0, err)
-		return 0, err
-	}
-	op, err := e.buildPlan(ctx, node, opts)
-	if err != nil {
-		at.Finish(0, err)
-		return 0, err
-	}
-	execSp := at.StartSpan("execute", -1)
-	n, err := exec.DrainContext(execContext(ctx, at), op)
-	at.EndSpan(execSp)
-	elapsed := time.Since(start)
-	e.noteExecuted(op)
-	if err == nil {
-		at.AddPatchHits(exec.AppendOpSpans(at, execSp, op))
-		exec.AppendIndexUses(so, op)
-	}
-	var fp uint64
-	if e.profiler.Enabled() {
-		var norm string
-		fp, norm = sql.Fingerprint(query)
-		at.SetFingerprint(fp)
-		e.profiler.Record(so, fp, norm, elapsed, int64(n), err, e.effectiveParallelism(opts))
-	}
-	at.Finish(int64(n), err)
-	e.mQueries.Inc()
-	e.hQuery.Observe(elapsed)
-	e.noteSlow(query, elapsed, opts, at.ID(), fp)
+	_, n, err := e.parseAndExec(ctx, query, opts, drainRows)
 	return n, err
 }
 
@@ -892,49 +864,92 @@ func (e *Engine) noteExecuted(op exec.Operator) {
 	}
 }
 
-func (e *Engine) runSelect(ctx context.Context, query string, s *sql.SelectStmt, opts ExecOptions) (*Result, error) {
+// sink says what runSelect does with a SELECT's rows.
+type sink uint8
+
+const (
+	// collectRows materializes the rows into a Result, through the result
+	// cache.
+	collectRows sink = iota
+	// drainRows only counts the rows (DrainWith).
+	drainRows
+	// analyzeRows counts the rows with every operator timed, and measures
+	// the execution (EXPLAIN ANALYZE).
+	analyzeRows
+)
+
+// selectRun is one executed SELECT: its result (collectRows only), the
+// operator tree that produced it (nil on a result-cache hit), its row count
+// and, under analyzeRows, the execution's wall time.
+type selectRun struct {
+	res     *Result
+	op      exec.Operator
+	rows    int
+	elapsed time.Duration
+}
+
+// runSelect is the one plan → build → run → record step of every SELECT,
+// whether collected, drained or analyzed: planning through the plan cache,
+// the "execute" span, the operator spans, index uses and the queries
+// counter. The caller holds the statement's latches.
+func (e *Engine) runSelect(ctx context.Context, query string, s *sql.SelectStmt, opts ExecOptions, sk sink) (selectRun, error) {
 	node, err := e.planSelectCached(ctx, query, s, opts)
 	if err != nil {
-		return nil, err
+		return selectRun{}, err
 	}
 	// Result-cache lookup happens after planning (eligibility is a plan
 	// property) but before the build: the caller holds shared latches on
 	// every referenced table, so the version stamps read here cover exactly
-	// the rows a fresh execution would scan.
+	// the rows a fresh execution would scan. Only collected rows can be
+	// served from or stored in the cache.
 	var stamp resultStamp
-	if e.resultCache.Enabled() {
+	if sk == collectRows && e.resultCache.Enabled() {
 		stamp = e.resultStamp(s, node, opts)
 		if stamp.ok {
 			if res, ok := e.lookupCachedResult(ctx, query, stamp); ok {
 				e.mQueries.Inc()
-				return res, nil
+				return selectRun{res: res, rows: len(res.Rows)}, nil
 			}
 		}
 	}
 	op, err := e.buildPlan(ctx, node, opts)
 	if err != nil {
-		return nil, err
+		return selectRun{}, err
 	}
 	at := obs.TraceFromContext(ctx)
+	run := selectRun{op: op}
+	var rows [][]vector.Value
 	execSp := at.StartSpan("execute", -1)
-	rows, err := exec.CollectContext(execContext(ctx, at), op)
+	switch sk {
+	case collectRows:
+		rows, err = exec.CollectContext(execContext(ctx, at), op)
+		run.rows = len(rows)
+	case drainRows:
+		run.rows, err = exec.DrainContext(execContext(ctx, at), op)
+	case analyzeRows:
+		start := time.Now()
+		run.rows, err = exec.DrainContext(ctx, op)
+		run.elapsed = time.Since(start)
+	}
 	at.EndSpan(execSp)
 	e.noteExecuted(op)
 	if err != nil {
-		return nil, err
+		return selectRun{}, err
 	}
 	at.AddPatchHits(exec.AppendOpSpans(at, execSp, op))
 	exec.AppendIndexUses(obs.StmtObsFromContext(ctx), op)
 	e.mQueries.Inc()
-	cols := make([]string, len(node.Schema()))
-	for i, c := range node.Schema() {
-		cols[i] = c.Name
+	if sk == collectRows {
+		cols := make([]string, len(node.Schema()))
+		for i, c := range node.Schema() {
+			cols[i] = c.Name
+		}
+		run.res = &Result{Columns: cols, Rows: rows}
+		if stamp.ok {
+			e.storeCachedResult(query, stamp, opts.Tenant, run.res)
+		}
 	}
-	res := &Result{Columns: cols, Rows: rows}
-	if stamp.ok {
-		e.storeCachedResult(query, stamp, opts.Tenant, res)
-	}
-	return res, nil
+	return run, nil
 }
 
 func (e *Engine) explain(ctx context.Context, s *sql.SelectStmt, opts ExecOptions) (string, error) {
@@ -959,30 +974,13 @@ func (e *Engine) explainAnalyze(ctx context.Context, query string, s *sql.Select
 		so = &obs.StmtObs{}
 		ctx = obs.ContextWithStmtObs(ctx, so)
 	}
-	node, err := e.planSelect(ctx, s, opts)
+	run, err := e.runSelect(ctx, query, s, opts, analyzeRows)
 	if err != nil {
 		return "", err
 	}
-	op, err := e.buildPlan(ctx, node, opts)
-	if err != nil {
-		return "", err
-	}
-	at := obs.TraceFromContext(ctx)
-	execSp := at.StartSpan("execute", -1)
-	start := time.Now()
-	n, err := exec.DrainContext(ctx, op)
-	elapsed := time.Since(start)
-	at.EndSpan(execSp)
-	e.noteExecuted(op)
-	if err != nil {
-		return "", err
-	}
-	at.AddPatchHits(exec.AppendOpSpans(at, execSp, op))
-	exec.AppendIndexUses(so, op)
-	e.mQueries.Inc()
 	var sb strings.Builder
-	sb.WriteString(exec.FormatStats(op))
-	fmt.Fprintf(&sb, "Execution: %d rows in %s", n, elapsed.Round(time.Microsecond))
+	sb.WriteString(exec.FormatStats(run.op))
+	fmt.Fprintf(&sb, "Execution: %d rows in %s", run.rows, run.elapsed.Round(time.Microsecond))
 	// Workload trailer. These lines are pure key=value so trace rendering,
 	// which recognizes operator lines by their "(cost=...)" parenthesis,
 	// leaves them alone.
@@ -1244,18 +1242,9 @@ func (e *Engine) runCreatePatchIndex(s *sql.CreatePatchIndexStmt) (*Result, erro
 	if s.Unique {
 		constraint = patch.NearlyUnique
 	}
-	var kind patch.Kind
-	switch s.Kind {
-	case "identifier":
-		kind = patch.Identifier
-	case "bitmap":
-		kind = patch.Bitmap
-	default:
-		kind = patch.Auto
-	}
 	// The statement dispatcher already holds the table's exclusive latch.
 	ix, err := e.createPatchIndexLatched(s.Table, s.Column, constraint, discovery.BuildOptions{
-		Kind:       kind,
+		Kind:       kindFromString(s.Kind),
 		Threshold:  s.Threshold,
 		Descending: s.Descending,
 		Force:      s.Force,

@@ -303,3 +303,53 @@ func TestWALRecovery(t *testing.T) {
 // nscConstraint exposes the NSC constant to tests in other files without an
 // extra import of internal/patch at each site.
 func nscConstraint() patch.Constraint { return patch.NearlySorted }
+
+// TestDrainWithRunsExecLifecycle: DrainWith accounts for a statement
+// exactly as Exec does, a failed one included: the statement counter, the
+// latency histogram, the queries counter and the workload profile.
+func TestDrainWithRunsExecLifecycle(t *testing.T) {
+	type tally struct{ statements, queries, latencies, profiled, errors int64 }
+	read := func(e *Engine) tally {
+		snap := e.Metrics().Snapshot()
+		tl := tally{
+			statements: snap.Counters["statements_total"],
+			queries:    snap.Counters["queries_total"],
+			latencies:  snap.Histograms["query_nanos"].Count,
+		}
+		for _, st := range e.Profiler().Snapshot().Statements {
+			tl.profiled += st.Count
+			tl.errors += st.Errors
+		}
+		return tl
+	}
+	const good, bad = "SELECT COUNT(*) FROM data", "SELECT nosuch FROM data"
+	run := func(drain bool) tally {
+		e, err := New(Config{WorkloadProfile: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		loadExceptionTable(t, e, "data", 1000, 2, 0.05, 1)
+		before := read(e)
+		for _, q := range []string{good, bad} {
+			if drain {
+				_, err = e.DrainWith(q, ExecOptions{})
+			} else {
+				_, err = e.Exec(q)
+			}
+			if (err != nil) != (q == bad) {
+				t.Fatalf("drain=%v %s: err = %v", drain, q, err)
+			}
+		}
+		after := read(e)
+		return tally{after.statements - before.statements, after.queries - before.queries,
+			after.latencies - before.latencies, after.profiled - before.profiled, after.errors - before.errors}
+	}
+	exec, drain := run(false), run(true)
+	if want := (tally{2, 1, 2, 2, 1}); exec != want {
+		t.Fatalf("Exec of one good and one failing statement: %+v, want %+v", exec, want)
+	}
+	if drain != exec {
+		t.Fatalf("DrainWith accounts %+v, Exec %+v", drain, exec)
+	}
+}

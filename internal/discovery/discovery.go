@@ -7,7 +7,6 @@
 package discovery
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -133,7 +132,7 @@ func markDuplicatesInt64(cols []*vector.Vector, base []int, dup []bool, workers 
 
 // markDuplicatesEncoded is markDuplicatesInt64 for every other column type
 // (and for relations beyond the typed table's 2^31 keys): values go through
-// encodeElem into one string-keyed map, serially.
+// Vector.AppendKey into one string-keyed map, serially.
 func markDuplicatesEncoded(cols []*vector.Vector, base []int, dup []bool) {
 	first := make(map[string]int, len(dup))
 	var buf []byte
@@ -142,7 +141,7 @@ func markDuplicatesEncoded(cols []*vector.Vector, base []int, dup []bool) {
 			if col.IsNull(i) {
 				continue
 			}
-			buf = encodeElem(buf[:0], col, i)
+			buf = col.AppendKey(buf[:0], i)
 			if f, seen := first[string(buf)]; seen {
 				dup[f], dup[base[c]+i] = true, true
 			} else {
@@ -289,27 +288,6 @@ func longestSortedInt64(vals []int64, nulls []bool, descending bool, prev []int3
 		last = tailRow[len(tailRow)-1]
 	}
 	return len(tailVal), last
-}
-
-// encodeElem produces a per-type key encoding for duplicate detection that
-// is injective up to SQL equality (-0.0 and +0.0 encode alike), the same
-// scheme as the execution engine's group-key encoding.
-func encodeElem(buf []byte, v *vector.Vector, i int) []byte {
-	switch v.Typ {
-	case vector.Int64, vector.Date:
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I64[i]))
-	case vector.Float64:
-		buf = binary.LittleEndian.AppendUint64(buf, vector.Float64KeyBits(v.F64[i]))
-	case vector.String:
-		buf = append(buf, v.Str[i]...)
-	case vector.Bool:
-		if v.B[i] {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	return buf
 }
 
 // VerifyNUC checks conditions (NUC1) and (NUC2) for a proposed patch set:

@@ -8,8 +8,9 @@ import (
 
 // The discovery code as it stood before the typed kernels, kept as the
 // oracle the differential tests compare against: NUC counts every value
-// through encodeElem in a string-keyed map and probes it again per row, NSC
-// runs the longest-sorted-subsequence search through Vector.Compare.
+// through Vector.AppendKey in a string-keyed map and probes it again per
+// row, NSC runs the longest-sorted-subsequence search through
+// Vector.Compare.
 
 // refNUC is the count-then-probe NUC discovery over the partitions cols of
 // one relation.
@@ -21,7 +22,7 @@ func refNUC(cols []*vector.Vector) [][]uint64 {
 			if col.IsNull(i) {
 				continue
 			}
-			buf = encodeElem(buf[:0], col, i)
+			buf = col.AppendKey(buf[:0], i)
 			counts[string(buf)]++
 		}
 	}
@@ -32,7 +33,7 @@ func refNUC(cols []*vector.Vector) [][]uint64 {
 				out[c] = append(out[c], uint64(i))
 				continue
 			}
-			buf = encodeElem(buf[:0], col, i)
+			buf = col.AppendKey(buf[:0], i)
 			if counts[string(buf)] > 1 {
 				out[c] = append(out[c], uint64(i))
 			}

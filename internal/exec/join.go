@@ -56,6 +56,9 @@ type HashJoin struct {
 	graceBatch   *vector.Batch
 	buildKey     int
 	spilledBytes int64
+	// graceParts is the partition count, kept for ExtraStats after Close
+	// has released graceBuild.
+	graceParts int64
 }
 
 // checkJoinKeys validates the key positions of a join of inputs typed lt
@@ -125,7 +128,7 @@ func (j *HashJoin) ExtraStats() []obs.KV {
 	kv := []obs.KV{{Key: "build_rows", Value: j.buildRows}}
 	if j.grace {
 		kv = append(kv,
-			obs.KV{Key: "grace_partitions", Value: int64(len(j.graceBuild))},
+			obs.KV{Key: "grace_partitions", Value: j.graceParts},
 			obs.KV{Key: "spilled_bytes", Value: j.spilledBytes})
 	}
 	return kv
@@ -372,6 +375,7 @@ func (j *HashJoin) openGrace(ctx context.Context, build Operator, acc []*vector.
 	if err != nil {
 		return errOp(j, err)
 	}
+	j.graceParts = int64(len(j.graceBuild))
 	if err := j.probe.Open(ctx); err != nil {
 		j.closeGrace()
 		return err

@@ -17,7 +17,6 @@
 package maintain
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"time"
@@ -76,7 +75,7 @@ func NewMaintainer(table *storage.Table, ix *patch.Index) (*Maintainer, error) {
 				if v.IsNull(i) {
 					continue // NULLs carry no value identity
 				}
-				buf = encodeElem(buf[:0], v, i)
+				buf = v.AppendKey(buf[:0], i)
 				if set.Contains(uint64(i)) {
 					m.patchVals[string(buf)] = struct{}{}
 				} else {
@@ -121,7 +120,7 @@ func (m *Maintainer) classify(part int, vals *vector.Vector, baseRow uint64) (ne
 				newIDs = append(newIDs, row)
 				continue
 			}
-			buf = encodeElem(buf[:0], vals, i)
+			buf = vals.AppendKey(buf[:0], i)
 			key := string(buf)
 			if _, isPatchVal := m.patchVals[key]; isPatchVal {
 				newIDs = append(newIDs, row)
@@ -235,24 +234,4 @@ func (s *Set) Append(part int, cols []*vector.Vector) error {
 		}
 	}
 	return nil
-}
-
-// encodeElem mirrors the discovery package's value encoding, which must
-// agree with it on which values are equal.
-func encodeElem(buf []byte, v *vector.Vector, i int) []byte {
-	switch v.Typ {
-	case vector.Int64, vector.Date:
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I64[i]))
-	case vector.Float64:
-		buf = binary.LittleEndian.AppendUint64(buf, vector.Float64KeyBits(v.F64[i]))
-	case vector.String:
-		buf = append(buf, v.Str[i]...)
-	case vector.Bool:
-		if v.B[i] {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	return buf
 }

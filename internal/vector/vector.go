@@ -5,6 +5,7 @@
 package vector
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -613,6 +614,28 @@ func Float64KeyBits(x float64) uint64 {
 		x = 0
 	}
 	return math.Float64bits(x)
+}
+
+// AppendKey appends an equality key for row i of v to buf: injective up to
+// SQL equality (-0.0 and +0.0 encode alike), the scheme of the engine's
+// group keys. Discovery and maintenance both find duplicates through it, so
+// they agree on which values are equal. NULL rows are the caller's concern.
+func (v *Vector) AppendKey(buf []byte, i int) []byte {
+	switch v.Typ {
+	case Int64, Date:
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I64[i]))
+	case Float64:
+		buf = binary.LittleEndian.AppendUint64(buf, Float64KeyBits(v.F64[i]))
+	case String:
+		buf = append(buf, v.Str[i]...)
+	case Bool:
+		if v.B[i] {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
+		}
+	}
+	return buf
 }
 
 func cmpOrdered[T int64 | float64 | string](a, b T) int {

@@ -2,7 +2,6 @@ package patchindex
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -87,35 +86,6 @@ func verifyNSC(t *testing.T, e *Engine, table, column string) {
 				return
 			}
 			last, seen = val, true
-		}
-	}
-}
-
-// sameWithRewrites runs each query with and without PatchIndex rewrites and
-// requires the same rows: in order when the query sorts, as a multiset
-// otherwise.
-func sameWithRewrites(t *testing.T, e *Engine, queries ...string) {
-	t.Helper()
-	for _, q := range queries {
-		on := renderRows(mustExec(t, e, q))
-		offRes, err := e.ExecWith(q, ExecOptions{DisablePatchRewrites: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		off := renderRows(offRes)
-		if !strings.Contains(q, "ORDER BY") {
-			sort.Strings(on)
-			sort.Strings(off)
-		}
-		if len(on) != len(off) {
-			t.Errorf("%s: %d rows with rewrites, %d without", q, len(on), len(off))
-			continue
-		}
-		for i := range on {
-			if on[i] != off[i] {
-				t.Errorf("%s: row %d is %s with rewrites, %s without", q, i, on[i], off[i])
-				break
-			}
 		}
 	}
 }

@@ -4,98 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"regexp"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"patchindex/internal/patch"
 )
-
-// TestParallelDifferential runs every interesting query shape serially
-// (Parallelism=1) and in parallel (Parallelism=4 and 8) over the same data
-// and requires identical results. Ordered queries and aggregations must match
-// exactly — the exchange merge is deterministic for them; bare projections
-// have no defined order, so those are compared as sorted multisets.
-func TestParallelDifferential(t *testing.T) {
-	seeds := []int64{11, 12, 13}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			parts := 2 + rng.Intn(4)
-			n := 4000 + rng.Intn(8000)
-			e, err := New(Config{DefaultPartitions: parts})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { e.Close() })
-			loadExceptionTable(t, e, "data", n, parts, 0.1, seed*3)
-			mustExec(t, e, "CREATE PATCHINDEX ON data(u) UNIQUE THRESHOLD 1.0 FORCE")
-			mustExec(t, e, "CREATE PATCHINDEX ON data(s) SORTED THRESHOLD 1.0 FORCE")
-
-			lo := rng.Int63n(int64(n))
-			hi := lo + rng.Int63n(int64(n)/2)
-			ordered := []string{
-				"SELECT COUNT(*) FROM data",
-				"SELECT COUNT(DISTINCT u) FROM data",
-				fmt.Sprintf("SELECT COUNT(DISTINCT u) FROM data WHERE s >= %d AND s < %d", lo, hi),
-				fmt.Sprintf("SELECT MIN(s), MAX(s), COUNT(s) FROM data WHERE u > %d", lo),
-				fmt.Sprintf("SELECT s FROM data WHERE s >= %d AND s < %d ORDER BY s LIMIT 100", lo, hi),
-				"SELECT s FROM data ORDER BY s LIMIT 500",
-				// GROUP BY: group emission order must be deterministic too
-				// (ParallelAgg merges partials in child-index order).
-				fmt.Sprintf("SELECT payload, COUNT(*), SUM(u) FROM data WHERE s < %d GROUP BY payload", hi),
-				"SELECT payload, MIN(s), MAX(s) FROM data GROUP BY payload",
-			}
-			unordered := []string{
-				fmt.Sprintf("SELECT u FROM data WHERE s >= %d AND s < %d", lo, hi),
-				fmt.Sprintf("SELECT u, s FROM data WHERE payload > %d", rng.Intn(500)),
-			}
-
-			render := func(res *Result) string { return fmt.Sprint(res.Rows) }
-			renderSorted := func(res *Result) string {
-				rows := make([]string, len(res.Rows))
-				for i, r := range res.Rows {
-					rows[i] = fmt.Sprint(r)
-				}
-				sort.Strings(rows)
-				return strings.Join(rows, ";")
-			}
-
-			check := func(q string, show func(*Result) string) {
-				t.Helper()
-				var ref string
-				for _, p := range []int{1, 4, 8} {
-					res, err := e.ExecWith(q, ExecOptions{Parallelism: p})
-					if err != nil {
-						t.Fatalf("%s [parallelism=%d]: %v", q, p, err)
-					}
-					got := show(res)
-					if p == 1 {
-						ref = got
-						continue
-					}
-					if got != ref {
-						t.Fatalf("%s: parallelism=%d disagrees with serial\n  ref: %.200s\n  got: %.200s",
-							q, p, ref, got)
-					}
-				}
-			}
-			for _, q := range ordered {
-				check(q, render)
-			}
-			for _, q := range unordered {
-				check(q, renderSorted)
-			}
-		})
-	}
-}
 
 var workerLineRe = regexp.MustCompile(`\[worker (\d+)\] \(morsels=(\d+) rows=(\d+) batches=(\d+)`)
 var opRowsRe = regexp.MustCompile(`rows=(\d+)`)

@@ -5,12 +5,13 @@ package patchindex
 // rewrite toggle, valid for exactly one catalog epoch; the result cache
 // stores materialized rows keyed additionally on the per-table version
 // stamp vector. Both are consulted only while the statement's shared table
-// latches are held (execPrepared/DrainWithContext latch before planning),
-// which is what makes the validity checks sound: DDL, tuner actions, and
-// appends on the referenced tables all require the exclusive latch, so an
-// epoch or version observed under the shared latch cannot change before
-// the plan finishes executing. Epoch bumps on *unrelated* tables only
-// cause spurious plan-cache misses, never stale hits.
+// latches are held (execPrepared latches before planning, for Exec and
+// DrainWith alike), which is what makes the validity checks sound: DDL,
+// tuner actions, and appends on the referenced tables all require the
+// exclusive latch, so an epoch or version observed under the shared latch
+// cannot change before the plan finishes executing. Epoch bumps on
+// *unrelated* tables only cause spurious plan-cache misses, never stale
+// hits.
 
 import (
 	"context"

@@ -59,3 +59,29 @@ func TestHashJoinGraceBuildUnderLimit(t *testing.T) {
 		t.Errorf("1.6 MB hash build spilled under a 64 MiB limit:\n%s", out)
 	}
 }
+
+// TestHashJoinGraceReportsPartitions: a hash build past the spill limit
+// goes Grace, and EXPLAIN ANALYZE, which renders after Close has released
+// the spill runs, still shows the partition count next to the spilled
+// bytes.
+func TestHashJoinGraceReportsPartitions(t *testing.T) {
+	e, err := New(Config{SpillBytes: 16 << 10, SpillDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	for _, table := range []string{"t", "d"} {
+		mustExec(t, e, "CREATE TABLE "+table+" (v BIGINT)")
+		vals := make([]int64, 20_000)
+		for i := range vals {
+			vals[i] = int64(i)
+		}
+		if err := e.LoadColumns(table, 0, []*vector.Vector{vector.NewFromInt64(vals)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := mustExec(t, e, "EXPLAIN ANALYZE SELECT COUNT(*) FROM d JOIN t ON d.v = t.v").Message
+	if !strings.Contains(out, "grace_partitions=16 spilled_bytes=") || strings.Contains(out, "spilled_bytes=0") {
+		t.Fatalf("Grace join does not report 16 partitions beside nonzero spilled bytes:\n%s", out)
+	}
+}

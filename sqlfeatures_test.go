@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -204,51 +203,6 @@ func TestSQLThresholdRejection(t *testing.T) {
 	}
 	// FORCE overrides.
 	mustExec(t, e, "CREATE PATCHINDEX ON emp(salary) UNIQUE THRESHOLD 0.0 FORCE")
-}
-
-func TestParallelExecutionMatchesSequential(t *testing.T) {
-	mk := func(parallel bool) *Engine {
-		parallelism := 0
-		if parallel {
-			parallelism = 2 * runtime.GOMAXPROCS(0)
-		}
-		e, err := New(Config{DefaultPartitions: 4, Parallelism: parallelism})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { e.Close() })
-		loadExceptionTable(t, e, "data", 20000, 4, 0.05, 77)
-		mustExec(t, e, "CREATE PATCHINDEX ON data(u) UNIQUE THRESHOLD 0.5")
-		mustExec(t, e, "CREATE PATCHINDEX ON data(s) SORTED THRESHOLD 0.5")
-		return e
-	}
-	seq := mk(false)
-	par := mk(true)
-	for _, q := range []string{
-		"SELECT COUNT(DISTINCT u) FROM data",
-		"SELECT COUNT(*) FROM data WHERE payload > 1",
-		"SELECT MIN(s), MAX(s) FROM data",
-	} {
-		a := mustExec(t, seq, q)
-		b := mustExec(t, par, q)
-		if len(a.Rows) != len(b.Rows) {
-			t.Fatalf("%s: row counts differ", q)
-		}
-		for i := range a.Rows {
-			for c := range a.Rows[i] {
-				if a.Rows[i][c].String() != b.Rows[i][c].String() {
-					t.Errorf("%s: row %d col %d: %v vs %v", q, i, c, a.Rows[i][c], b.Rows[i][c])
-				}
-			}
-		}
-	}
-	// Ordered query under parallel mode must still come out sorted.
-	res := mustExec(t, par, "SELECT s FROM data ORDER BY s LIMIT 100")
-	for i := 1; i < len(res.Rows); i++ {
-		if res.Rows[i-1][0].I64 > res.Rows[i][0].I64 {
-			t.Fatal("parallel ordered output not sorted")
-		}
-	}
 }
 
 func TestResultString(t *testing.T) {

@@ -53,7 +53,8 @@ func constraintTag(c patch.Constraint) string {
 }
 
 // kindFromString maps the SQL-level kind name to the patch representation
-// (unknown names fall back to auto, like CREATE PATCHINDEX).
+// (unknown names fall back to auto). CREATE PATCHINDEX and the tuner both
+// resolve KIND through it.
 func kindFromString(s string) patch.Kind {
 	switch s {
 	case "identifier":

@@ -8,22 +8,23 @@ import (
 	"patchindex/internal/tuning"
 )
 
-// newTunedEngine creates a profiling engine whose tuner uses test-scale
-// guardrails; the background loop stays off, cycles are stepped via
-// ALTER TUNER NOW (or RunCycle) for determinism.
+// testTuning is the tuner configuration of the tuner tests and of the
+// differential matrix's tuner engines: test-scale guardrails; the
+// background loop stays off, cycles are stepped via ALTER TUNER NOW (or
+// RunCycle) for determinism.
+var testTuning = tuning.Config{
+	Interval:         time.Hour,
+	MinTicks:         4,
+	WarmupTicks:      4,
+	DropIdleTicks:    8,
+	DropBenefitFloor: 1e18, // idleness decides drops at test scale
+	CooldownCycles:   2,
+}
+
+// newTunedEngine creates a profiling engine whose tuner runs testTuning.
 func newTunedEngine(t *testing.T) *Engine {
 	t.Helper()
-	e, err := New(Config{
-		WorkloadProfile: true,
-		Tuning: tuning.Config{
-			Interval:         time.Hour,
-			MinTicks:         4,
-			WarmupTicks:      4,
-			DropIdleTicks:    8,
-			DropBenefitFloor: 1e18, // idleness decides drops at test scale
-			CooldownCycles:   2,
-		},
-	})
+	e, err := New(Config{WorkloadProfile: true, Tuning: testTuning})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,50 +108,6 @@ func TestTunerE2EConvergenceAndRollback(t *testing.T) {
 	}
 	if st := e.Tuner().Status(); st.Rollbacks != 1 {
 		t.Fatalf("rollback not counted: %+v", st)
-	}
-}
-
-// TestTunerDifferentialIdentical: at every step of a shifting workload the
-// tuned engine returns byte-identical results to an untouched engine —
-// auto-created and auto-dropped indexes never change query output.
-func TestTunerDifferentialIdentical(t *testing.T) {
-	queries := []string{
-		"SELECT COUNT(DISTINCT u) FROM data",
-		"SELECT u FROM data WHERE u < 100 ORDER BY u",
-		"SELECT COUNT(*), SUM(s) FROM data WHERE u >= 500",
-	}
-	var workload []string
-	for i := 0; i < 8; i++ { // distinct-heavy phase
-		workload = append(workload, queries[0], queries[1])
-	}
-	for i := 0; i < 12; i++ { // sort-heavy phase
-		workload = append(workload, "SELECT s FROM data ORDER BY s", queries[2])
-	}
-
-	plainEng, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plainEng.Close()
-	loadExceptionTable(t, plainEng, "data", 5000, 4, 0.05, 42)
-	tunedEng := newTunedEngine(t)
-	loadExceptionTable(t, tunedEng, "data", 5000, 4, 0.05, 42)
-
-	for i, q := range workload {
-		plain := mustExec(t, plainEng, q).String()
-		tuned := mustExec(t, tunedEng, q).String()
-		if plain != tuned {
-			t.Fatalf("step %d query %q differs with tuner on:\n--- plain ---\n%s\n--- tuned ---\n%s",
-				i, q, plain, tuned)
-		}
-		if i%4 == 3 {
-			tunedEng.Tuner().RunCycle()
-		}
-	}
-	// Sanity: the tuner actually acted during the run, so the differential
-	// compared meaningfully different physical designs.
-	if st := tunedEng.Tuner().Status(); st.Creates == 0 {
-		t.Fatalf("tuner never created an index during the differential workload: %+v", st)
 	}
 }
 

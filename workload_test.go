@@ -11,41 +11,6 @@ import (
 	"patchindex/internal/plan"
 )
 
-// TestWorkloadDifferentialIdentical is the acceptance criterion that the
-// workload observatory never changes query results: the same workload on a
-// profiling engine and a plain engine renders byte-identical output.
-func TestWorkloadDifferentialIdentical(t *testing.T) {
-	queries := []string{
-		"SELECT COUNT(DISTINCT u) FROM data",
-		"SELECT u FROM data WHERE u < 100 ORDER BY u",
-		"SELECT s FROM data WHERE payload > 0.5 ORDER BY s",
-		"SELECT COUNT(*), SUM(s) FROM data WHERE u >= 500",
-		"SELECT u, COUNT(*) FROM data WHERE u >= 999999000 GROUP BY u ORDER BY u",
-	}
-	run := func(profile bool) []string {
-		e, err := New(Config{WorkloadProfile: profile})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		loadExceptionTable(t, e, "data", 20000, 4, 0.05, 42)
-		mustExec(t, e, "CREATE PATCHINDEX ON data(u) UNIQUE THRESHOLD 0.5")
-		mustExec(t, e, "CREATE PATCHINDEX ON data(s) SORTED THRESHOLD 0.5")
-		var outs []string
-		for _, q := range queries {
-			outs = append(outs, mustExec(t, e, q).String())
-		}
-		return outs
-	}
-	plain, profiled := run(false), run(true)
-	for i := range queries {
-		if plain[i] != profiled[i] {
-			t.Errorf("query %q differs with profiling on:\n--- off ---\n%s\n--- on ---\n%s",
-				queries[i], plain[i], profiled[i])
-		}
-	}
-}
-
 // TestWorkloadFixtureAgreement runs a hand-computed fixture workload and
 // checks that EXPLAIN ANALYZE's shadow_savings/index_benefit lines, the
 // profiler snapshot (/workload), and the benefit tracker (/indexes) all
