@@ -1,49 +1,17 @@
 // Command patchbench regenerates the tables and figures of the paper's
-// evaluation at a configurable scale.
+// evaluation (Section VII: Table I, Figures 4-6, the NSC join and the
+// memory comparison) at a configurable scale.
 //
 // Usage:
 //
-//	patchbench [-exp all|table1|nsc-join|fig4|fig5|fig6|memory|parallel|kernels|workload|tuning|serving|storage]
+//	patchbench [-exp all|table1|nsc-join|fig4|fig5|fig6|memory]
 //	           [-rows N] [-customer-rows N] [-sales-rows N]
 //	           [-partitions N] [-reps N] [-parallel N] [-quick]
 //	           [-json FILE] [-trace FILE] [-trace-sql SQL]
 //
 // -parallel N sets the degree of intra-query parallelism for every engine
 // the experiments create (0 = serial plans; workers are still bounded by
-// GOMAXPROCS at execution time). The "parallel" experiment compares serial
-// against parallel execution directly and reports speedups:
-//
-//	patchbench -quick -exp parallel -parallel 8 -json BENCH_parallel.json
-//
-// The "workload" experiment measures the workload observatory: the
-// disabled-path per-statement overhead, the cost of fingerprinting and
-// aggregate recording, and an attribution demo (fingerprints, per-index
-// benefit, shadow accounting):
-//
-//	patchbench -quick -exp workload -json BENCH_workload.json
-//
-// The "tuning" experiment demonstrates the self-tuner on a shifting
-// workload: a skewed count-distinct phase triggers an automatic NUC
-// PatchIndex creation, a shift to sort queries triggers the NSC creation
-// and the idle NUC drop, and a rollback restores the pre-tuner index set,
-// with before/after latencies and the journaled event timeline recorded:
-//
-//	patchbench -quick -exp tuning -json BENCH_tuning.json
-//
-// The "serving" experiment measures the multi-tenant serving fast path: a
-// repeated-query microbench comparing cold planning against the bound-plan
-// cache and the versioned result cache, then a mixed-tenant server run (a
-// high-priority dashboard tenant against a rate-limited batch tenant) with
-// caches off and on, reporting per-tenant p50/p95 and QoS shed counts:
-//
-//	patchbench -quick -exp serving -json BENCH_serving.json
-//
-// The "storage" experiment measures the disk-backed segment layer: durable
-// ingest, checkpoint cost and compression ratio, cold vs warm vs
-// all-resident scans across a restart, and restart time with a checkpoint
-// (WAL-suffix replay) against WAL-only recovery:
-//
-//	patchbench -quick -exp storage -json BENCH_storage.json
+// GOMAXPROCS at execution time).
 //
 // With -json the run additionally emits a machine-readable document holding
 // the configuration, every individual measurement, and a snapshot of the

@@ -64,10 +64,6 @@ type Config struct {
 	// DisableScanRanges turns off SMA-based block pruning and zone-map
 	// partition pruning.
 	DisableScanRanges bool
-	// DisableKernels turns off compiled vectorized expression kernels,
-	// falling back to interpreted row-at-a-time expression evaluation
-	// (the pre-kernel execution path; useful for A/B comparison).
-	DisableKernels bool
 	// Metrics is the registry receiving engine-wide counters and latency
 	// histograms. When nil a private registry is created, so Engine.Metrics
 	// always works; pass a shared registry to aggregate several engines
@@ -838,7 +834,7 @@ func (e *Engine) buildPlan(ctx context.Context, node plan.Node, opts ExecOptions
 	op, err := plan.Build(node, plan.Config{
 		Parallelism:       e.effectiveParallelism(opts),
 		DisableScanRanges: e.cfg.DisableScanRanges,
-		DisableKernels:    e.cfg.DisableKernels || opts.DisableKernels,
+		DisableKernels:    opts.DisableKernels,
 		Workload:          obs.StmtObsFromContext(ctx),
 		Spill:             exec.SpillConfig{Dir: e.spillDir(), Limit: e.cfg.SpillBytes},
 	})

@@ -11,7 +11,7 @@ import (
 	"patchindex/internal/vector"
 )
 
-func mustExec(t *testing.T, e *Engine, q string) *Result {
+func mustExec(t testing.TB, e *Engine, q string) *Result {
 	t.Helper()
 	res, err := e.Exec(q)
 	if err != nil {

@@ -97,24 +97,17 @@ func QuickConfig() Config {
 
 // Experiment names accepted by Run.
 const (
-	ExpTable1   = "table1"
-	ExpNSCJoin  = "nsc-join"
-	ExpFig4     = "fig4"
-	ExpFig5     = "fig5"
-	ExpFig6     = "fig6"
-	ExpMemory   = "memory"
-	ExpParallel = "parallel"
-	ExpKernels  = "kernels"
-	ExpWorkload = "workload"
-	ExpTuning   = "tuning"
-	ExpServing  = "serving"
-	ExpStorage  = "storage"
+	ExpTable1  = "table1"
+	ExpNSCJoin = "nsc-join"
+	ExpFig4    = "fig4"
+	ExpFig5    = "fig5"
+	ExpFig6    = "fig6"
+	ExpMemory  = "memory"
 )
 
-// All lists every experiment id in paper order, followed by the engine
-// experiments that have no paper counterpart.
+// All lists every experiment id in paper order.
 func All() []string {
-	return []string{ExpNSCJoin, ExpTable1, ExpFig4, ExpFig5, ExpFig6, ExpMemory, ExpParallel, ExpKernels, ExpWorkload, ExpTuning, ExpServing, ExpStorage}
+	return []string{ExpNSCJoin, ExpTable1, ExpFig4, ExpFig5, ExpFig6, ExpMemory}
 }
 
 // Run executes one experiment by id, writing its report to w.
@@ -132,18 +125,6 @@ func Run(id string, cfg Config, w io.Writer) error {
 		return Fig6(cfg, w)
 	case ExpMemory:
 		return Memory(cfg, w)
-	case ExpParallel:
-		return Parallel(cfg, w)
-	case ExpKernels:
-		return Kernels(cfg, w)
-	case ExpWorkload:
-		return Workload(cfg, w)
-	case ExpTuning:
-		return Tuning(cfg, w)
-	case ExpServing:
-		return Serving(cfg, w)
-	case ExpStorage:
-		return Storage(cfg, w)
 	default:
 		return fmt.Errorf("bench: unknown experiment %q (known: %v)", id, All())
 	}

@@ -299,9 +299,11 @@ func (h *HashAgg) Close() error {
 }
 
 // encodeValue appends a canonical, type-tagged binary encoding of value i of
-// v to buf. Encodings are injective per type except that -0.0 and +0.0,
-// equal under =, share one, so they are usable as hash map keys for
-// grouping, distinct counting and joins. NULL encodes as a dedicated tag.
+// v to buf: a type tag (plus a length for strings, so composite keys stay
+// unambiguous) followed by v.AppendKey's payload. Encodings are injective per
+// type except that -0.0 and +0.0, equal under =, share one, so they are
+// usable as hash map keys for grouping, distinct counting and joins. NULL
+// encodes as a dedicated tag.
 func encodeValue(buf []byte, v *vector.Vector, i int) []byte {
 	if v.IsNull(i) {
 		return append(buf, 0)
@@ -309,22 +311,15 @@ func encodeValue(buf []byte, v *vector.Vector, i int) []byte {
 	switch v.Typ {
 	case vector.Int64, vector.Date:
 		buf = append(buf, 1)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I64[i]))
 	case vector.Float64:
 		buf = append(buf, 2)
-		buf = binary.LittleEndian.AppendUint64(buf, vector.Float64KeyBits(v.F64[i]))
 	case vector.String:
 		buf = append(buf, 3)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Str[i])))
-		buf = append(buf, v.Str[i]...)
 	case vector.Bool:
-		if v.B[i] {
-			buf = append(buf, 4, 1)
-		} else {
-			buf = append(buf, 4, 0)
-		}
+		buf = append(buf, 4)
 	}
-	return buf
+	return v.AppendKey(buf, i)
 }
 
 // aggOutputTypes validates group columns and aggregate specs against the

@@ -11,7 +11,7 @@ import (
 // loadClusteredTable creates a table whose partition p holds k in
 // [p*per, (p+1)*per) — the layout zone maps are built for — while v cycles
 // 0..96 inside every partition.
-func loadClusteredTable(t *testing.T, e *Engine, parts, per int) {
+func loadClusteredTable(t testing.TB, e *Engine, parts, per int) {
 	t.Helper()
 	mustExec(t, e, fmt.Sprintf("CREATE TABLE clustered (k BIGINT, v BIGINT) PARTITIONS %d", parts))
 	for p := 0; p < parts; p++ {
@@ -164,5 +164,75 @@ func TestKernelCountersInExplain(t *testing.T) {
 	}
 	if strings.Contains(res.Message, "kernel=") {
 		t.Fatalf("DisableKernels still reports kernel batches:\n%s", res.Message)
+	}
+}
+
+const (
+	kernelBenchParts = 4
+	kernelBenchPer   = 64 * 1024
+	kernelBenchRows  = kernelBenchParts * kernelBenchPer
+)
+
+func kernelBenchEngine(b *testing.B, disableScanRanges bool) *Engine {
+	b.Helper()
+	e, err := New(Config{DefaultPartitions: kernelBenchParts, DisableScanRanges: disableScanRanges})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { e.Close() })
+	loadClusteredTable(b, e, kernelBenchParts, kernelBenchPer)
+	return e
+}
+
+// BenchmarkFilterKernel streams a ~7% selective filter over every block of
+// the clustered table (v cycles 0..96, so neither SMA nor zone maps prune
+// anything): compiled typed kernels versus the interpreted evaluator.
+// Run with -cpu 1,4 to see the interaction with morsel parallelism.
+func BenchmarkFilterKernel(b *testing.B) {
+	e := kernelBenchEngine(b, false)
+	const q = "SELECT v FROM clustered WHERE v > 89"
+	for _, bc := range []struct {
+		name string
+		opts ExecOptions
+	}{
+		{"interpreted", ExecOptions{DisableKernels: true}},
+		{"kernel", ExecOptions{}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(kernelBenchRows * 8) // one int64 column scanned per row
+			for i := 0; i < b.N; i++ {
+				if _, err := e.DrainWith(q, bc.opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(kernelBenchRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
+	}
+}
+
+// BenchmarkZoneMapPrune runs a key-range aggregate that covers exactly one
+// partition: with zone maps the other partitions are skipped before a morsel
+// is scheduled, without them every partition is streamed and filtered.
+func BenchmarkZoneMapPrune(b *testing.B) {
+	q := fmt.Sprintf("SELECT COUNT(*) FROM clustered WHERE k >= 0 AND k <= %d", kernelBenchPer-1)
+	for _, bc := range []struct {
+		name    string
+		noPrune bool
+	}{
+		{"pruned", false},
+		{"unpruned", true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := kernelBenchEngine(b, bc.noPrune)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.DrainWith(q, ExecOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(kernelBenchRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
 	}
 }

@@ -7,8 +7,9 @@
 // exchange bounds its actual worker pool at GOMAXPROCS, so the -cpu sweep is
 // what varies the real parallelism. The serial sub-benchmarks pin
 // Parallelism=1 as the baseline the speedup is computed against (see
-// EXPERIMENTS.md; cmd/patchbench -exp parallel emits the same comparison as
-// JSON). BenchmarkParallelDiscovery names its worker counts itself.
+// EXPERIMENTS.md; the plain-agg-par benchmark workload reports the same
+// comparison end to end as exec.par_speedup_x). BenchmarkParallelDiscovery
+// names its worker counts itself.
 package patchindex
 
 import (

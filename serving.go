@@ -75,7 +75,7 @@ func (e *Engine) planOptsKey(opts ExecOptions) serving.OptsKey {
 func (e *Engine) resultOptsKey(opts ExecOptions) serving.OptsKey {
 	return serving.OptsKey{
 		DisableRewrites: e.cfg.DisablePatchRewrites || opts.DisablePatchRewrites,
-		DisableKernels:  e.cfg.DisableKernels || opts.DisableKernels,
+		DisableKernels:  opts.DisableKernels,
 		Parallelism:     e.effectiveParallelism(opts),
 	}
 }
@@ -164,8 +164,11 @@ func deterministicOrder(node plan.Node) bool {
 	case *plan.SortNode:
 		return true
 	case *plan.AggregateNode:
-		// A global aggregate returns exactly one row; grouped output order
-		// follows hash-map iteration and is not deterministic.
+		// A global aggregate returns exactly one row. Grouped output is not
+		// cached: DISTINCT over one string column runs on exec's valueSet,
+		// which emits in Go map-iteration order and can differ between
+		// runs. Other grouped shapes emit in first-occurrence order, and a
+		// NUC-rewritten DISTINCT is a UnionNode, which the default rejects.
 		return len(n.GroupCols) == 0
 	case *plan.ProjectNode:
 		return deterministicOrder(n.Input)

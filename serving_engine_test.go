@@ -151,6 +151,22 @@ func TestResultCacheSkipsNondeterministicOrder(t *testing.T) {
 	if hits := counter(e, "serving.result_cache.hits"); hits != 1 {
 		t.Fatalf("ordered scan should result-cache (hits=%d)", hits)
 	}
+
+	// Grouped results are never cached: DISTINCT over one string column
+	// emits in map-iteration order, and a GROUP BY shares its plan node.
+	g := newServingEngine(t)
+	mustExec(t, g, "CREATE TABLE names (k BIGINT, n VARCHAR)")
+	mustExec(t, g, "INSERT INTO names VALUES (1, 'a'), (2, 'b'), (1, 'c'), (3, 'a')")
+	for _, q := range []string{
+		"SELECT k, COUNT(*) FROM names GROUP BY k",
+		"SELECT DISTINCT n FROM names",
+	} {
+		mustExec(t, g, q)
+		mustExec(t, g, q)
+	}
+	if hits := counter(g, "serving.result_cache.hits"); hits != 0 {
+		t.Fatalf("grouped results must not be result-cached (hits=%d)", hits)
+	}
 }
 
 // TestServingDisabledByDefault: a default-config engine must never count

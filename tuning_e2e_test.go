@@ -59,8 +59,8 @@ func TestTunerE2EConvergenceAndRollback(t *testing.T) {
 
 	// Phase A: skewed count-distinct workload until the tuner creates the
 	// NUC index.
-	created := false
-	for cycle := 0; cycle < 12 && !created; cycle++ {
+	created, cycles := false, 0
+	for ; cycles < 12 && !created; cycles++ {
 		for i := 0; i < 4; i++ {
 			mustExec(t, e, "SELECT COUNT(DISTINCT u) FROM data")
 		}
@@ -70,6 +70,7 @@ func TestTunerE2EConvergenceAndRollback(t *testing.T) {
 	if !created {
 		t.Fatalf("tuner never auto-created the NUC index; journal: %+v", e.Tuner().Journal())
 	}
+	t.Logf("NUC data.u auto-created after %d tuner cycles", cycles)
 
 	// The rewrite fires on the auto-created index.
 	out := mustExec(t, e, "EXPLAIN ANALYZE SELECT COUNT(DISTINCT u) FROM data").Message
@@ -86,7 +87,7 @@ func TestTunerE2EConvergenceAndRollback(t *testing.T) {
 	// Phase B: the workload shifts to sort queries; the idle NUC index is
 	// dropped and the NSC index created.
 	uDropped, sCreated := false, false
-	for cycle := 0; cycle < 24 && !(uDropped && sCreated); cycle++ {
+	for cycles = 0; cycles < 24 && !(uDropped && sCreated); cycles++ {
 		for i := 0; i < 4; i++ {
 			mustExec(t, e, "SELECT s FROM data ORDER BY s")
 		}
@@ -100,6 +101,7 @@ func TestTunerE2EConvergenceAndRollback(t *testing.T) {
 		t.Fatalf("workload shift did not converge (uDropped=%v sCreated=%v); indexes %v journal %+v",
 			uDropped, sCreated, patchIndexRows(t, e), e.Tuner().Journal())
 	}
+	t.Logf("after the shift to sorts: NSC data.s created and NUC data.u dropped within %d cycles", cycles)
 
 	// Rollback restores the pre-tuner index set (empty).
 	mustExec(t, e, "ALTER TUNER ROLLBACK")
