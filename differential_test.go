@@ -560,6 +560,7 @@ func TestDurableDifferentialKernels(t *testing.T) {
 			"SELECT grp, COUNT(*) FROM t GROUP BY grp ORDER BY grp",  // group-by with a NULL group
 			"SELECT id, val FROM t WHERE id < 3000 ORDER BY val, id", // sort kernel
 			"SELECT COUNT(*), SUM(val) FROM t JOIN d ON t.id = d.id", // join
+			"SELECT COUNT(*), SUM(val) FROM d JOIN t ON d.id = t.id", // the join mirrored
 			coldQuery, // the last SMA block, whole: cold-range decode
 			"SELECT COUNT(DISTINCT val) FROM big WHERE id >= 21000 AND id < 22000",
 			"SELECT id, val FROM big WHERE id >= 23990 ORDER BY id",

@@ -311,6 +311,78 @@ func TestMergeJoinNullKeysSkipped(t *testing.T) {
 	}
 }
 
+// TestMergeJoinUniqueKeyRepeatsAcrossBatches: the N:1 kernel takes a batch
+// whose keys strictly increase as the unique side, from the left or from
+// the right. A strict batch's last key may open the next batch of that side
+// too, and its rows must then join as a cross product; keys at the ends of
+// the int64 range must join without a search past them overflowing. The
+// reference join is the oracle.
+func TestMergeJoinUniqueKeyRepeatsAcrossBatches(t *testing.T) {
+	const lo, hi = math.MinInt64, math.MaxInt64
+	types := []vector.Type{vector.Int64, vector.Int64}
+	batches := func(keys ...[]int64) []*vector.Batch {
+		var out []*vector.Batch
+		for _, ks := range keys {
+			b := vector.NewBatch(types)
+			for _, k := range ks {
+				b.Vecs[0].AppendInt64(k)
+				b.Vecs[1].AppendInt64(int64(len(out)*1000 + b.Len()))
+			}
+			out = append(out, b)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name           string
+		unique, many   []*vector.Batch
+		wantRows       int
+		wantKernelRows bool
+	}{
+		{"last key repeats in next batch",
+			batches([]int64{1, 2, 3, 5}, []int64{5, 6, 8}),
+			batches([]int64{1, 1, 2, 3, 3, 4, 5}, []int64{5, 5, 6, 7, 8, 8}),
+			2 + 1 + 2 + 2*3 + 1 + 2, true},
+		{"int64 range ends",
+			batches([]int64{lo, lo + 1, 0, hi - 1, hi}),
+			batches([]int64{lo, lo, lo + 1, -1, 0, 0, hi - 1, hi - 1, hi, hi}),
+			2 + 1 + 2 + 2 + 2, true},
+		{"range ends across batches",
+			batches([]int64{lo}, []int64{lo, hi}, []int64{hi}),
+			batches([]int64{lo, lo, lo}, []int64{hi}, []int64{hi, hi}),
+			2*3 + 2*3, false},
+	} {
+		for _, uniqueLeft := range []bool{true, false} {
+			l, r := tc.unique, tc.many
+			if !uniqueLeft {
+				l, r = r, l
+			}
+			left := func() Operator { return newMemOp(types, l...) }
+			right := func() Operator { return newMemOp(types, r...) }
+			mj, err := NewMergeJoin(left(), right(), 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Collect(mj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := runRefMergeJoin(left(), right(), 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameRows(got, want); err != nil {
+				t.Errorf("%s, unique left=%v: %v", tc.name, uniqueLeft, err)
+			}
+			if len(got) != tc.wantRows {
+				t.Errorf("%s, unique left=%v: %d rows, want %d", tc.name, uniqueLeft, len(got), tc.wantRows)
+			}
+			if kernel := mj.kernelRows; (kernel > 0) != tc.wantKernelRows {
+				t.Errorf("%s, unique left=%v: kernel_rows=%d", tc.name, uniqueLeft, kernel)
+			}
+		}
+	}
+}
+
 // TestJoinEquivalence: hash join and merge join must produce identical
 // results on random sorted inputs (the merge join requires sortedness).
 func TestJoinEquivalence(t *testing.T) {
@@ -481,13 +553,19 @@ func joinSide(rng *rand.Rand, types []vector.Type, keyCol, universe, maxDup, nul
 // typed paths (reference_test.go). An in-memory HashJoin emits in probe
 // order, each probe row's matches in build order, like the reference. typ picks the key type
 // (Int64, Date, String, Float64), nulls the key NULL density (0, 1, 50,
-// 100 %), shape the group shape (1:1, 1:N, N:M) by the maximum duplicates
-// per key on each side; keys are drawn per side, so many are on one side
-// only and the cursors skip.
+// 100 %), shape the group shape (1:1, 1:N, N:M, N:1) by the maximum
+// duplicates per key on each side; keys are drawn per side, so many are on
+// one side only and the cursors skip. NULL-free Int64/Date batches with one
+// row per key take MergeJoin's N:1 kernel, from either side.
 func FuzzJoin(f *testing.F) {
 	for typ := uint8(0); typ < 4; typ++ {
-		for shape := uint8(0); shape < 3; shape++ {
-			f.Add(int64(typ)*3+int64(shape), typ, uint8(shape), shape, uint16(400))
+		for shape := uint8(0); shape < 4; shape++ {
+			f.Add(int64(typ)*4+int64(shape), typ, uint8(shape), shape, uint16(400))
+		}
+	}
+	for typ := uint8(0); typ < 2; typ++ {
+		for _, shape := range []uint8{0, 1, 3} {
+			f.Add(int64(40+typ*4+shape), typ, uint8(0), shape, uint16(2500))
 		}
 	}
 	f.Add(int64(99), uint8(1), uint8(3), uint8(2), uint16(300))
@@ -496,7 +574,7 @@ func FuzzJoin(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		kt := []vector.Type{vector.Int64, vector.Date, vector.String, vector.Float64}[typ%4]
 		nullPct := []int{0, 1, 50, 100}[nulls%4]
-		maxDup := [][2]int{{1, 1}, {1, 30}, {4, 6}}[shape%3]
+		maxDup := [][2]int{{1, 1}, {1, 30}, {4, 6}, {30, 1}}[shape%4]
 		n := 1 + int(universe%3000)
 		lTypes := []vector.Type{vector.Int64, kt}
 		rTypes := []vector.Type{kt, vector.String}
@@ -549,15 +627,39 @@ func FuzzJoin(f *testing.F) {
 	})
 }
 
-// joinBenchInput builds one sorted Int64 key column per side: keys keys,
-// lDup rows per key on the left and rDup on the right, every tenth key NULL
-// when nulls is set, in BatchSize batches. It returns both sides and the
-// join's output row count.
-func joinBenchInput(keys, lDup, rDup int, nulls bool) (l, r []*vector.Batch, out int) {
-	side := func(dup int) []*vector.Batch {
+// joinBenchShape is one join shape of the kernel benchmarks: keys keys,
+// lDup rows per key on the left and rDup on the right; with gaps every tenth
+// key is absent from the left and every third from the right.
+type joinBenchShape struct {
+	name             string
+	keys, lDup, rDup int
+	gaps             bool
+}
+
+// joinBenchShapes are the join shapes of the kernel benchmarks: 1:1, 1:27
+// (a dimension key against a fact table, the shape of the NSC join rewrite),
+// 27:1 (the same join written the other way round), 1:27 with gaps (fact
+// keys with no dimension row, dimension keys no fact row references) and N:M.
+var joinBenchShapes = []joinBenchShape{
+	{"1:1", 1 << 16, 1, 1, false},
+	{"1:27", 1 << 13, 1, 27, false},
+	{"27:1", 1 << 13, 27, 1, false},
+	{"1:27/gaps", 1 << 13, 1, 27, true},
+	{"N:M", 1 << 12, 4, 8, false},
+}
+
+// joinBenchInput builds one sorted Int64 key column per side of shape sh,
+// every tenth key NULL when nulls is set, in BatchSize batches. It returns
+// both sides and the join's output row count.
+func joinBenchInput(sh joinBenchShape, nulls bool) (l, r []*vector.Batch, out int) {
+	present := func(k, skip, at int) bool { return !sh.gaps || k%skip != at }
+	side := func(dup, skip, at int) []*vector.Batch {
 		var batches []*vector.Batch
 		var cur *vector.Batch
-		for k := 0; k < keys; k++ {
+		for k := 0; k < sh.keys; k++ {
+			if !present(k, skip, at) {
+				continue
+			}
 			for d := 0; d < dup; d++ {
 				if cur == nil || cur.Len() == vector.BatchSize {
 					cur = vector.NewBatch([]vector.Type{vector.Int64})
@@ -572,23 +674,12 @@ func joinBenchInput(keys, lDup, rDup int, nulls bool) (l, r []*vector.Batch, out
 		}
 		return batches
 	}
-	matched := keys
-	if nulls {
-		matched -= (keys + 9) / 10
+	for k := 0; k < sh.keys; k++ {
+		if present(k, 10, 0) && present(k, 3, 1) && !(nulls && k%10 == 0) {
+			out += sh.lDup * sh.rDup
+		}
 	}
-	return side(lDup), side(rDup), matched * lDup * rDup
-}
-
-// joinBenchShapes are the join shapes of the kernel benchmarks: 1:1, 1:27
-// (a dimension key against a fact table, the shape of the NSC join rewrite)
-// and N:M.
-var joinBenchShapes = []struct {
-	name             string
-	keys, lDup, rDup int
-}{
-	{"1:1", 1 << 16, 1, 1},
-	{"1:27", 1 << 13, 1, 27},
-	{"N:M", 1 << 12, 4, 8},
+	return side(sh.lDup, 10, 0), side(sh.rDup, 3, 1), out
 }
 
 // benchJoin reports the cost of join per output row on every shape, with
@@ -601,7 +692,7 @@ func benchJoin(b *testing.B, join func(l, r Operator) (Operator, error)) {
 			if nulls {
 				name += "/nulls"
 			}
-			lb, rb, out := joinBenchInput(sh.keys, sh.lDup, sh.rDup, nulls)
+			lb, rb, out := joinBenchInput(sh, nulls)
 			b.Run(name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					j, err := join(newMemOp(types, lb...), newMemOp(types, rb...))

@@ -3,7 +3,9 @@ package patchindex
 import (
 	"fmt"
 	"math"
+	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -48,6 +50,10 @@ func loadTPCDS(t *testing.T, parallel bool) *Engine {
 	return e
 }
 
+// mergeJoinLine matches a MergeJoin line of EXPLAIN ANALYZE: its rows and
+// kernel_rows.
+var mergeJoinLine = regexp.MustCompile(`MergeJoin \(.*\brows=(\d+) .*\bkernel_rows=(\d+)`)
+
 // TestTPCDSEndToEnd runs the paper's two TPC-DS use cases end-to-end through
 // SQL and cross-checks rewritten plans against baselines.
 func TestTPCDSEndToEnd(t *testing.T) {
@@ -63,6 +69,8 @@ func TestTPCDSEndToEnd(t *testing.T) {
 		"SELECT COUNT(DISTINCT c_email_address) FROM customer",
 		"SELECT COUNT(DISTINCT c_current_addr_sk) FROM customer",
 		"SELECT COUNT(*) FROM date_dim JOIN catalog_sales ON d_date_sk = cs_sold_date_sk",
+		"SELECT COUNT(*) FROM catalog_sales JOIN date_dim ON cs_sold_date_sk = d_date_sk",
+		"SELECT COUNT(*), SUM(cs_quantity), SUM(d_year) FROM catalog_sales JOIN date_dim ON cs_sold_date_sk = d_date_sk",
 		"SELECT COUNT(*), SUM(cs_quantity) FROM date_dim JOIN catalog_sales ON d_date_sk = cs_sold_date_sk WHERE d_year >= 1950",
 		"SELECT cs_sold_date_sk FROM catalog_sales ORDER BY cs_sold_date_sk LIMIT 50",
 	}
@@ -77,10 +85,30 @@ func TestTPCDSEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The join must actually run as merge joins per partition.
-	exp := mustExec(t, e, "EXPLAIN SELECT COUNT(*) FROM date_dim JOIN catalog_sales ON d_date_sk = cs_sold_date_sk")
-	if got := strings.Count(exp.Message, "MergeJoin"); got != 6 {
-		t.Errorf("expected 6 per-partition merge joins, got %d:\n%s", got, exp.Message)
+	// The join must actually run as merge joins per partition, in either
+	// orientation, and each one must emit its rows from the N:1 kernel: the
+	// stream and group paths take only the last date key of each dimension
+	// batch.
+	for _, q := range []string{
+		"SELECT COUNT(*) FROM date_dim JOIN catalog_sales ON d_date_sk = cs_sold_date_sk",
+		"SELECT COUNT(*) FROM catalog_sales JOIN date_dim ON cs_sold_date_sk = d_date_sk",
+	} {
+		exp := mustExec(t, e, "EXPLAIN "+q)
+		if got := strings.Count(exp.Message, "MergeJoin"); got != 6 {
+			t.Errorf("%s: expected 6 per-partition merge joins, got %d:\n%s", q, got, exp.Message)
+		}
+		out := mustExec(t, e, "EXPLAIN ANALYZE "+q).Message
+		joins := mergeJoinLine.FindAllStringSubmatch(out, -1)
+		if len(joins) != 6 {
+			t.Errorf("%s: EXPLAIN ANALYZE shows %d merge joins with kernel_rows, want 6:\n%s", q, len(joins), out)
+		}
+		for _, m := range joins {
+			rows, _ := strconv.ParseInt(m[1], 10, 64)
+			kernel, _ := strconv.ParseInt(m[2], 10, 64)
+			if rows == 0 || kernel*100 < rows*99 {
+				t.Errorf("%s: kernel_rows=%d of rows=%d, want >= 99 %%:\n%s", q, kernel, rows, m[0])
+			}
+		}
 	}
 
 	// The threshold classifies honestly: sold_date has ~0.5 % exceptions.
