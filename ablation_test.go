@@ -105,7 +105,9 @@ func BenchmarkAblationDiscovery(b *testing.B) {
 	sortedCol := datagen.GenSortedColumn(datagen.SortedConfig{Rows: benchCustomRows, Rate: 0.05, Seed: 2})
 	b.Run("nuc-hash-grouping", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			discovery.DiscoverNUC(uniqueCol)
+			if _, err := discovery.DiscoverNUC(uniqueCol); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("nsc-longest-sorted-subsequence", func(b *testing.B) {
@@ -125,7 +127,10 @@ func BenchmarkAblationPatchSelect(b *testing.B) {
 			b.Fatal(err)
 		}
 		colIdx := tb.Schema().ColumnIndex("u")
-		res := discovery.DiscoverNUC(tb.Partition(0).Column(colIdx))
+		res, err := discovery.DiscoverNUC(tb.Partition(0).Column(colIdx))
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, kind := range []patch.Kind{patch.Identifier, patch.Bitmap} {
 			set, err := patch.Build(kind, res.Patches, res.NumRows)
 			if err != nil {

@@ -49,7 +49,11 @@ func TestPaperDiscoveryQueryEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := discovery.DiscoverNUC(tbl.Partition(0).Column(1)).Patches
+	nuc, err := discovery.DiscoverNUC(tbl.Partition(0).Column(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := nuc.Patches
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("SQL discovery = %v, hash discovery = %v", got, want)
 	}

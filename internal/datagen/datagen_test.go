@@ -22,7 +22,10 @@ func TestGenUniqueColumnRate(t *testing.T) {
 		if v.Len() != 50_000 {
 			t.Fatalf("rows = %d", v.Len())
 		}
-		res := discovery.DiscoverNUC(v)
+		res, err := discovery.DiscoverNUC(v)
+		if err != nil {
+			t.Fatal(err)
+		}
 		// Nearly all pooled draws collide at this pool size.
 		approx(t, "nuc rate", res.ExceptionRate(), rate, 0.02)
 	}

@@ -57,7 +57,9 @@ func Advise(table *storage.Table, cfg AdvisorConfig) []Proposal {
 			cols[p] = sampled(table.Partition(p).Column(colIdx), cfg.MaxRows, len(cols))
 		}
 		totalRows, nucCount, nscPatches, nscDescPatches := 0, 0, 0, 0
-		for _, patches := range nucPatches(cols, 1) {
+		// A relation too large for NUC discovery is proposed no NUC index.
+		nuc, err := nucPatches(cols, 1)
+		for _, patches := range nuc {
 			nucCount += len(patches)
 		}
 		for _, v := range cols {
@@ -71,7 +73,7 @@ func Advise(table *storage.Table, cfg AdvisorConfig) []Proposal {
 		if totalRows == 0 {
 			continue
 		}
-		if rate := float64(nucCount) / float64(totalRows); rate <= cfg.NUCThreshold {
+		if rate := float64(nucCount) / float64(totalRows); err == nil && rate <= cfg.NUCThreshold {
 			out = append(out, proposal(table.Name(), col.Name, patch.NearlyUnique, false, rate, totalRows))
 		}
 		ascRate := float64(nscPatches) / float64(totalRows)

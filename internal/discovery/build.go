@@ -132,7 +132,9 @@ func BuildIndex(table *storage.Table, column string, c patch.Constraint, opts Bu
 		// NUC duplicate detection is global: the grouping subquery of the
 		// discovery SQL spans the table, then "each partition's PatchIndex
 		// receives all tuple identifiers for its responsible partition".
-		perPart = nucPatches(cols, workers)
+		if perPart, err = nucPatches(cols, workers); err != nil {
+			return nil, err
+		}
 	default:
 		return nil, fmt.Errorf("discovery: unknown constraint %v", c)
 	}

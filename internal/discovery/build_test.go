@@ -2,6 +2,8 @@ package discovery
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"patchindex/internal/patch"
@@ -201,5 +203,47 @@ func TestDefaultAdvisorConfig(t *testing.T) {
 	cfg := DefaultAdvisorConfig()
 	if cfg.NUCThreshold != 0.1 || cfg.NSCThreshold != 0.1 {
 		t.Errorf("unexpected defaults: %+v", cfg)
+	}
+}
+
+// BenchmarkNUCBuild creates a NUC index over 200 k rows in four partitions
+// with 5 % duplicated values, on a BIGINT column (the typed sharded path)
+// and on the same values as email-like strings (Table I's column type).
+func BenchmarkNUCBuild(b *testing.B) {
+	const rows, parts = 200_000, 4
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]int64, rows)
+	for i := range keys {
+		keys[i] = int64(i)
+		if rng.Intn(20) == 0 {
+			keys[i] = int64(rng.Intn(rows / 100))
+		}
+	}
+	for _, typ := range []vector.Type{vector.Int64, vector.String} {
+		tab, err := storage.NewTable("t", storage.NewSchema(storage.Column{Name: "c", Typ: typ}), parts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for p := 0; p < parts; p++ {
+			v := vector.New(typ, rows/parts)
+			for _, k := range keys[p*rows/parts : (p+1)*rows/parts] {
+				if typ == vector.String {
+					v.AppendString(fmt.Sprintf("customer%08d@example.org", k))
+				} else {
+					v.AppendInt64(k)
+				}
+			}
+			if err := tab.AppendColumns(p, []*vector.Vector{v}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(typ.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildIndex(tab, "c", patch.NearlyUnique, BuildOptions{Kind: patch.Auto, Threshold: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
 	}
 }

@@ -183,7 +183,7 @@ func TestDifferentialDiscovery(t *testing.T) {
 		t.Run(r.name, func(t *testing.T) {
 			wantNUC := refNUC(r.cols)
 			for _, workers := range []int{1, 2, 8} {
-				if got := nucPatches(r.cols, workers); !samePatches(got, wantNUC) {
+				if got, err := nucPatches(r.cols, workers); err != nil || !samePatches(got, wantNUC) {
 					t.Fatalf("nucPatches, %d workers: differs from the reference", workers)
 				}
 			}
@@ -193,7 +193,7 @@ func TestDifferentialDiscovery(t *testing.T) {
 			}
 			wantNSC := map[bool][][]uint64{false: make([][]uint64, len(r.cols)), true: make([][]uint64, len(r.cols))}
 			for c, col := range r.cols {
-				if got := DiscoverNUC(col).Patches; !samePatches([][]uint64{got}, refNUC([]*vector.Vector{col})) {
+				if got := mustDiscoverNUC(t, col).Patches; !samePatches([][]uint64{got}, refNUC([]*vector.Vector{col})) {
 					t.Fatalf("DiscoverNUC, partition %d: differs from the reference", c)
 				}
 				for _, desc := range []bool{false, true} {
@@ -258,8 +258,10 @@ func TestDifferentialDiscovery(t *testing.T) {
 }
 
 // TestNUCBuildAllocations: an int64 NUC build allocates a fixed handful of
-// buffers plus a patch list per partition, never per row. The same build
-// through the string-map fallback allocates a key per distinct value.
+// buffers plus a patch list per partition, never per row, and so does the
+// same build over a float64 column through the general KeyTable, whose
+// vectors and slot array only double. The string-map reference allocates a
+// key per distinct value, which shows the count would catch a map.
 func TestNUCBuildAllocations(t *testing.T) {
 	const parts = 8
 	column := func(rows int) []*vector.Vector {
@@ -286,16 +288,24 @@ func TestNUCBuildAllocations(t *testing.T) {
 	if large > small+parts*4 || large > 40*parts {
 		t.Fatalf("int64 NUC build: %.0f allocations at 8 k rows, %.0f at 64 k", small, large)
 	}
-	var buf []*vector.Vector
-	for _, col := range column(8_000) {
-		fv := vector.New(vector.Float64, col.Len())
-		for _, x := range col.I64 {
-			fv.AppendFloat64(float64(x))
+	floats := func(rows int) []*vector.Vector {
+		var out []*vector.Vector
+		for _, col := range column(rows) {
+			fv := vector.New(vector.Float64, col.Len())
+			for _, x := range col.I64 {
+				fv.AppendFloat64(float64(x))
+			}
+			out = append(out, fv)
 		}
-		buf = append(buf, fv)
+		return out
 	}
-	if fallback := allocs(buf); fallback < 4_000 {
-		t.Fatalf("fallback path allocated only %.0f times for 8 k rows: is it still the string map?", fallback)
+	small, large = allocs(floats(8_000)), allocs(floats(64_000))
+	if large > small+parts*16 || large > 80*parts {
+		t.Fatalf("float64 NUC build: %.0f allocations at 8 k rows, %.0f at 64 k", small, large)
+	}
+	ref := floats(8_000)
+	if m := testing.AllocsPerRun(3, func() { refNUC(ref) }); m < 4_000 {
+		t.Fatalf("the string-map reference allocated only %.0f times for 8 k rows", m)
 	}
 }
 

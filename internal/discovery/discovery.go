@@ -7,6 +7,7 @@
 package discovery
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -42,33 +43,42 @@ func (r Result) Qualifies(threshold float64) bool {
 // values of R_P and R_{\P} do not intersect — plus all NULL rows. This is
 // the hash-based equivalent of the paper's SQL discovery query (group by
 // with count(*) > 1, outer-joined back to the table).
-func DiscoverNUC(col *vector.Vector) Result {
-	return Result{Patches: nucPatches([]*vector.Vector{col}, 1)[0], NumRows: col.Len()}
+func DiscoverNUC(col *vector.Vector) (Result, error) {
+	patches, err := nucPatches([]*vector.Vector{col}, 1)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Patches: patches[0], NumRows: col.Len()}, nil
 }
+
+// ErrTooManyRows refuses NUC discovery over a relation of more than
+// math.MaxInt32 rows: its tables number rows and values in 31 bits.
+var ErrTooManyRows = errors.New("discovery: NUC discovery takes at most 2^31-1 rows")
 
 // nucPatches treats cols as the partitions of one relation and returns, per
 // column, the ascending row ids of the minimal NUC patch set: every NULL row
 // and every row whose value occurs more than once anywhere in cols. It is
 // the one duplicate-detection pass behind DiscoverNUC, BuildIndex, Advise
-// and VerifyNUC.
+// and VerifyNUC. A relation of more than math.MaxInt32 rows is refused with
+// ErrTooManyRows.
 //
 // A value is never counted: the first row holding it is remembered, and a
 // later row holding it marks both itself and that first row, so one pass
 // over the data leaves a flag per row and the extraction that follows is a
 // read-only scan of the flags, fanned out per column.
-func nucPatches(cols []*vector.Vector, workers int) [][]uint64 {
+func nucPatches(cols []*vector.Vector, workers int) ([][]uint64, error) {
 	base := make([]int, len(cols)+1) // base[c] numbers column c's first row
-	typed := true
 	for c, col := range cols {
 		base[c+1] = base[c] + col.Len()
-		typed = typed && (col.Typ == vector.Int64 || col.Typ == vector.Date)
+	}
+	if base[len(cols)] > math.MaxInt32 {
+		return nil, ErrTooManyRows
+	}
+	if t := cols[0].Typ; t != vector.Int64 && t != vector.Date {
+		workers = 1 // only integer keys are sharded (vector.ShardOfInt64)
 	}
 	dup := make([]bool, base[len(cols)])
-	if typed && len(dup) <= math.MaxInt32 {
-		markDuplicatesInt64(cols, base, dup, workers)
-	} else {
-		markDuplicatesEncoded(cols, base, dup)
-	}
+	markDuplicates(cols, base, dup, workers)
 	out := make([][]uint64, len(cols))
 	forEachPartition(len(cols), workers, func(c int) {
 		col := cols[c]
@@ -80,75 +90,64 @@ func nucPatches(cols []*vector.Vector, workers int) [][]uint64 {
 		}
 		out[c] = patches
 	})
-	return out
+	return out, nil
 }
 
-// markDuplicatesInt64 sets dup[r] for every row r (numbered through base)
-// whose non-NULL value occurs more than once in the Int64/Date columns cols.
-// Each of the workers owns one shard of the key space and a table of its
-// own: it reads every row, skips the keys of other shards, and is the only
-// writer of the flags of the rows whose keys it owns, so the workers share
-// no mutable state and nothing is merged afterwards.
-func markDuplicatesInt64(cols []*vector.Vector, base []int, dup []bool, workers int) {
+// markDuplicates sets dup[r] for every row r (numbered through base) whose
+// non-NULL value occurs more than once in cols. Each of the workers owns one
+// shard of the Int64/Date key space (one worker owns every key, of any
+// type) and a vector.KeyTable of its own: it reads every row, skips the keys
+// of other shards, and is the only writer of the flags of the rows whose
+// keys it owns, so the workers share no mutable state and nothing is merged
+// afterwards.
+func markDuplicates(cols []*vector.Vector, base []int, dup []bool, workers int) {
 	capacity := len(dup)
 	if workers > 1 {
 		// An eighth of slack over an even split absorbs shard imbalance;
 		// a table that still fills up grows.
 		capacity = (capacity/workers + 1) * 9 / 8
 	}
+	types := []vector.Type{cols[0].Typ}
 	forEachPartition(workers, workers, func(shard int) {
-		table := vector.NewInt64Table(capacity)
+		table := vector.NewKeyTable(types, capacity)
 		first := make([]uint32, 0, capacity) // first[id]: first row holding the key
-		var (
-			keys [vector.BatchSize]int64
-			rows [vector.BatchSize]uint32
-			ids  [vector.BatchSize]int32
-		)
+		// A chunk's keys: a view of the column when every row is taken,
+		// else the taken rows gathered into packed.
+		keys := []*vector.Vector{nil}
+		view, packed := &vector.Vector{}, vector.New(types[0], vector.BatchSize)
+		rows := make([]int, 0, vector.BatchSize)
+		var ids [vector.BatchSize]int32
 		for c, col := range cols {
-			vals := col.I64[:col.Len()]
-			for lo := 0; lo < len(vals); lo += vector.BatchSize {
-				m := 0
-				for i, key := range vals[lo:min(lo+vector.BatchSize, len(vals))] {
-					if col.IsNull(lo+i) || (workers > 1 && vector.ShardOfInt64(key, workers) != shard) {
-						continue
+			for lo := 0; lo < col.Len(); lo += vector.BatchSize {
+				hi := min(lo+vector.BatchSize, col.Len())
+				rows = rows[:0]
+				for i := lo; i < hi; i++ {
+					if !col.IsNull(i) && (workers == 1 || vector.ShardOfInt64(col.I64[i], workers) == shard) {
+						rows = append(rows, i)
 					}
-					keys[m], rows[m] = key, uint32(base[c]+lo+i)
-					m++
+				}
+				if len(rows) == hi-lo {
+					col.SliceInto(view, lo, hi)
+					keys[0] = view
+				} else {
+					packed.Reset()
+					packed.Gather(col, rows)
+					keys[0] = packed
 				}
 				next := int32(table.Len())
-				table.InsertBatch(keys[:m], ids[:m])
-				for j, id := range ids[:m] {
+				table.InsertBatch(keys, len(rows), ids[:len(rows)])
+				for j, id := range ids[:len(rows)] {
+					row := uint32(base[c] + rows[j])
 					if id == next { // a new key: ids are handed out in order
-						first = append(first, rows[j])
+						first = append(first, row)
 						next++
 					} else {
-						dup[first[id]], dup[rows[j]] = true, true
+						dup[first[id]], dup[row] = true, true
 					}
 				}
 			}
 		}
 	})
-}
-
-// markDuplicatesEncoded is markDuplicatesInt64 for every other column type
-// (and for relations beyond the typed table's 2^31 keys): values go through
-// Vector.AppendKey into one string-keyed map, serially.
-func markDuplicatesEncoded(cols []*vector.Vector, base []int, dup []bool) {
-	first := make(map[string]int, len(dup))
-	var buf []byte
-	for c, col := range cols {
-		for i, n := 0, col.Len(); i < n; i++ {
-			if col.IsNull(i) {
-				continue
-			}
-			buf = col.AppendKey(buf[:0], i)
-			if f, seen := first[string(buf)]; seen {
-				dup[f], dup[base[c]+i] = true, true
-			} else {
-				first[string(buf)] = base[c] + i
-			}
-		}
-	}
 }
 
 // DiscoverNSC computes a minimal set of patches whose exclusion leaves the
@@ -300,8 +299,12 @@ func VerifyNUC(col *vector.Vector, patches []uint64) error {
 	if err := checkPatchList(patches, col.Len()); err != nil {
 		return err
 	}
+	dups, err := nucPatches([]*vector.Vector{col}, 1)
+	if err != nil {
+		return err
+	}
 	next := 0
-	for _, r := range nucPatches([]*vector.Vector{col}, 1)[0] {
+	for _, r := range dups[0] {
 		for next < len(patches) && patches[next] < r {
 			next++
 		}

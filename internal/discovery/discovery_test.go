@@ -33,10 +33,20 @@ func intVecWithNulls(vals []int64, nulls []int) *vector.Vector {
 	return v
 }
 
+// mustDiscoverNUC is DiscoverNUC failing t on an error.
+func mustDiscoverNUC(t *testing.T, col *vector.Vector) Result {
+	t.Helper()
+	res, err := DiscoverNUC(col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestDiscoverNUCPaperExample(t *testing.T) {
 	// Figure 2 of the paper: values 3 1 3 6 8 2 9 6 with duplicates 3 and 6.
 	col := intVec(3, 1, 3, 6, 8, 2, 9, 6)
-	res := DiscoverNUC(col)
+	res := mustDiscoverNUC(t, col)
 	want := []uint64{0, 2, 3, 7} // all occurrences of 3 and 6
 	if len(res.Patches) != len(want) {
 		t.Fatalf("patches = %v, want %v", res.Patches, want)
@@ -55,14 +65,14 @@ func TestDiscoverNUCPaperExample(t *testing.T) {
 }
 
 func TestDiscoverNUCAllUnique(t *testing.T) {
-	res := DiscoverNUC(intVec(5, 1, 9, 3))
+	res := mustDiscoverNUC(t, intVec(5, 1, 9, 3))
 	if len(res.Patches) != 0 {
 		t.Errorf("unique column has patches: %v", res.Patches)
 	}
 }
 
 func TestDiscoverNUCAllSame(t *testing.T) {
-	res := DiscoverNUC(intVec(7, 7, 7))
+	res := mustDiscoverNUC(t, intVec(7, 7, 7))
 	if len(res.Patches) != 3 {
 		t.Errorf("patches = %v, want all rows", res.Patches)
 	}
@@ -71,7 +81,7 @@ func TestDiscoverNUCAllSame(t *testing.T) {
 func TestDiscoverNUCNulls(t *testing.T) {
 	// NULLs are always patches; non-null uniqueness unaffected.
 	col := intVecWithNulls([]int64{1, 0, 2, 0, 3}, []int{1, 3})
-	res := DiscoverNUC(col)
+	res := mustDiscoverNUC(t, col)
 	want := []uint64{1, 3}
 	if len(res.Patches) != 2 || res.Patches[0] != want[0] || res.Patches[1] != want[1] {
 		t.Errorf("patches = %v, want %v", res.Patches, want)
@@ -86,7 +96,7 @@ func TestDiscoverNUCStrings(t *testing.T) {
 	for _, s := range []string{"a", "b", "a", "c"} {
 		v.AppendString(s)
 	}
-	res := DiscoverNUC(v)
+	res := mustDiscoverNUC(t, v)
 	if len(res.Patches) != 2 || res.Patches[0] != 0 || res.Patches[1] != 2 {
 		t.Errorf("patches = %v", res.Patches)
 	}
@@ -107,7 +117,7 @@ func TestDiscoverNUCProperty(t *testing.T) {
 			}
 		}
 		col := intVecWithNulls(vals, nulls)
-		res := DiscoverNUC(col)
+		res := mustDiscoverNUC(t, col)
 		if err := VerifyNUC(col, res.Patches); err != nil {
 			t.Logf("verify failed: %v", err)
 			return false
@@ -304,7 +314,7 @@ func TestFloatAndBoolEncoding(t *testing.T) {
 	fv.AppendFloat64(1.5)
 	fv.AppendFloat64(1.5)
 	fv.AppendFloat64(2.5)
-	res := DiscoverNUC(fv)
+	res := mustDiscoverNUC(t, fv)
 	if len(res.Patches) != 2 {
 		t.Errorf("float dups: %v", res.Patches)
 	}
@@ -312,7 +322,7 @@ func TestFloatAndBoolEncoding(t *testing.T) {
 	bv.AppendBool(true)
 	bv.AppendBool(false)
 	bv.AppendBool(true)
-	res = DiscoverNUC(bv)
+	res = mustDiscoverNUC(t, bv)
 	if len(res.Patches) != 2 {
 		t.Errorf("bool dups: %v", res.Patches)
 	}

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"patchindex/internal/vector"
@@ -8,9 +9,27 @@ import (
 
 // The discovery code as it stood before the typed kernels, kept as the
 // oracle the differential tests compare against: NUC counts every value
-// through Vector.AppendKey in a string-keyed map and probes it again per
-// row, NSC runs the longest-sorted-subsequence search through
-// Vector.Compare.
+// through appendKey in a string-keyed map and probes it again per row, NSC
+// runs the longest-sorted-subsequence search through Vector.Compare.
+
+// appendKey appends an equality key for non-NULL row i of col to buf: the
+// value's bytes, with -0.0 and +0.0 encoded alike.
+func appendKey(buf []byte, col *vector.Vector, i int) []byte {
+	switch col.Typ {
+	case vector.Int64, vector.Date:
+		return binary.LittleEndian.AppendUint64(buf, uint64(col.I64[i]))
+	case vector.Float64:
+		return binary.LittleEndian.AppendUint64(buf, vector.Float64KeyBits(col.F64[i]))
+	case vector.String:
+		return append(buf, col.Str[i]...)
+	case vector.Bool:
+		if col.B[i] {
+			return append(buf, 1)
+		}
+		return append(buf, 0)
+	}
+	return buf
+}
 
 // refNUC is the count-then-probe NUC discovery over the partitions cols of
 // one relation.
@@ -22,7 +41,7 @@ func refNUC(cols []*vector.Vector) [][]uint64 {
 			if col.IsNull(i) {
 				continue
 			}
-			buf = col.AppendKey(buf[:0], i)
+			buf = appendKey(buf[:0], col, i)
 			counts[string(buf)]++
 		}
 	}
@@ -33,7 +52,7 @@ func refNUC(cols []*vector.Vector) [][]uint64 {
 				out[c] = append(out[c], uint64(i))
 				continue
 			}
-			buf = col.AppendKey(buf[:0], i)
+			buf = appendKey(buf[:0], col, i)
 			if counts[string(buf)] > 1 {
 				out[c] = append(out[c], uint64(i))
 			}

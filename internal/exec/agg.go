@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -72,8 +71,8 @@ func (a AggSpec) ResultType(input []vector.Type) vector.Type {
 // deterministic: each partial preserves its input's first-occurrence group
 // order, so merging partial 0, then 1, ... reproduces exactly the group
 // insertion order of one input over Union(child 0, child 1, ...). Partials
-// of COUNT(DISTINCT) carry value sets, not resolved counts, so duplicates
-// across inputs collapse correctly at merge time.
+// of COUNT(DISTINCT) carry their distinct values, not resolved counts, so
+// duplicates across inputs collapse correctly at merge time.
 type HashAgg struct {
 	opStats
 	children   []Operator
@@ -118,7 +117,7 @@ func NewParallelAgg(degree int, groupCols []int, aggs []AggSpec, children ...Ope
 	}
 	return &HashAgg{
 		children: children, degree: degree, aggs: aggs, types: types,
-		newPartial: classifyFastAgg(groupCols, aggs, in),
+		newPartial: func() aggPartial { return newGroupAgg(groupCols, aggs, in) },
 	}, nil
 }
 
@@ -296,30 +295,6 @@ func (h *HashAgg) Close() error {
 		}
 	}
 	return first
-}
-
-// encodeValue appends a canonical, type-tagged binary encoding of value i of
-// v to buf: a type tag (plus a length for strings, so composite keys stay
-// unambiguous) followed by v.AppendKey's payload. Encodings are injective per
-// type except that -0.0 and +0.0, equal under =, share one, so they are
-// usable as hash map keys for grouping, distinct counting and joins. NULL
-// encodes as a dedicated tag.
-func encodeValue(buf []byte, v *vector.Vector, i int) []byte {
-	if v.IsNull(i) {
-		return append(buf, 0)
-	}
-	switch v.Typ {
-	case vector.Int64, vector.Date:
-		buf = append(buf, 1)
-	case vector.Float64:
-		buf = append(buf, 2)
-	case vector.String:
-		buf = append(buf, 3)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Str[i])))
-	case vector.Bool:
-		buf = append(buf, 4)
-	}
-	return v.AppendKey(buf, i)
 }
 
 // aggOutputTypes validates group columns and aggregate specs against the

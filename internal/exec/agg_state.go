@@ -13,8 +13,9 @@ type aggColumn struct {
 	spec AggSpec
 	typ  vector.Type // input column type; unused for COUNT(*)
 
-	// count is the row count of COUNT(*) and COUNT, and the non-NULL input
-	// count of SUM, MIN and MAX, whose result is NULL while it is zero.
+	// count is the row count of COUNT(*) and COUNT, the distinct non-NULL
+	// value count of COUNT(DISTINCT), and the non-NULL input count of SUM,
+	// MIN and MAX, whose result is NULL while it is zero.
 	count []int64
 	// The running SUM, MIN or MAX of a group, in the array of the input
 	// type: f64 for floats, str for strings, i64 for everything else (a bool
@@ -22,9 +23,11 @@ type aggColumn struct {
 	i64 []int64
 	f64 []float64
 	str []string
-	// sets holds each group's distinct encoded values for COUNT(DISTINCT);
-	// a group's set is allocated with its first non-NULL value.
-	sets []map[string]struct{}
+	// dist numbers the distinct (group id, value) pairs of COUNT(DISTINCT),
+	// or the distinct values of a global aggregation, as distTypes lays
+	// them out; count[g] counts group g's pairs whose value is not NULL.
+	dist      *vector.KeyTable
+	distTypes []vector.Type
 }
 
 // aggArrays is the aggregate state of a partial: one aggColumn per
@@ -32,15 +35,26 @@ type aggColumn struct {
 type aggArrays struct {
 	cols []aggColumn
 	n    int
-	buf  []byte // COUNT(DISTINCT) encoding scratch
+	// COUNT(DISTINCT) scratch: a batch's group ids as a key column, and
+	// the pair ids the distinct table gives its rows.
+	gid     *vector.Vector
+	pairIDs []int32
 }
 
-func newAggArrays(aggs []AggSpec, in []vector.Type) aggArrays {
-	s := aggArrays{cols: make([]aggColumn, len(aggs))}
+func newAggArrays(aggs []AggSpec, in []vector.Type, grouped bool) aggArrays {
+	s := aggArrays{cols: make([]aggColumn, len(aggs)), gid: vector.New(vector.Int64, 0)}
 	for i, a := range aggs {
-		s.cols[i].spec = a
+		c := &s.cols[i]
+		c.spec = a
 		if a.Func != CountStar {
-			s.cols[i].typ = in[a.Col]
+			c.typ = in[a.Col]
+		}
+		if a.Func == CountDistinct {
+			c.distTypes = []vector.Type{c.typ}
+			if grouped {
+				c.distTypes = []vector.Type{vector.Int64, c.typ}
+			}
+			c.dist = vector.NewKeyTable(c.distTypes, 0)
 		}
 	}
 	return s
@@ -56,8 +70,6 @@ func (s *aggArrays) grow(n int) {
 		c := &s.cols[i]
 		c.count = append(c.count, make([]int64, d)...)
 		switch c.spec.Func {
-		case CountDistinct:
-			c.sets = append(c.sets, make([]map[string]struct{}, d)...)
 		case Sum, Min, Max:
 			switch c.typ {
 			case vector.Float64:
@@ -199,31 +211,48 @@ func foldMinMax[T cmp.Ordered](acc []T, count []int64, x []T, nulls []bool, ids 
 	}
 }
 
-// addDistinct adds the encoded non-NULL values of v to their groups' sets.
+// addDistinct adds the values of v, paired with their rows' groups, to c's
+// distinct table.
 func (s *aggArrays) addDistinct(c *aggColumn, v *vector.Vector, n int, ids []int32) {
-	for i := 0; i < n; i++ {
-		if v.IsNull(i) {
+	if ids == nil {
+		s.addPairs(c, []*vector.Vector{v}, n)
+		return
+	}
+	s.gid.Resize(n)
+	for i, g := range ids {
+		s.gid.I64[i] = int64(g)
+	}
+	s.addPairs(c, []*vector.Vector{s.gid, v}, n)
+}
+
+// addPairs inserts n rows of cols, laid out as c.distTypes, into c's
+// distinct table and counts each new pair whose value is not NULL for its
+// group.
+func (s *aggArrays) addPairs(c *aggColumn, cols []*vector.Vector, n int) {
+	if cap(s.pairIDs) < n {
+		s.pairIDs = make([]int32, n)
+	}
+	ids := s.pairIDs[:n]
+	next := int32(c.dist.Len())
+	c.dist.InsertBatch(cols, n, ids)
+	v := cols[len(cols)-1]
+	for i, id := range ids {
+		if id != next {
 			continue
 		}
-		var g int32
-		if ids != nil {
-			g = ids[i]
-		}
-		set := c.sets[g]
-		if set == nil {
-			set = make(map[string]struct{})
-			c.sets[g] = set
-		}
-		s.buf = encodeValue(s.buf[:0], v, i)
-		if _, seen := set[string(s.buf)]; !seen {
-			set[string(s.buf)] = struct{}{}
+		next++
+		switch {
+		case v.IsNull(i):
+		case len(cols) == 2:
+			c.count[cols[0].I64[i]]++
+		default:
+			c.count[0]++
 		}
 	}
 }
 
 // fold merges the state of a later partial into s: group g of o goes into
-// group to[g] of s, which s has already grown to hold. o must not be used
-// afterwards (its distinct sets may be adopted).
+// group to[g] of s, which s has already grown to hold.
 func (s *aggArrays) fold(o *aggArrays, to []int32) {
 	for i := range s.cols {
 		c, oc := &s.cols[i], &o.cols[i]
@@ -234,17 +263,18 @@ func (s *aggArrays) fold(o *aggArrays, to []int32) {
 				c.count[d] += oc.count[g]
 			}
 		case c.spec.Func == CountDistinct:
-			for g, d := range to {
-				switch src := oc.sets[g]; {
-				case src == nil:
-				case c.sets[d] == nil:
-					c.sets[d] = src
-				default:
-					for k := range src {
-						c.sets[d][k] = struct{}{}
-					}
+			// Re-insert the later pairs, their group ids mapped through to.
+			pairs := make([]*vector.Vector, len(c.distTypes))
+			for k, t := range c.distTypes {
+				pairs[k] = vector.New(t, oc.dist.Len())
+			}
+			oc.dist.AppendKeys(pairs, 0, oc.dist.Len())
+			if len(pairs) == 2 {
+				for k, g := range pairs[0].I64 {
+					pairs[0].I64[k] = int64(to[g])
 				}
 			}
+			s.addPairs(c, pairs, oc.dist.Len())
 		case c.typ == vector.Float64 && c.spec.Func == Sum:
 			mergeSums(c.f64, c.count, oc.f64, oc.count, to)
 		case c.spec.Func == Sum:
@@ -288,10 +318,8 @@ func (s *aggArrays) emit(out []*vector.Vector, from, to int) {
 		c, v := &s.cols[i], out[i]
 		for g := from; g < to; g++ {
 			switch {
-			case c.spec.Func == CountStar || c.spec.Func == Count:
+			case c.spec.Func == CountStar || c.spec.Func == Count || c.spec.Func == CountDistinct:
 				v.AppendInt64(c.count[g])
-			case c.spec.Func == CountDistinct:
-				v.AppendInt64(int64(len(c.sets[g])))
 			case c.count[g] == 0:
 				v.AppendNull()
 			case c.typ == vector.Float64:

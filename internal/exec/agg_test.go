@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"patchindex/internal/vector"
@@ -380,61 +382,69 @@ func BenchmarkHashAggGlobalCount(b *testing.B) {
 	benchAgg(b, aggBenchInput(1_000_000, 1000), nil, []AggSpec{{Func: CountStar, Col: -1}})
 }
 
-// genericPartial returns the constructor of the reference partial for an
-// aggregation: the same columnar state as classifyFastAgg's choice, keyed
-// by the encodeValue map keyer whenever there are group columns. A global
-// aggregation has no keyer to swap, so its reference computes COUNT(DISTINCT)
-// with per-group sets rather than as a keyed DISTINCT.
-func genericPartial(groupCols []int, aggs []AggSpec, in []vector.Type) func() aggPartial {
-	if len(groupCols) == 0 {
-		return func() aggPartial { return newGroupAgg(nil, aggs, in, nil) }
-	}
-	return func() aggPartial { return newGroupAgg(groupCols, aggs, in, newMapKeyer(colTypes(groupCols, in))) }
-}
-
-// TestClassifyFastAggTypedPaths pins the keyer of the aggregations the
-// benchmark workloads run, so a refactor cannot send them back to the map
-// keyer unnoticed: GROUP BY payload with COUNT(*) and SUM (plain-agg-par),
-// a global COUNT(c) (the NUC distinct rewrite's outer count) and a global
-// COUNT(*) (nsc-join).
+// TestClassifyFastAggTypedPaths pins that the aggregations the benchmark
+// workloads run hand vector.KeyTable one integer key column, which it runs
+// on its Int64Table path (TestKeyTableSingleIntegerRunsOnInt64Table pins
+// that half): GROUP BY payload with COUNT(*) and SUM (plain-agg-par), the
+// DISTINCT over the patches of the NUC distinct rewrite and the global
+// COUNT(DISTINCT) it replaces (nuc-distinct). A global COUNT(c) (the
+// rewrite's outer count) and a global COUNT(*) (nsc-join) have no key
+// table at all.
 func TestClassifyFastAggTypedPaths(t *testing.T) {
 	in := []vector.Type{vector.Int64, vector.Int64}
-	grouped := classifyFastAgg([]int{0}, []AggSpec{{Func: CountStar, Col: -1}, {Func: Sum, Col: 1}}, in)()
-	if p, ok := grouped.(*groupAgg); !ok {
-		t.Errorf("GROUP BY int64: partial %T, want *groupAgg", grouped)
-	} else if _, ok := p.keyer.(*int64Keyer); !ok {
-		t.Errorf("GROUP BY int64: keyer %T, want *int64Keyer", p.keyer)
+	oneInt := []vector.Type{vector.Int64}
+	for _, c := range []struct {
+		name string
+		p    *groupAgg
+	}{
+		{"GROUP BY int64", newGroupAgg([]int{0}, []AggSpec{{Func: CountStar, Col: -1}, {Func: Sum, Col: 1}}, in)},
+		{"DISTINCT int64", newGroupAgg([]int{0}, nil, in)},
+	} {
+		if c.p.keys == nil || !slices.Equal(c.p.keyTypes, oneInt) {
+			t.Errorf("%s: key table over %v, want %v", c.name, c.p.keyTypes, oneInt)
+		}
+	}
+	cd := newGroupAgg(nil, []AggSpec{{Func: CountDistinct, Col: 0}}, in)
+	if got := cd.state.cols[0].distTypes; cd.keys != nil || !slices.Equal(got, oneInt) {
+		t.Errorf("global COUNT(DISTINCT int64): distinct table over %v, want %v", got, oneInt)
 	}
 	for _, spec := range []AggSpec{{Func: Count, Col: 1}, {Func: CountStar, Col: -1}} {
-		global := classifyFastAgg(nil, []AggSpec{spec}, in)()
-		if p, ok := global.(*groupAgg); !ok || p.keyer != nil {
-			t.Errorf("global %v: partial %T, want *groupAgg without a keyer", spec.Func, global)
+		if p := newGroupAgg(nil, []AggSpec{spec}, in); p.keys != nil || p.state.cols[0].dist != nil {
+			t.Errorf("global %v: has a key table", spec.Func)
 		}
 	}
 }
 
-// FuzzGroupedAgg checks the Int64Table keyer against the generic map keyer:
-// a GROUP BY over one int64 or date key (with NULLs and the extreme values)
-// and a random list of aggregates over an int64 and a float64 column with
-// NULLs, split into 1–4 inputs, must produce the same rows in the same
-// order. shape picks the input count (bits 0-1), the batch size (bits 2-6)
-// and a date key (bit 7); each byte of specs is one aggregate; each three
-// bytes of rows are one row's key, int and float values.
+// FuzzGroupedAgg checks the KeyTable-keyed aggregation against the map
+// keyed reference: a GROUP BY over a key of one of five kinds (int64, date,
+// string, float64 with both zeros and two NaNs, and an (int64, string)
+// pair), with NULLs and each type's edge values, and a random list of
+// aggregates over an int64 and a float64 column with NULLs, split into 1–4
+// inputs, must produce the same rows in the same order as the reference
+// over the concatenated inputs. shape picks the input count (bits 0-1) and
+// the batch size (bits 2-6); keyKind picks the key (mod 5); each byte of
+// specs is one aggregate; each three bytes of rows are one row's key, int
+// and float values.
 func FuzzGroupedAgg(f *testing.F) {
-	f.Add(uint8(0), []byte{0, 8}, []byte{1, 2, 3, 0xFF, 5, 6, 1, 0xFF, 9})
-	f.Add(uint8(0x87), []byte{2, 3, 4, 9, 10}, []byte{0xFF, 1, 1, 0xFE, 2, 2, 0xFD, 3, 3, 0xFC, 4, 4, 0xFF, 5, 5, 0xFE, 6, 6})
-	f.Add(uint8(0x0E), []byte{}, []byte{7, 0, 0, 7, 0, 0, 0xFF, 0, 0, 8, 0, 0, 0xFF, 0, 0, 7, 0, 0})
-	f.Fuzz(func(t *testing.T, shape uint8, specs []byte, rows []byte) {
+	f.Add(uint8(0), uint8(0), []byte{0, 8}, []byte{1, 2, 3, 0xFF, 5, 6, 1, 0xFF, 9})
+	f.Add(uint8(0x07), uint8(1), []byte{2, 3, 4, 9, 10}, []byte{0xFF, 1, 1, 0xFE, 2, 2, 0xFD, 3, 3, 0xFC, 4, 4, 0xFF, 5, 5, 0xFE, 6, 6})
+	f.Add(uint8(0x0E), uint8(0), []byte{}, []byte{7, 0, 0, 7, 0, 0, 0xFF, 0, 0, 8, 0, 0, 0xFF, 0, 0, 7, 0, 0})
+	f.Add(uint8(0x05), uint8(2), []byte{5, 11, 0}, []byte{0xFE, 1, 1, 0xFD, 2, 2, 3, 3, 3, 0xFE, 4, 4, 0xFF, 5, 5, 3, 6, 6})
+	f.Add(uint8(0x0A), uint8(3), []byte{0, 5, 2, 4}, []byte{0xFE, 1, 1, 0xFB, 2, 2, 0xFD, 3, 3, 0xFC, 4, 4, 0xFD, 5, 5, 0xFF, 6, 6})
+	f.Add(uint8(0x01), uint8(4), []byte{0, 1, 5}, []byte{0, 1, 1, 4, 2, 2, 0xFF, 3, 3, 0xFE, 4, 4, 16, 5, 5, 0, 6, 6})
+	f.Fuzz(func(t *testing.T, shape, keyKind uint8, specs []byte, rows []byte) {
 		k := 1 + int(shape%4)
 		size := 1 + int(shape>>2&0x1F)
-		types := []vector.Type{vector.Int64, vector.Int64, vector.Float64}
-		if shape&0x80 != 0 {
-			types[0] = vector.Date
-		}
+		keyTypes := [][]vector.Type{
+			{vector.Int64}, {vector.Date}, {vector.String}, {vector.Float64}, {vector.Int64, vector.String},
+		}[keyKind%5]
+		nk := len(keyTypes)
+		types := append(slices.Clone(keyTypes), vector.Int64, vector.Float64)
+		groupCols := []int{0, 1}[:nk]
 		var aggs []AggSpec
 		for _, b := range specs[:min(len(specs), 8)] {
 			fn := []AggFunc{CountStar, Count, Sum, Min, Max, CountDistinct}[b%6]
-			col := 1 + int(b/6%2)
+			col := nk + int(b/6%2)
 			if fn == CountStar {
 				col = -1
 			}
@@ -448,27 +458,16 @@ func FuzzGroupedAgg(f *testing.F) {
 				inputs[c] = append(inputs[c], vector.NewBatch(types))
 			}
 			b := inputs[c][len(inputs[c])-1]
-			switch key := rows[i]; key {
-			case 0xFF:
-				b.Vecs[0].AppendNull()
-			case 0xFE:
-				b.Vecs[0].AppendInt64(math.MinInt64)
-			case 0xFD:
-				b.Vecs[0].AppendInt64(math.MaxInt64)
-			case 0xFC:
-				b.Vecs[0].AppendInt64(0)
-			default:
-				b.Vecs[0].AppendInt64(int64(key%16) - 8)
-			}
+			appendFuzzKey(b.Vecs[:nk], rows[i])
 			if x := rows[i+1]; x%7 == 0 {
-				b.Vecs[1].AppendNull()
+				b.Vecs[nk].AppendNull()
 			} else {
-				b.Vecs[1].AppendInt64(int64(x) - 128)
+				b.Vecs[nk].AppendInt64(int64(x) - 128)
 			}
 			if x := rows[i+2]; x%5 == 0 {
-				b.Vecs[2].AppendNull()
+				b.Vecs[nk+1].AppendNull()
 			} else {
-				b.Vecs[2].AppendFloat64(float64(x)/4 - 30)
+				b.Vecs[nk+1].AppendFloat64(float64(x)/4 - 30)
 			}
 		}
 		run := func(partial func() aggPartial) string {
@@ -476,7 +475,7 @@ func FuzzGroupedAgg(f *testing.F) {
 			for c := range children {
 				children[c] = newMemOp(types, inputs[c]...)
 			}
-			agg, err := NewParallelAgg(2, []int{0}, aggs, children...)
+			agg, err := NewParallelAgg(2, groupCols, aggs, children...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -489,14 +488,111 @@ func FuzzGroupedAgg(f *testing.F) {
 			}
 			return fmt.Sprint(out)
 		}
-		if p, ok := classifyFastAgg([]int{0}, aggs, types)().(*groupAgg); !ok {
-			t.Fatal("GROUP BY int64 is not a groupAgg")
-		} else if _, ok := p.keyer.(*int64Keyer); !ok {
-			t.Fatalf("GROUP BY int64 keyer is %T", p.keyer)
-		}
-		got, want := run(nil), run(genericPartial([]int{0}, aggs, types))
+		got, want := run(nil), run(genericPartial(groupCols, aggs, types))
 		if got != want {
-			t.Fatalf("typed keyer:\n%s\ngeneric keyer:\n%s", got, want)
+			t.Fatalf("KeyTable:\n%s\nmap reference:\n%s", got, want)
 		}
 	})
+}
+
+// appendFuzzKey appends the key byte x to the key columns of
+// FuzzGroupedAgg: 0xFF is NULL, a few more bytes are the type's edge values
+// and the rest fall into a small domain, so keys repeat.
+func appendFuzzKey(keys []*vector.Vector, x byte) {
+	if len(keys) == 2 {
+		// (int64, string): NULL in either column, four values in each.
+		if x == 0xFF {
+			keys[0].AppendNull()
+		} else {
+			keys[0].AppendInt64(int64(x % 4))
+		}
+		if x == 0xFE {
+			keys[1].AppendNull()
+		} else {
+			keys[1].AppendString(strings.Repeat("s", int(x/4%4)*3))
+		}
+		return
+	}
+	v := keys[0]
+	if x == 0xFF {
+		v.AppendNull()
+		return
+	}
+	switch v.Typ {
+	case vector.Int64, vector.Date:
+		switch x {
+		case 0xFE:
+			v.AppendInt64(math.MinInt64)
+		case 0xFD:
+			v.AppendInt64(math.MaxInt64)
+		case 0xFC:
+			v.AppendInt64(0)
+		default:
+			v.AppendInt64(int64(x%16) - 8)
+		}
+	case vector.String:
+		s := map[byte]string{0xFE: "", 0xFD: "a key longer than eight bytes", 0xFC: "0"}
+		if str, ok := s[x]; ok {
+			v.AppendString(str)
+		} else {
+			v.AppendString(fmt.Sprint(int(x%16) - 8))
+		}
+	case vector.Float64:
+		f := map[byte]float64{
+			0xFE: math.Copysign(0, -1), 0xFB: 0,
+			0xFD: math.Float64frombits(0x7ff8000000000001), 0xFC: math.Float64frombits(0xfff8000000000002),
+		}
+		if fx, ok := f[x]; ok {
+			v.AppendFloat64(fx)
+		} else {
+			v.AppendFloat64(float64(int(x%16)-8) / 2)
+		}
+	}
+}
+
+// aggKeyBenchInput returns rows rows in full batches: column 0 cycles
+// through groups int64 keys in a scattered order, column 1 is a value,
+// column 2 is column 0's key as an email-like string, the shape of Table
+// I's c_email_address, and column 3 is one of 100 coarse groups.
+func aggKeyBenchInput(rows, groups int) []*vector.Batch {
+	in := aggBenchInput(rows, groups)
+	for _, b := range in {
+		s := vector.New(vector.String, b.Len())
+		g := vector.New(vector.Int64, b.Len())
+		for r, k := range b.Vecs[0].I64 {
+			s.AppendString(fmt.Sprintf("customer%08d@example.org", k))
+			g.AppendInt64(b.Vecs[1].I64[r] % 100)
+		}
+		b.Vecs = append(b.Vecs, s, g)
+	}
+	return in
+}
+
+// BenchmarkHashAggKeys covers the key shapes no benchmark workload runs,
+// next to their integer counterparts, over 200 k rows: GROUP BY with
+// COUNT(*) and SUM in 1,000 groups, DISTINCT and global COUNT(DISTINCT)
+// over 50,000 values, and COUNT(DISTINCT) of those values in 100 groups.
+func BenchmarkHashAggKeys(b *testing.B) {
+	const rows = 200_000
+	few, many := aggKeyBenchInput(rows, 1000), aggKeyBenchInput(rows, 50_000)
+	sums := []AggSpec{{Func: CountStar, Col: -1}, {Func: Sum, Col: 1}}
+	for _, c := range []struct {
+		name      string
+		in        []*vector.Batch
+		groupCols []int
+		aggs      []AggSpec
+	}{
+		{"groupby/int64", few, []int{0}, sums},
+		{"groupby/string", few, []int{2}, sums},
+		{"groupby/int64+string", few, []int{0, 2}, sums},
+		{"distinct/int64", many, []int{0}, nil},
+		{"distinct/string", many, []int{2}, nil},
+		{"distinct/int64+string", many, []int{0, 2}, nil},
+		{"countdistinct/int64", many, nil, []AggSpec{{Func: CountDistinct, Col: 0}}},
+		{"countdistinct/string", many, nil, []AggSpec{{Func: CountDistinct, Col: 2}}},
+		{"countdistinct/grouped-int64", many, []int{3}, []AggSpec{{Func: CountDistinct, Col: 0}}},
+		{"countdistinct/grouped-string", many, []int{3}, []AggSpec{{Func: CountDistinct, Col: 2}}},
+	} {
+		b.Run(c.name, func(b *testing.B) { benchAgg(b, c.in, c.groupCols, c.aggs) })
+	}
 }

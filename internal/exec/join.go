@@ -15,13 +15,12 @@ import (
 // join keeps unmatched left rows, padding the right columns with NULLs (the
 // build side is then forced to the right input).
 //
-// The hash table maps each distinct non-NULL build key to a dense id:
-// through a vector.Int64Table for Int64/Date keys, through a map keyed by
-// encodeValue bytes for the other types. The build rows of id k are
-// rows[start[k]:start[k+1]], in build order, laid out by counting rows per
-// id and then filling one array. A probe batch looks all its keys up at
-// once and gathers each output column over the matched (probe, build) row
-// pairs.
+// The hash table, a vector.KeyTable, maps each distinct build key to a
+// dense id; the NULL key's id holds no rows, so NULL keys never join. The
+// build rows of id k are rows[start[k]:start[k+1]], in build order, laid
+// out by counting rows per id and then filling one array. A probe batch
+// looks all its keys up at once and gathers each output column over the
+// matched (probe, build) row pairs.
 type HashJoin struct {
 	opStats
 	left, right Operator
@@ -33,14 +32,12 @@ type HashJoin struct {
 	spill       SpillConfig
 
 	buildCols []*vector.Vector
-	ints      *vector.Int64Table
-	strs      map[string]int32
+	table     *vector.KeyTable
 	start     []int32
 	rows      []int32
 	probe     Operator
 	probeKey  int
 	out       *vector.Batch
-	keyBuf    []byte
 	ids       []int32 // build id per probe row of the current batch, -1 for none
 	probeIdx  []int   // matched (probe row, build row) pairs of the current batch
 	buildIdx  []int
@@ -195,29 +192,12 @@ func (j *HashJoin) open(ctx context.Context) error {
 func (j *HashJoin) buildHashTable(cols []*vector.Vector, n int) {
 	keyVec := cols[j.buildKey]
 	ids := make([]int32, n)
-	var distinct int
-	j.ints, j.strs = nil, nil
-	if keyVec.Typ == vector.Int64 || keyVec.Typ == vector.Date {
-		j.ints = vector.NewInt64Table(n)
-		j.ints.InsertBatch(keyVec.I64[:n], ids)
-		distinct = j.ints.Len()
-	} else {
-		j.strs = make(map[string]int32, n)
-		for i := range ids {
-			j.keyBuf = encodeValue(j.keyBuf[:0], keyVec, i)
-			id, ok := j.strs[string(j.keyBuf)]
-			if !ok {
-				id = int32(len(j.strs))
-				j.strs[string(j.keyBuf)] = id
-			}
-			ids[i] = id
-		}
-		distinct = len(j.strs)
-	}
-	maskNullKeys(keyVec, ids)
+	j.table = vector.NewKeyTable([]vector.Type{keyVec.Typ}, n)
+	j.table.InsertBatch([]*vector.Vector{keyVec}, n, ids)
+	distinct := j.table.Len()
 	j.start = make([]int32, distinct+1)
-	for _, id := range ids {
-		if id >= 0 {
+	for i, id := range ids {
+		if !keyVec.IsNull(i) {
 			j.start[id+1]++
 		}
 	}
@@ -227,23 +207,9 @@ func (j *HashJoin) buildHashTable(cols []*vector.Vector, n int) {
 	j.rows = make([]int32, j.start[distinct])
 	fill := slices.Clone(j.start[:distinct])
 	for i, id := range ids {
-		if id >= 0 {
+		if !keyVec.IsNull(i) {
 			j.rows[fill[id]] = int32(i)
 			fill[id]++
-		}
-	}
-}
-
-// maskNullKeys sets ids[i] to -1 wherever key i is NULL: NULL keys never
-// join. A NULL row's key slot was still hashed on the build side, so its id
-// may hold no rows, which the probe treats as a miss.
-func maskNullKeys(keyVec *vector.Vector, ids []int32) {
-	if keyVec.Nulls == nil {
-		return
-	}
-	for i := range ids {
-		if keyVec.Nulls[i] {
-			ids[i] = -1
 		}
 	}
 }
@@ -253,12 +219,14 @@ func maskNullKeys(keyVec *vector.Vector, ids []int32) {
 // limit is processed in memory regardless (no recursive repartitioning).
 const gracePartitions = 16
 
-// gracePartitioner hash-routes rows into per-partition spill files.
+// gracePartitioner hash-routes rows into per-partition spill files by
+// their key's vector.HashRows hash. NULL keys go to partition 0: they never
+// match, and outer joins still emit them.
 type gracePartitioner struct {
-	files []*spillFile
-	stage [][]*vector.Vector
-	key   int
-	buf   []byte
+	files  []*spillFile
+	stage  [][]*vector.Vector
+	key    int
+	hashes []uint64
 }
 
 func newGracePartitioner(dir string, types []vector.Type, key int) (*gracePartitioner, error) {
@@ -283,11 +251,16 @@ func newGracePartitioner(dir string, types []vector.Type, key int) (*gracePartit
 // whenever those rows can never appear in the output).
 func (g *gracePartitioner) add(cols []*vector.Vector, n int, dropNullKeys bool) error {
 	keyVec := cols[g.key]
+	g.hashes = slices.Grow(g.hashes[:0], n)[:n]
+	vector.HashRows([]*vector.Vector{keyVec}, 0, n, g.hashes)
 	for i := 0; i < n; i++ {
-		if dropNullKeys && keyVec.IsNull(i) {
-			continue
+		p := int(g.hashes[i] % gracePartitions)
+		if keyVec.IsNull(i) {
+			if dropNullKeys {
+				continue
+			}
+			p = 0
 		}
-		p := spillHash(keyVec, i, &g.buf, gracePartitions)
 		st := g.stage[p]
 		for c := range st {
 			st[c].Append(cols[c], i)
@@ -530,22 +503,11 @@ func (j *HashJoin) next() (*vector.Batch, error) {
 }
 
 // lookup returns the build id of each of the n probe keys in keyVec, -1
-// where the key is NULL or has no id. The slice is reused per batch.
+// where the key has none (a NULL key may find the NULL key's id, which
+// holds no rows). The slice is reused per batch.
 func (j *HashJoin) lookup(keyVec *vector.Vector, n int) []int32 {
 	ids := slices.Grow(j.ids[:0], n)[:n]
-	if j.ints != nil {
-		j.ints.LookupBatch(keyVec.I64[:n], ids)
-	} else {
-		for i := range ids {
-			j.keyBuf = encodeValue(j.keyBuf[:0], keyVec, i)
-			id, ok := j.strs[string(j.keyBuf)]
-			if !ok {
-				id = -1
-			}
-			ids[i] = id
-		}
-	}
-	maskNullKeys(keyVec, ids)
+	j.table.LookupBatch([]*vector.Vector{keyVec}, n, ids)
 	j.ids = ids
 	return ids
 }
@@ -586,7 +548,7 @@ func (j *HashJoin) appendUnmatched(probe *vector.Batch, pi int) {
 
 // Close closes both children and drops the hash table and any spill runs.
 func (j *HashJoin) Close() error {
-	j.ints, j.strs, j.start, j.rows = nil, nil, nil, nil
+	j.table, j.start, j.rows = nil, nil, nil
 	j.buildCols = nil
 	j.out = nil
 	if j.grace {
@@ -844,8 +806,22 @@ func (j *MergeJoin) appendSpan(b *vector.Batch, at, lo, hi int) {
 }
 
 // emitGroups continues the cross product of the buffered groups, left row
-// major: each left row is repeated beside a range of right rows.
+// major: each left row is repeated beside a range of right rows, or, when
+// the right group is one row, that row beside a span of left rows.
 func (j *MergeJoin) emitGroups(nLeft int) {
+	if j.rN == 1 {
+		// One right row: copy the left group in one span beside it.
+		m := min(j.lN-j.emitL, vector.BatchSize-j.out.Len())
+		for c := 0; c < nLeft; c++ {
+			j.out.Vecs[c].AppendRange(j.lGroup[c], j.emitL, j.emitL+m)
+		}
+		for c, v := range j.rGroup {
+			j.out.Vecs[nLeft+c].AppendRepeat(v, 0, m)
+		}
+		j.emitL += m
+		j.emitting = j.emitL < j.lN
+		return
+	}
 	for j.out.Len() < vector.BatchSize && j.emitL < j.lN {
 		n := min(j.rN-j.emitR, vector.BatchSize-j.out.Len())
 		for c := 0; c < nLeft; c++ {

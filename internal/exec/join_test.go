@@ -683,9 +683,9 @@ func joinBenchInput(sh joinBenchShape, nulls bool) (l, r []*vector.Batch, out in
 }
 
 // benchJoin reports the cost of join per output row on every shape, with
-// and without NULL keys.
-func benchJoin(b *testing.B, join func(l, r Operator) (Operator, error)) {
-	types := []vector.Type{vector.Int64}
+// and without NULL keys, on keys of type typ (Int64 or String).
+func benchJoin(b *testing.B, join func(l, r Operator) (Operator, error), typ vector.Type) {
+	types := []vector.Type{typ}
 	for _, sh := range joinBenchShapes {
 		for _, nulls := range []bool{false, true} {
 			name := sh.name
@@ -693,6 +693,9 @@ func benchJoin(b *testing.B, join func(l, r Operator) (Operator, error)) {
 				name += "/nulls"
 			}
 			lb, rb, out := joinBenchInput(sh, nulls)
+			if typ == vector.String {
+				lb, rb = stringKeys(lb), stringKeys(rb)
+			}
 			b.Run(name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					j, err := join(newMemOp(types, lb...), newMemOp(types, rb...))
@@ -710,10 +713,31 @@ func benchJoin(b *testing.B, join func(l, r Operator) (Operator, error)) {
 }
 
 func BenchmarkMergeJoin(b *testing.B) {
-	benchJoin(b, func(l, r Operator) (Operator, error) { return NewMergeJoin(l, r, 0, 0) })
+	benchJoin(b, func(l, r Operator) (Operator, error) { return NewMergeJoin(l, r, 0, 0) }, vector.Int64)
 }
 
-// BenchmarkHashJoin builds on the left input, the side with fewer rows.
+// BenchmarkHashJoin builds on the left input, the side with fewer rows,
+// on Int64 keys and again on the same keys as strings.
 func BenchmarkHashJoin(b *testing.B) {
-	benchJoin(b, func(l, r Operator) (Operator, error) { return NewHashJoin(l, r, 0, 0, true) })
+	join := func(l, r Operator) (Operator, error) { return NewHashJoin(l, r, 0, 0, true) }
+	benchJoin(b, join, vector.Int64)
+	b.Run("string", func(b *testing.B) { benchJoin(b, join, vector.String) })
+}
+
+// stringKeys returns batches with their Int64 key column rewritten as
+// zero-padded strings, which sort as the integers do; NULLs stay NULL.
+func stringKeys(batches []*vector.Batch) []*vector.Batch {
+	out := make([]*vector.Batch, len(batches))
+	for i, b := range batches {
+		v := vector.New(vector.String, b.Len())
+		for r, k := range b.Vecs[0].I64 {
+			if b.Vecs[0].IsNull(r) {
+				v.AppendNull()
+			} else {
+				v.AppendString(fmt.Sprintf("key-%010d", k))
+			}
+		}
+		out[i] = &vector.Batch{Vecs: []*vector.Vector{v}}
+	}
+	return out
 }

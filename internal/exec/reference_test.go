@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -12,7 +13,8 @@ import (
 // The merge and sort code as it stood before the typed tail, kept as the
 // oracle the differential tests compare against: MergeUnion found each run's
 // end one row at a time through compareRowsAcross, and sortPermutation sorted
-// row indices through a comparator closure.
+// row indices through a comparator closure. The aggregation and hash join
+// references key rows through encodeValue bytes in Go maps.
 
 // refMergeUnion is the row-by-row MergeUnion.
 type refMergeUnion struct {
@@ -671,4 +673,192 @@ func runRefHashJoin(left, right Operator, leftKey, rightKey int, buildLeft, left
 		rows[i] = out.Row(i)
 	}
 	return rows, nil
+}
+
+// encodeValue appends a canonical, type-tagged binary encoding of value i of
+// v to buf: a type tag (plus a length for strings, so composite keys stay
+// unambiguous) followed by the value's bytes. Encodings are injective per
+// type except that -0.0 and +0.0, equal under =, share one; NULL encodes as
+// a dedicated tag. Group, distinct and join keys were found by putting these
+// bytes in Go maps before vector.KeyTable; the maps below are the oracle.
+func encodeValue(buf []byte, v *vector.Vector, i int) []byte {
+	if v.IsNull(i) {
+		return append(buf, 0)
+	}
+	switch v.Typ {
+	case vector.Int64, vector.Date:
+		buf = binary.LittleEndian.AppendUint64(append(buf, 1), uint64(v.I64[i]))
+	case vector.Float64:
+		buf = binary.LittleEndian.AppendUint64(append(buf, 2), vector.Float64KeyBits(v.F64[i]))
+	case vector.String:
+		buf = binary.LittleEndian.AppendUint32(append(buf, 3), uint32(len(v.Str[i])))
+		buf = append(buf, v.Str[i]...)
+	case vector.Bool:
+		if v.B[i] {
+			buf = append(buf, 4, 1)
+		} else {
+			buf = append(buf, 4, 0)
+		}
+	}
+	return buf
+}
+
+// mapKeyer keys any group columns by their encodeValue bytes in a Go map,
+// numbering groups in first-occurrence order, and keeps each group's key in
+// columnar key vectors for output.
+type mapKeyer struct {
+	groups map[string]int32
+	keys   []*vector.Vector
+	buf    []byte
+}
+
+func newMapKeyer(types []vector.Type) *mapKeyer {
+	k := &mapKeyer{groups: make(map[string]int32), keys: make([]*vector.Vector, len(types))}
+	for c, t := range types {
+		k.keys[c] = vector.New(t, 0)
+	}
+	return k
+}
+
+// assign sets ids[i] to the group of row i of keys, adding new groups in
+// row order, and returns the group count.
+func (k *mapKeyer) assign(keys []*vector.Vector, n int, ids []int32) int {
+	for i := 0; i < n; i++ {
+		k.buf = k.buf[:0]
+		for _, v := range keys {
+			k.buf = encodeValue(k.buf, v, i)
+		}
+		g, ok := k.groups[string(k.buf)]
+		if !ok {
+			g = int32(len(k.groups))
+			k.groups[string(k.buf)] = g
+			for c, v := range keys {
+				k.keys[c].Append(v, i)
+			}
+		}
+		ids[i] = g
+	}
+	return len(k.groups)
+}
+
+func (k *mapKeyer) appendKeys(out []*vector.Vector, from, to int) {
+	for c, v := range k.keys {
+		out[c].AppendRange(v, from, to)
+	}
+}
+
+// refPartial is the aggregation partial as it stood before vector.KeyTable:
+// groups keyed by mapKeyer, each COUNT(DISTINCT) counted in a map of
+// encoded values per group, and the other aggregates in aggArrays.
+type refPartial struct {
+	groupCols []int
+	keyTypes  []vector.Type
+	keyer     *mapKeyer // nil for a global aggregation
+	aggs      []AggSpec
+	state     aggArrays               // every aggregate but COUNT(DISTINCT)
+	sets      [][]map[string]struct{} // sets[a][g]: the values aggs[a] counts for group g
+	n         int
+}
+
+// genericPartial returns the constructor of the reference partial for an
+// aggregation.
+func genericPartial(groupCols []int, aggs []AggSpec, in []vector.Type) func() aggPartial {
+	return func() aggPartial {
+		var plain []AggSpec
+		for _, a := range aggs {
+			if a.Func != CountDistinct {
+				plain = append(plain, a)
+			}
+		}
+		p := &refPartial{
+			groupCols: groupCols, keyTypes: colTypes(groupCols, in), aggs: aggs,
+			state: newAggArrays(plain, in, len(groupCols) > 0),
+			sets:  make([][]map[string]struct{}, len(aggs)),
+		}
+		if len(groupCols) > 0 {
+			p.keyer = newMapKeyer(p.keyTypes)
+		} else {
+			p.grow(1)
+		}
+		return p
+	}
+}
+
+func (p *refPartial) grow(n int) {
+	p.state.grow(n)
+	for a, spec := range p.aggs {
+		for spec.Func == CountDistinct && len(p.sets[a]) < n {
+			p.sets[a] = append(p.sets[a], map[string]struct{}{})
+		}
+	}
+	p.n = max(p.n, n)
+}
+
+func (p *refPartial) add(b *vector.Batch) {
+	n := b.Len()
+	ids := make([]int32, n) // all group 0 in a global aggregation
+	if p.keyer != nil {
+		keys := make([]*vector.Vector, len(p.groupCols))
+		for k, c := range p.groupCols {
+			keys[k] = b.Vecs[c]
+		}
+		p.grow(p.keyer.assign(keys, n, ids))
+		p.state.update(b, n, ids)
+	} else {
+		p.state.update(b, n, nil)
+	}
+	for a, spec := range p.aggs {
+		if spec.Func != CountDistinct {
+			continue
+		}
+		v := b.Vecs[spec.Col]
+		for i := 0; i < n; i++ {
+			if !v.IsNull(i) {
+				p.sets[a][ids[i]][string(encodeValue(nil, v, i))] = struct{}{}
+			}
+		}
+	}
+}
+
+func (p *refPartial) merge(later aggPartial) {
+	o := later.(*refPartial)
+	to := []int32{0}
+	if p.keyer != nil {
+		keys := make([]*vector.Vector, len(p.keyTypes))
+		for c, t := range p.keyTypes {
+			keys[c] = vector.New(t, o.n)
+		}
+		o.keyer.appendKeys(keys, 0, o.n)
+		to = make([]int32, o.n)
+		p.grow(p.keyer.assign(keys, o.n, to))
+	}
+	p.state.fold(&o.state, to)
+	for a := range p.aggs {
+		for g, set := range o.sets[a] {
+			for k := range set {
+				p.sets[a][to[g]][k] = struct{}{}
+			}
+		}
+	}
+}
+
+func (p *refPartial) finish() int { return p.n }
+
+func (p *refPartial) emit(out *vector.Batch, from, to int) {
+	nk := len(p.groupCols)
+	if p.keyer != nil {
+		p.keyer.appendKeys(out.Vecs[:nk], from, to)
+	}
+	var plain []*vector.Vector
+	for a, spec := range p.aggs {
+		v := out.Vecs[nk+a]
+		if spec.Func != CountDistinct {
+			plain = append(plain, v)
+			continue
+		}
+		for g := from; g < to; g++ {
+			v.AppendInt64(int64(len(p.sets[a][g])))
+		}
+	}
+	p.state.emit(plain, from, to)
 }

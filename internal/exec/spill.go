@@ -169,23 +169,3 @@ func (m *runMerger) close() {
 		r.close()
 	}
 }
-
-// spillHash buckets row i of key vector v into one of n Grace partitions.
-// NULL keys go to partition 0 (they never match; outer joins still emit
-// them). Integer keys avoid the byte-encode path.
-func spillHash(v *vector.Vector, i int, buf *[]byte, n int) int {
-	if v.IsNull(i) {
-		return 0
-	}
-	if v.Typ == vector.Int64 || v.Typ == vector.Date {
-		h := uint64(v.I64[i]) * 0x9e3779b97f4a7c15
-		return int(h % uint64(n))
-	}
-	*buf = encodeValue((*buf)[:0], v, i)
-	var h uint64 = 14695981039346656037
-	for _, b := range *buf {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return int(h % uint64(n))
-}

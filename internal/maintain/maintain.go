@@ -3,11 +3,11 @@
 // future work. A Maintainer carries auxiliary state per index so that newly
 // appended rows are classified without a full table scan:
 //
-//   - NUC: a value → row map of the current non-patch values plus the set of
-//     patch values. An incoming duplicate of a non-patch value turns *both*
-//     rows into patches (condition NUC2 demands all occurrences); duplicates
-//     of patch values and NULLs become patches directly. The maintained set
-//     stays minimal.
+//   - NUC: a vector.KeyTable of every value seen, with per value its one
+//     non-patch row or the mark that it is a patch value. An incoming
+//     duplicate of a non-patch value turns *both* rows into patches
+//     (condition NUC2 demands all occurrences); duplicates of patch values
+//     and NULLs become patches directly. The maintained set stays minimal.
 //   - NSC: the last non-patch value per partition. An incoming value that
 //     continues the order extends the sorted subsequence; anything else
 //     becomes a patch. This greedy rule is correct (NSC1 always holds) but,
@@ -33,15 +33,21 @@ type rowRef struct {
 	row  uint64
 }
 
+// patchValue is the rowRef of a NUC value whose rows are all patches.
+var patchValue = rowRef{part: -1}
+
 // Maintainer incrementally maintains one PatchIndex under appends.
 type Maintainer struct {
 	table *storage.Table
 	ix    *patch.Index
 	col   int
 
-	// NUC state.
-	nonPatch  map[string]rowRef
-	patchVals map[string]struct{}
+	// NUC state: values numbers every value seen (NULL included, which is
+	// always a patch), and owner[id] is the one row holding value id outside
+	// the patches, or patchValue.
+	values *vector.KeyTable
+	owner  []rowRef
+	ids    []int32 // scratch
 
 	// NSC state: last non-patch value per partition (nil if none yet).
 	lastVal []vector.Value
@@ -65,21 +71,20 @@ func NewMaintainer(table *storage.Table, ix *patch.Index) (*Maintainer, error) {
 	m := &Maintainer{table: table, ix: ix, col: col}
 	switch ix.Constraint() {
 	case patch.NearlyUnique:
-		m.nonPatch = make(map[string]rowRef)
-		m.patchVals = make(map[string]struct{})
-		var buf []byte
+		m.values = vector.NewKeyTable([]vector.Type{table.Schema().Columns[col].Typ}, 0)
 		for p := 0; p < table.NumPartitions(); p++ {
 			v := table.Partition(p).Column(col)
 			set := ix.Partition(p)
-			for i := 0; i < v.Len(); i++ {
-				if v.IsNull(i) {
-					continue // NULLs carry no value identity
+			for i, id := range m.number(v) {
+				owner := rowRef{part: p, row: uint64(i)}
+				if v.IsNull(i) || set.Contains(uint64(i)) {
+					owner = patchValue
 				}
-				buf = v.AppendKey(buf[:0], i)
-				if set.Contains(uint64(i)) {
-					m.patchVals[string(buf)] = struct{}{}
-				} else {
-					m.nonPatch[string(buf)] = rowRef{part: p, row: uint64(i)}
+				switch {
+				case int(id) == len(m.owner):
+					m.owner = append(m.owner, owner)
+				case owner == patchValue:
+					m.owner[id] = patchValue
 				}
 			}
 		}
@@ -103,6 +108,15 @@ func NewMaintainer(table *storage.Table, ix *patch.Index) (*Maintainer, error) {
 	return m, nil
 }
 
+// number returns the KeyTable id of every value of v, inserting the new
+// ones; the slice is reused by the next call.
+func (m *Maintainer) number(v *vector.Vector) []int32 {
+	n := v.Len()
+	m.ids = slices.Grow(m.ids[:0], n)[:n]
+	m.values.InsertBatch([]*vector.Vector{v}, n, m.ids)
+	return m.ids
+}
+
 // Index returns the maintained index.
 func (m *Maintainer) Index() *patch.Index { return m.ix }
 
@@ -113,29 +127,21 @@ func (m *Maintainer) classify(part int, vals *vector.Vector, baseRow uint64) (ne
 	n := vals.Len()
 	switch m.ix.Constraint() {
 	case patch.NearlyUnique:
-		var buf []byte
-		for i := 0; i < n; i++ {
+		for i, id := range m.number(vals) {
 			row := baseRow + uint64(i)
-			if vals.IsNull(i) {
-				newIDs = append(newIDs, row)
+			switch {
+			case int(id) == len(m.owner) && !vals.IsNull(i): // a new value
+				m.owner = append(m.owner, rowRef{part: part, row: row})
 				continue
-			}
-			buf = vals.AppendKey(buf[:0], i)
-			key := string(buf)
-			if _, isPatchVal := m.patchVals[key]; isPatchVal {
-				newIDs = append(newIDs, row)
-				continue
-			}
-			if old, exists := m.nonPatch[key]; exists {
+			case int(id) == len(m.owner): // the first NULL
+				m.owner = append(m.owner, patchValue)
+			case m.owner[id] != patchValue:
 				// Condition NUC2: every occurrence of a duplicated value is
 				// a patch — including the previously clean one.
-				retro = append(retro, old)
-				delete(m.nonPatch, key)
-				m.patchVals[key] = struct{}{}
-				newIDs = append(newIDs, row)
-				continue
+				retro = append(retro, m.owner[id])
+				m.owner[id] = patchValue
 			}
-			m.nonPatch[key] = rowRef{part: part, row: row}
+			newIDs = append(newIDs, row)
 		}
 	case patch.NearlySorted:
 		for i := 0; i < n; i++ {

@@ -1,6 +1,7 @@
 package maintain
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -357,5 +358,75 @@ func TestNewMaintainerValidation(t *testing.T) {
 	}
 	if _, err := NewMaintainer(tab, other); err != nil {
 		t.Errorf("valid maintainer rejected: %v", err)
+	}
+}
+
+// TestMaintainNUCMatchesRebuild appends random batches of every key type
+// (strings of a few lengths, floats with both zeros and a NaN, NULLs) and
+// checks after each one that the maintained NUC patches are exactly those a
+// rebuild from the table finds: maintenance keeps the set minimal, and
+// agrees with discovery on which values are equal.
+func TestMaintainNUCMatchesRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	gen := map[vector.Type]func(v *vector.Vector){
+		vector.Int64: func(v *vector.Vector) { v.AppendInt64(rng.Int63n(40) - 20) },
+		vector.String: func(v *vector.Vector) {
+			v.AppendString(string(make([]byte, rng.Intn(4)*5)) + string(rune('a'+rng.Intn(10))))
+		},
+		vector.Float64: func(v *vector.Vector) {
+			switch x := rng.Intn(12); x {
+			case 0:
+				v.AppendFloat64(math.Copysign(0, -1))
+			case 1:
+				v.AppendFloat64(math.NaN())
+			default:
+				v.AppendFloat64(float64(x) / 2)
+			}
+		},
+	}
+	for _, typ := range []vector.Type{vector.Int64, vector.String, vector.Float64} {
+		add := gen[typ]
+		for trial := 0; trial < 4; trial++ {
+			parts := 1 + rng.Intn(3)
+			schema := storage.NewSchema(storage.Column{Name: "c", Typ: typ})
+			tab, err := storage.NewTable("t", schema, parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch := func(n int) *vector.Vector {
+				v := vector.New(typ, n)
+				for i := 0; i < n; i++ {
+					if rng.Intn(12) == 0 {
+						v.AppendNull()
+					} else {
+						add(v)
+					}
+				}
+				return v
+			}
+			for p := 0; p < parts; p++ {
+				if err := tab.AppendColumns(p, []*vector.Vector{batch(rng.Intn(20))}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ix := buildIdx(t, tab, patch.NearlyUnique)
+			s, err := NewSet(tab, []*patch.Index{ix})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for step := 0; step < 6; step++ {
+				if err := s.Append(rng.Intn(parts), []*vector.Vector{batch(1 + rng.Intn(15))}); err != nil {
+					t.Fatal(err)
+				}
+				want := buildIdx(t, tab, patch.NearlyUnique)
+				for p := 0; p < parts; p++ {
+					for i := 0; i < tab.Partition(p).NumRows(); i++ {
+						if got, w := ix.Partition(p).Contains(uint64(i)), want.Partition(p).Contains(uint64(i)); got != w {
+							t.Fatalf("%s, step %d: row p%d/%d maintained as patch=%v, rebuild says %v", typ, step, p, i, got, w)
+						}
+					}
+				}
+			}
+		}
 	}
 }

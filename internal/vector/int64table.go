@@ -18,6 +18,9 @@ type Int64Table struct {
 	slots []uint32
 	keys  []int64
 	shift uint // 64 - log2(len(slots)): the hash keeps the product's top bits
+	// homes is InsertBatch's and LookupBatch's chunk of home slots, kept
+	// here so a call on a short run of keys does not zero a fresh array.
+	homes [insertChunk]uint32
 }
 
 // hashMul is 2^64 / φ. Multiplying by it and keeping the top bits
@@ -102,29 +105,12 @@ func (t *Int64Table) add(key int64, slot uint64) int32 {
 	return int32(len(t.keys) - 1)
 }
 
-// Insert returns the id of key, assigning the next id if key is new; key
-// was new exactly when the result equals Len() before the call.
-func (t *Int64Table) Insert(key int64) int32 {
-	t.reserve(1)
-	slot, id := t.find(key, t.home(key))
-	if id < 0 {
-		id = t.add(key, slot)
-	}
-	return id
-}
-
-// Lookup returns the id of key, or -1 if it was never inserted.
-func (t *Int64Table) Lookup(key int64) int32 {
-	_, id := t.find(key, t.home(key))
-	return id
-}
-
 // InsertBatch sets ids[i] to the id of keys[i], inserting the keys that are
 // new. Ids are dense and assigned in order, so with n := Len() before the
 // call, keys[i] was new exactly when ids[i] == n + (new keys before i).
 // ids must be at least as long as keys.
 func (t *Int64Table) InsertBatch(keys []int64, ids []int32) {
-	var home [insertChunk]uint32
+	home := t.homes[:]
 	for len(keys) > 0 {
 		n := min(len(keys), insertChunk)
 		t.reserve(n)
@@ -143,7 +129,7 @@ func (t *Int64Table) InsertBatch(keys []int64, ids []int32) {
 // LookupBatch sets ids[i] to the id of keys[i], or -1 where the key is
 // absent. ids must be at least as long as keys.
 func (t *Int64Table) LookupBatch(keys []int64, ids []int32) {
-	var home [insertChunk]uint32
+	home := t.homes[:]
 	for len(keys) > 0 {
 		n := min(len(keys), insertChunk)
 		t.touch(keys[:n], home[:n], ids)

@@ -7,6 +7,19 @@ import (
 	"testing"
 )
 
+// insertOne and lookupOne run one key through the batch calls.
+func insertOne(tab *Int64Table, key int64) int32 {
+	ids := []int32{0}
+	tab.InsertBatch([]int64{key}, ids)
+	return ids[0]
+}
+
+func lookupOne(tab *Int64Table, key int64) int32 {
+	ids := []int32{0}
+	tab.LookupBatch([]int64{key}, ids)
+	return ids[0]
+}
+
 // checkAgainstMap inserts keys one batch at a time into a table created with
 // the given capacity and compares every id with a map[int64]int oracle, then
 // probes present and absent keys through both lookup paths.
@@ -46,12 +59,12 @@ func checkAgainstMap(t *testing.T, capacity int, keys []int64) {
 		if int(got[i]) != want {
 			t.Fatalf("LookupBatch(%d) = %d, want %d", k, got[i], want)
 		}
-		if id := tab.Lookup(k); int(id) != want {
+		if id := lookupOne(tab, k); int(id) != want {
 			t.Fatalf("Lookup(%d) = %d, want %d", k, id, want)
 		}
 		// Insert of a present key returns its id and adds nothing.
 		if want >= 0 {
-			if id := tab.Insert(k); int(id) != want || tab.Len() != len(oracle) {
+			if id := insertOne(tab, k); int(id) != want || tab.Len() != len(oracle) {
 				t.Fatalf("Insert(%d) of a present key = %d (Len %d), want %d (Len %d)", k, id, tab.Len(), want, len(oracle))
 			}
 		}
@@ -93,11 +106,11 @@ func TestInt64TableSingleInsertAssignsDenseIDs(t *testing.T) {
 	tab := NewInt64Table(2)
 	for i := 0; i < 1000; i++ {
 		before := tab.Len()
-		if id := tab.Insert(int64(i) << 40); int(id) != before {
+		if id := insertOne(tab, int64(i)<<40); int(id) != before {
 			t.Fatalf("new key %d: id %d, want %d", i, id, before)
 		}
 	}
-	if id := tab.Insert(5 << 40); id != 5 {
+	if id := insertOne(tab, 5<<40); id != 5 {
 		t.Fatalf("existing key: id %d, want 5", id)
 	}
 }
@@ -109,7 +122,7 @@ func TestInt64TableSequentialKeysProbeShort(t *testing.T) {
 	const n = 1 << 16
 	tab := NewInt64Table(n)
 	for i := int64(0); i < n; i++ {
-		tab.Insert(i)
+		insertOne(tab, i)
 	}
 	mask := uint64(len(tab.slots) - 1)
 	total := 0
@@ -155,7 +168,7 @@ func TestShardOfInt64(t *testing.T) {
 	tab := NewInt64Table(n)
 	for i := int64(0); tab.Len() < n; i++ {
 		if ShardOfInt64(i, 2) == 1 {
-			tab.Insert(i)
+			insertOne(tab, i)
 		}
 	}
 	mask := uint64(len(tab.slots) - 1)

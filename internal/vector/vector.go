@@ -5,7 +5,6 @@
 package vector
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -606,36 +605,14 @@ func (v *Vector) Compare(i int, other *Vector, j int) int {
 
 // Float64KeyBits returns the bits of x for use in a hash or equality key:
 // math.Float64bits with -0.0 mapped to +0.0, because the two compare equal
-// under = but differ in their bits. Every encoder that turns a float into a
-// grouping, distinct, join or constraint key goes through it, so all of
-// them agree on which floats are the same value.
+// under = but differ in their bits. KeyTable hashes and compares float keys
+// through it, so grouping, distinct, join and constraint keys all agree on
+// which floats are the same value.
 func Float64KeyBits(x float64) uint64 {
 	if x == 0 {
 		x = 0
 	}
 	return math.Float64bits(x)
-}
-
-// AppendKey appends an equality key for row i of v to buf: injective up to
-// SQL equality (-0.0 and +0.0 encode alike), the scheme of the engine's
-// group keys. Discovery and maintenance both find duplicates through it, so
-// they agree on which values are equal. NULL rows are the caller's concern.
-func (v *Vector) AppendKey(buf []byte, i int) []byte {
-	switch v.Typ {
-	case Int64, Date:
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I64[i]))
-	case Float64:
-		buf = binary.LittleEndian.AppendUint64(buf, Float64KeyBits(v.F64[i]))
-	case String:
-		buf = append(buf, v.Str[i]...)
-	case Bool:
-		if v.B[i] {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	return buf
 }
 
 func cmpOrdered[T int64 | float64 | string](a, b T) int {

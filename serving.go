@@ -165,10 +165,12 @@ func deterministicOrder(node plan.Node) bool {
 		return true
 	case *plan.AggregateNode:
 		// A global aggregate returns exactly one row. Grouped output is not
-		// cached: DISTINCT over one string column runs on exec's valueSet,
-		// which emits in Go map-iteration order and can differ between
-		// runs. Other grouped shapes emit in first-occurrence order, and a
-		// NUC-rewritten DISTINCT is a UnionNode, which the default rejects.
+		// cached: groups emit in first-occurrence order, and a parallel
+		// build gathers a join's scan partitions through an Exchange
+		// (plan/build.go gather), so a GROUP BY over a join sees its rows,
+		// and numbers its groups, in arrival order, which can differ
+		// between runs. A NUC-rewritten DISTINCT is a UnionNode, which the
+		// default rejects.
 		return len(n.GroupCols) == 0
 	case *plan.ProjectNode:
 		return deterministicOrder(n.Input)

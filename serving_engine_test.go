@@ -152,8 +152,8 @@ func TestResultCacheSkipsNondeterministicOrder(t *testing.T) {
 		t.Fatalf("ordered scan should result-cache (hits=%d)", hits)
 	}
 
-	// Grouped results are never cached: DISTINCT over one string column
-	// emits in map-iteration order, and a GROUP BY shares its plan node.
+	// Grouped results are never cached: a GROUP BY over a join groups rows
+	// in Exchange arrival order, and every GROUP BY shares its plan node.
 	g := newServingEngine(t)
 	mustExec(t, g, "CREATE TABLE names (k BIGINT, n VARCHAR)")
 	mustExec(t, g, "INSERT INTO names VALUES (1, 'a'), (2, 'b'), (1, 'c'), (3, 'a')")

@@ -235,6 +235,49 @@ func TestExplainBaselineVsRewritten(t *testing.T) {
 	}
 }
 
+// TestStringDistinctIsDeterministic: DISTINCT over one string column emits
+// its values in first-occurrence order, like every grouped shape, so runs
+// of one statement agree. 60 values over 3,000 rows span three batches,
+// with a NULL among them.
+func TestStringDistinctIsDeterministic(t *testing.T) {
+	e := newTestEngine(t)
+	mustExec(t, e, "CREATE TABLE s (n VARCHAR)")
+	var rows []string
+	var want []string
+	seen := map[string]bool{}
+	for i := 0; i < 3000; i++ {
+		v := fmt.Sprintf("'value-%02d'", i*7%60)
+		if i == 1500 {
+			v = "NULL"
+		}
+		rows = append(rows, "("+v+")")
+		if !seen[v] {
+			seen[v] = true
+			want = append(want, strings.Trim(v, "'"))
+		}
+	}
+	mustExec(t, e, "INSERT INTO s VALUES "+strings.Join(rows, ", "))
+	var first string
+	for run := 0; run < 5; run++ {
+		res := mustExec(t, e, "SELECT DISTINCT n FROM s")
+		got := make([]string, len(res.Rows))
+		for i, r := range res.Rows {
+			got[i] = r[0].String()
+		}
+		if len(got) != 61 {
+			t.Fatalf("run %d: %d distinct values, want 61", run, len(got))
+		}
+		if run == 0 {
+			first = fmt.Sprint(got)
+		} else if fmt.Sprint(got) != first {
+			t.Fatalf("run %d differs from run 0:\n%v\n%s", run, got, first)
+		}
+	}
+	if first != fmt.Sprint(want) {
+		t.Fatalf("DISTINCT order %s, want first occurrence %v", first, want)
+	}
+}
+
 // TestNegativeZeroIsOneKey: -0.0 = 0.0 under SQL =, so every hash site —
 // DISTINCT, COUNT(DISTINCT), GROUP BY, a hash join and a NUC PatchIndex
 // with its maintenance — must treat them as one key, and the rewritten
