@@ -26,8 +26,9 @@
 //
 // The serving fast path caches up to 512 bound plans per statement text
 // (-plan-cache, on by default, invalidated on every DDL/tuner epoch bump)
-// and, opt-in, read-only query results keyed on per-table versions
-// (-result-cache, -result-cache-mb); both are one LRU type. Per-tenant QoS (token-bucket rate
+// and, opt-in, the results of read-only queries whose rows come back in one
+// order on every run, keyed on per-table versions (-result-cache,
+// -result-cache-mb); both are one LRU type. Per-tenant QoS (token-bucket rate
 // limits, in-flight caps, priority-aware shedding) activates when any
 // -qos-* flag or a -tenants JSON file is given; sessions pick their tenant
 // with `\set tenant` or the wire protocol's tenant field, and per-tenant
@@ -97,7 +98,7 @@ func main() {
 	alertRules := flag.String("alert-rules", "", "JSON file of alert rules overriding the built-in watchdog rules")
 	enablePprof := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 	planCache := flag.Bool("plan-cache", true, "cache bound plans per statement text (invalidated on every DDL/tuner epoch bump)")
-	resultCache := flag.Bool("result-cache", false, "cache read-only deterministic-order results keyed on table versions")
+	resultCache := flag.Bool("result-cache", false, "cache the results of read-only queries whose plan returns rows in one order on every run, keyed on table versions")
 	resultCacheMB := flag.Int("result-cache-mb", 0, "result cache byte budget in MB (0 = default 32)")
 	qosRate := flag.Float64("qos-rate", 0, "default per-tenant statement rate limit per second (0 = unlimited)")
 	qosBurst := flag.Float64("qos-burst", 0, "default per-tenant token-bucket burst (0 = max(rate, 1))")

@@ -2,6 +2,7 @@ package patchindex
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io/fs"
 	"math/rand"
@@ -13,6 +14,8 @@ import (
 	"strings"
 	"testing"
 
+	"patchindex/internal/plan"
+	"patchindex/internal/sql"
 	"patchindex/internal/vector"
 )
 
@@ -141,7 +144,8 @@ func fixed(queries ...string) func(int) (diffStep, []string) {
 }
 
 // diffMatrix builds the engines, runs the suite, and fails on the first
-// result that differs from the reference's, or whose DrainWith count is
+// result that differs from the reference's (diffWant.check: in order when
+// both plans are stable, else as a multiset), or whose DrainWith count is
 // not its row count (checked on one engine per query, in turn).
 // It returns the engines, the reference first.
 func diffMatrix(t *testing.T, s diffSuite) []*diffEngine {
@@ -189,16 +193,17 @@ func diffMatrix(t *testing.T, s diffSuite) []*diffEngine {
 			}
 		}
 		for _, q := range queries {
-			want := diffRender(q, diffRun(t, engines[0], q, diffPoint{}, false))
+			want := newDiffWant(t, engines[0].Engine, q, diffOpts(diffPoint{}))
 			for i := range engines {
 				at := diffRunAt(k%len(diffSlices), i)
+				props := plan.PropsOf(planOf(t, engines[i].Engine, q, diffOpts(at)))
 				passes := []string{"cold"}
 				if engines[i].caches() {
 					passes = append(passes, "hot")
 				}
 				for _, pass := range passes {
 					drain := pass == "cold" && i == k%len(engines)
-					if diff := diffCheck(want, diffRender(q, diffRun(t, engines[i], q, at, drain))); diff != "" {
+					if diff := want.check(diffRun(t, engines[i], q, at, drain), props); diff != "" {
 						t.Fatalf("round %d, %s pass, %s\n  query: %s\n%s", r, pass, at, q, diff)
 					}
 				}
@@ -243,12 +248,17 @@ func copyDir(t *testing.T, from, to string) {
 	}
 }
 
+// diffOpts are the statement options of at.
+func diffOpts(at diffPoint) ExecOptions {
+	par, _ := strconv.Atoi(diffAxes[7].values[at[7]])
+	return ExecOptions{DisablePatchRewrites: at[5] == 0, DisableKernels: at[6] == 0, Parallelism: par}
+}
+
 // diffRun executes q with the statement options of at; with drain set,
 // DrainWith must count the rows Exec returns.
 func diffRun(t *testing.T, de *diffEngine, q string, at diffPoint, drain bool) *Result {
 	t.Helper()
-	par, _ := strconv.Atoi(diffAxes[7].values[at[7]])
-	opts := ExecOptions{DisablePatchRewrites: at[5] == 0, DisableKernels: at[6] == 0, Parallelism: par}
+	opts := diffOpts(at)
 	res, err := de.ExecWith(q, opts)
 	if err != nil {
 		t.Fatalf("%s [%s]: %v", q, at, err)
@@ -259,6 +269,69 @@ func diffRun(t *testing.T, de *diffEngine, q string, at diffPoint, drain bool) *
 		}
 	}
 	return res
+}
+
+// planOf is q's optimized logical plan on e under opts: the plan that
+// executing q would build, planned past the plan cache.
+func planOf(t *testing.T, e *Engine, q string, opts ExecOptions) plan.Node {
+	t.Helper()
+	stmt, err := sql.Parse(q)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	s, ok := stmt.(*sql.SelectStmt)
+	if !ok {
+		t.Fatalf("%s: not a SELECT", q)
+	}
+	release := e.latchStmt(stmt)
+	defer release()
+	node, err := e.planSelect(context.Background(), s, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	return node
+}
+
+// diffWant is a query's reference result, rendered in order and as a
+// multiset, and whether the reference's plan is stable.
+type diffWant struct {
+	seq, set string
+	stable   bool
+}
+
+// newDiffWant runs q on e under opts as the reference.
+func newDiffWant(t *testing.T, e *Engine, q string, opts ExecOptions) diffWant {
+	t.Helper()
+	res, err := e.ExecWith(q, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	stable := plan.PropsOf(planOf(t, e, q, opts)).Stable
+	return diffWant{seq: diffRender(res, true), set: diffRender(res, false), stable: stable}
+}
+
+// check returns "" when got, the result of a plan with props p, agrees
+// with the reference: its rows are sorted on p.Order, and they equal the
+// reference's in order when both plans are stable, else as a multiset.
+func (w diffWant) check(got *Result, p plan.Props) string {
+	for i := 1; i < len(got.Rows); i++ {
+		for _, k := range p.Order {
+			c := got.Rows[i-1][k.Col].Compare(got.Rows[i][k.Col])
+			if k.Desc {
+				c = -c
+			}
+			if c > 0 {
+				return fmt.Sprintf("  rows %d and %d are not sorted on %v, which the plan claims", i-1, i, p.Order)
+			}
+			if c < 0 {
+				break
+			}
+		}
+	}
+	if w.stable && p.Stable {
+		return diffCheck(w.seq, diffRender(got, true))
+	}
+	return diffCheck(w.set, diffRender(got, false))
 }
 
 // diffCheck returns "" when two renderings agree, else the line counts
@@ -277,14 +350,11 @@ func diffCheck(want, got string) string {
 		len(g)-1, len(w)-1, i, w[i], g[i])
 }
 
-// diffRender is the canonical rendering of q's result: the column names,
+// diffRender is the canonical rendering of a result: the column names,
 // then one line per row. Every value carries its type; floats print in
 // their shortest exact form, strings quoted, NULL apart from any value.
-// The lines are sorted when q has neither ORDER BY nor GROUP BY, so that
-// rows compare as a multiset. Grouped rows compare in order: HashAgg emits
-// groups in first-occurrence order and merges parallel partials in child
-// order, the same on every path.
-func diffRender(q string, res *Result) string {
+// Unless inOrder, the lines are sorted, so that rows compare as a multiset.
+func diffRender(res *Result, inOrder bool) string {
 	buf := []byte(strings.Join(res.Columns, " | "))
 	ends := make([]int, 0, len(res.Rows)+1) // where each line ends in buf
 	for _, row := range res.Rows {
@@ -311,7 +381,7 @@ func diffRender(q string, res *Result) string {
 			}
 		}
 	}
-	if strings.Contains(q, "ORDER BY") || strings.Contains(q, "GROUP BY") {
+	if inOrder {
 		return string(buf)
 	}
 	ends = append(ends, len(buf))
@@ -324,15 +394,12 @@ func diffRender(q string, res *Result) string {
 }
 
 // sameWithRewrites runs each query with and without PatchIndex rewrites on
-// one engine and requires the same rendering.
+// one engine and requires the same result.
 func sameWithRewrites(t *testing.T, e *Engine, queries ...string) {
 	t.Helper()
 	for _, q := range queries {
-		off, err := e.ExecWith(q, ExecOptions{DisablePatchRewrites: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if diff := diffCheck(diffRender(q, off), diffRender(q, mustExec(t, e, q))); diff != "" {
+		want := newDiffWant(t, e, q, ExecOptions{DisablePatchRewrites: true})
+		if diff := want.check(mustExec(t, e, q), plan.PropsOf(planOf(t, e, q, ExecOptions{}))); diff != "" {
 			t.Errorf("%s: rewritten plan differs\n%s", q, diff)
 		}
 	}
@@ -564,6 +631,7 @@ func TestDurableDifferentialKernels(t *testing.T) {
 			coldQuery, // the last SMA block, whole: cold-range decode
 			"SELECT COUNT(DISTINCT val) FROM big WHERE id >= 21000 AND id < 22000",
 			"SELECT id, val FROM big WHERE id >= 23990 ORDER BY id",
+			"SELECT d.id, tag, val FROM d JOIN t ON d.id = t.id WHERE val > 0", // a join's own rows
 		),
 	})
 	for _, de := range engines {
@@ -619,7 +687,8 @@ func TestParallelExecutionMatchesSequential(t *testing.T) {
 		mustExec(t, e, ddl)
 	}
 	for _, q := range queries {
-		if diff := diffCheck(diffRender(q, diffRun(t, ref, q, diffPoint{}, false)), diffRender(q, mustExec(t, e, q))); diff != "" {
+		want := newDiffWant(t, ref.Engine, q, diffOpts(diffPoint{}))
+		if diff := want.check(mustExec(t, e, q), plan.PropsOf(planOf(t, e, q, ExecOptions{}))); diff != "" {
 			t.Errorf("%s: Parallelism %d differs\n%s", q, 2*runtime.GOMAXPROCS(0), diff)
 		}
 	}

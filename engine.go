@@ -125,9 +125,10 @@ type Config struct {
 	PlanCache bool
 	// ResultCache enables the serving result cache: materialized read-only
 	// results keyed on statement text + per-table version stamps, evicted
-	// LRU under ResultCacheBytes. Only deterministic-order SELECTs are
-	// cached (sorted output or a global aggregate); any append to a
-	// referenced table invalidates via the version vector.
+	// LRU under ResultCacheBytes. Only SELECTs whose plan plan.PropsOf
+	// calls stable are cached (their rows come back in one order on every
+	// run); any append to a referenced table invalidates via the version
+	// vector.
 	ResultCache bool
 	// ResultCacheBytes bounds the result cache (0 = default 32 MiB).
 	ResultCacheBytes int64

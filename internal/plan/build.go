@@ -126,11 +126,11 @@ func buildNodeOp(n Node, cfg Config, bounds map[int]colBounds) (exec.Operator, e
 	}
 	switch x := n.(type) {
 	case *ScanNode, *PatchScanNode:
-		parts, keys, err := partitionLeaves(n, cfg, bounds)
+		parts, err := partitionLeaves(n, cfg, bounds)
 		if err != nil {
 			return nil, err
 		}
-		return gather(parts, keys, cfg)
+		return gather(parts, PropsOf(n).Order, cfg)
 	case *FilterNode, *ProjectNode:
 		child, err := buildNode(inputOf(n), cfg, childBounds(n, cfg))
 		if err != nil {
@@ -220,10 +220,8 @@ func buildNodeOp(n Node, cfg Config, bounds map[int]colBounds) (exec.Operator, e
 // the bounds come from the filter enclosing the scan, so every row of a
 // pruned partition, patch or not, would fail that filter anyway. If every
 // partition is pruned, one empty-range leaf keeps the plan shape (and the
-// operator contract above it). keys is the merge order that combining the
-// leaves must keep: the table's declared sort key, or the index column of an
-// ordered patched scan; nil when the scan promises no order.
-func partitionLeaves(n Node, cfg Config, bounds map[int]colBounds) (parts []exec.Operator, keys []exec.SortKey, err error) {
+// operator contract above it). Combining the leaves keeps PropsOf(n).Order.
+func partitionLeaves(n Node, cfg Config, bounds map[int]colBounds) (parts []exec.Operator, err error) {
 	var (
 		t    *storage.Table
 		cols []int
@@ -234,27 +232,11 @@ func partitionLeaves(n Node, cfg Config, bounds map[int]colBounds) (parts []exec
 	switch x := n.(type) {
 	case *ScanNode:
 		t, cols, part = x.Table, x.Cols, x.Part
-		if key := t.SortKey(); key != "" {
-			if pos := outputPos(cols, t, key); pos >= 0 {
-				keys = []exec.SortKey{{Col: pos}}
-			}
-		}
 	case *PatchScanNode:
+		if err := x.validate(); err != nil {
+			return nil, err
+		}
 		t, cols, part, ix, mode = x.Table, x.Cols, x.Part, x.Index, x.Mode
-		if !ix.Ready() {
-			return nil, nil, fmt.Errorf("plan: PatchIndex on %s.%s is not built", ix.Table(), ix.Column())
-		}
-		if ix.NumPartitions() != t.NumPartitions() {
-			return nil, nil, fmt.Errorf("plan: PatchIndex on %s.%s has %d partitions, table has %d",
-				ix.Table(), ix.Column(), ix.NumPartitions(), t.NumPartitions())
-		}
-		if x.Ordered {
-			pos := outputPos(cols, t, ix.Column())
-			if pos < 0 {
-				return nil, nil, fmt.Errorf("plan: ordered patched scan requires column %s in the scan list", ix.Column())
-			}
-			keys = []exec.SortKey{{Col: pos, Desc: ix.Descending()}}
-		}
 	}
 	leaf := func(p int, ranges []storage.ScanRange) error {
 		sc, err := exec.NewScan(t, p, cols, ranges)
@@ -284,15 +266,15 @@ func partitionLeaves(n Node, cfg Config, bounds map[int]colBounds) (parts []exec
 			continue
 		}
 		if err := leaf(p, rangesFor(t, p, cols, bounds)); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if len(parts) == 0 {
 		if err := leaf(first, []storage.ScanRange{}); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return parts, keys, nil
+	return parts, nil
 }
 
 // gather combines pipelines into one operator: the pipeline itself when
@@ -327,26 +309,21 @@ func parallelPipelines(n Node, cfg Config) ([]exec.Operator, error) {
 
 // splitPipelines decomposes n into independent per-partition pipelines —
 // the morsels of an Exchange or the partial-aggregation inputs of a
-// parallel aggregation. It handles the shapes that dominate the benchmark
-// workloads: scans and patched scans with no ordering promise to preserve,
-// filters and projections over a splittable input (pushed into every
-// pipeline), and non-merge unions (each branch contributes its own
-// pipelines, in branch order). A nil result with nil error means "not
-// splittable — build serially"; splitting never changes the multiset of
-// rows produced, only their interleaving.
+// parallel aggregation — for the shapes pipelines says split: filters and
+// projections are pushed into every pipeline, and a non-merge union's
+// branches contribute their pipelines in branch order. A nil result with
+// nil error means "not splittable — build serially"; splitting never
+// changes the multiset of rows produced, only their interleaving.
 func splitPipelines(n Node, cfg Config, bounds map[int]colBounds) ([]exec.Operator, error) {
-	switch x := n.(type) {
+	if splits, _ := pipelines(n); !splits {
+		return nil, nil
+	}
+	switch n.(type) {
 	case *ScanNode, *PatchScanNode:
-		parts, keys, err := partitionLeaves(n, cfg, bounds)
-		if err != nil || keys != nil {
-			// An ordered scan promises merged order via MergeUnion; splitting
-			// would break OrderingOf.
-			return nil, err
-		}
-		return parts, nil
+		return partitionLeaves(n, cfg, bounds)
 	case *FilterNode, *ProjectNode:
 		parts, err := splitPipelines(inputOf(n), cfg, childBounds(n, cfg))
-		if err != nil || parts == nil {
+		if err != nil {
 			return nil, err
 		}
 		for i, p := range parts {
@@ -355,30 +332,25 @@ func splitPipelines(n Node, cfg Config, bounds map[int]colBounds) ([]exec.Operat
 			}
 		}
 		return parts, nil
-	case *UnionNode:
-		if x.Merge {
-			return nil, nil
+	}
+	// A plain Union.
+	var parts []exec.Operator
+	for _, in := range n.(*UnionNode).Inputs {
+		sub, err := splitPipelines(in, cfg, nil)
+		if err != nil {
+			return nil, err
 		}
-		var parts []exec.Operator
-		for _, in := range x.Inputs {
-			sub, err := splitPipelines(in, cfg, nil)
+		if sub == nil {
+			// Unsplittable branch: the whole branch is one pipeline.
+			op, err := buildNode(in, cfg, nil)
 			if err != nil {
 				return nil, err
 			}
-			if sub == nil {
-				// Unsplittable branch: the whole branch is one pipeline.
-				op, err := buildNode(in, cfg, nil)
-				if err != nil {
-					return nil, err
-				}
-				sub = []exec.Operator{op}
-			}
-			parts = append(parts, sub...)
+			sub = []exec.Operator{op}
 		}
-		return parts, nil
-	default:
-		return nil, nil
+		parts = append(parts, sub...)
 	}
+	return parts, nil
 }
 
 // inputOf returns the input of a Filter or Project node.

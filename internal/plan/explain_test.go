@@ -147,53 +147,6 @@ func TestProjectNodeValidation(t *testing.T) {
 	}
 }
 
-func TestOrderingOfOtherNodes(t *testing.T) {
-	fx := newFixture(t)
-	// Sort node exposes its first key.
-	s := NewSortNode(factScan(fx), []exec.SortKey{{Col: 1, Desc: true}})
-	ord, ok := OrderingOf(s)
-	if !ok || ord.Col != 1 || !ord.Desc {
-		t.Errorf("sort ordering = %+v, %v", ord, ok)
-	}
-	// Merge union exposes its keys; plain union does not.
-	mu, err := NewUnionNode(true, []exec.SortKey{{Col: 0}}, factScan(fx))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := OrderingOf(mu); !ok {
-		t.Error("merge union should be ordered")
-	}
-	u, err := NewUnionNode(false, nil, factScan(fx))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := OrderingOf(u); ok {
-		t.Error("plain union must not be ordered")
-	}
-	// Merge join preserves key order; hash join does not.
-	mj, err := NewJoinNode(NewScanNode(fx.dim, []int{0, 1}), factScan(fx), 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mj.Method = JoinMerge
-	if _, ok := OrderingOf(mj); !ok {
-		t.Error("merge join should be ordered on its key")
-	}
-	hj, err := NewJoinNode(NewScanNode(fx.dim, []int{0, 1}), factScan(fx), 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hj.Method = JoinHash
-	if _, ok := OrderingOf(hj); ok {
-		t.Error("hash join must not claim ordering")
-	}
-	// Limit passes the child's ordering through.
-	lim := NewLimitNode(NewScanNode(fx.dim, []int{0, 1}), 5)
-	if _, ok := OrderingOf(lim); !ok {
-		t.Error("limit should preserve child ordering")
-	}
-}
-
 func TestEstimateRowsUnionAndJoin(t *testing.T) {
 	fx := newFixture(t)
 	u, err := NewUnionNode(false, nil, factScan(fx), factScan(fx))

@@ -36,12 +36,6 @@ type Node interface {
 	Label() string
 }
 
-// Ordering describes that a node's output is sorted on one output column.
-type Ordering struct {
-	Col  int
-	Desc bool
-}
-
 // ScanNode reads all columns Cols (positions in the table schema) of a
 // table. Part restricts the scan to a single partition (-1 = all).
 type ScanNode struct {
@@ -83,8 +77,9 @@ func (s *ScanNode) Label() string {
 
 // PatchScanNode is a PatchedScan: a scan with a PatchSelect in the given
 // mode directly on top (per partition). Ordered requests that the combined
-// cross-partition stream preserves the indexed column's sort order (only
-// meaningful for ExcludePatches on a NSC index).
+// cross-partition stream preserves the indexed column's sort order; PropsOf
+// grants it only to ExcludePatches on a NSC index, and a build refuses it
+// anywhere else.
 type PatchScanNode struct {
 	Table   *storage.Table
 	Cols    []int
@@ -120,6 +115,24 @@ func (s *PatchScanNode) Label() string {
 		part = fmt.Sprintf(", p%d", s.Part)
 	}
 	return fmt.Sprintf("PatchedScan %s [%s on %s%s%s]", s.Table.Name(), s.Mode, s.Index.Column(), ord, part)
+}
+
+// validate refuses a patched scan that cannot be built: an index not built
+// or partitioned unlike the table, or an Ordered request PropsOf cannot
+// honour.
+func (s *PatchScanNode) validate() error {
+	ix := s.Index
+	if !ix.Ready() {
+		return fmt.Errorf("plan: PatchIndex on %s.%s is not built", ix.Table(), ix.Column())
+	}
+	if ix.NumPartitions() != s.Table.NumPartitions() {
+		return fmt.Errorf("plan: PatchIndex on %s.%s has %d partitions, table has %d",
+			ix.Table(), ix.Column(), ix.NumPartitions(), s.Table.NumPartitions())
+	}
+	if s.Ordered && len(PropsOf(s).Order) == 0 {
+		return fmt.Errorf("plan: ordered patched scan needs an exclude-mode NSC index and column %s in the scan list", ix.Column())
+	}
+	return nil
 }
 
 // FilterNode applies a boolean predicate bound to the child schema.
@@ -409,60 +422,121 @@ func (l *LimitNode) Children() []Node { return []Node{l.Input} }
 // Label renders the limit.
 func (l *LimitNode) Label() string { return fmt.Sprintf("Limit %d", l.N) }
 
-// OrderingOf infers the single-column sort order of a node's output, if any.
-func OrderingOf(n Node) (Ordering, bool) {
+// Props are what a plan promises about its rows, derived bottom-up by
+// PropsOf. A property may be under-claimed, never over-claimed.
+type Props struct {
+	// Order is the sort keys the rows are sorted on; empty for none.
+	Order []exec.SortKey
+	// Stable means the row order is identical on every run of this logical
+	// plan, at any parallelism, kernel, pruning and storage setting.
+	Stable bool
+}
+
+// PropsOf derives the props of n's output. Every consumer of a plan's row
+// order reads it here: the join rewrite, the merge of a scan's partitions
+// (partitionLeaves), the parallel split (splitPipelines) and the result
+// cache.
+func PropsOf(n Node) Props {
 	switch x := n.(type) {
 	case *ScanNode:
-		if key := x.Table.SortKey(); key != "" {
-			for i, c := range x.cols {
-				if c.SourceCol == key && c.SourceTable == x.Table.Name() {
-					return Ordering{Col: i}, true
-				}
-			}
+		// A declared sort key's partitions are merged by a MergeUnion.
+		if pos := outputPos(x.Cols, x.Table, x.Table.SortKey()); pos >= 0 {
+			return Props{Order: []exec.SortKey{{Col: pos}}, Stable: true}
 		}
-		return Ordering{}, false
+		return Props{Stable: onePartition(x.Table, x.Part)}
 	case *PatchScanNode:
-		if x.Mode == exec.ExcludePatches && x.Index.Constraint() == patch.NearlySorted && x.Ordered {
-			for i, c := range x.cols {
-				if c.SourceCol == x.Index.Column() {
-					return Ordering{Col: i, Desc: x.Index.Descending()}, true
+		// NSC1: minus its patches the indexed column is sorted, and an
+		// Ordered request merges the partitions by a MergeUnion.
+		if x.Ordered && x.Mode == exec.ExcludePatches && x.Index.Constraint() == patch.NearlySorted {
+			if pos := outputPos(x.Cols, x.Table, x.Index.Column()); pos >= 0 {
+				return Props{Order: []exec.SortKey{{Col: pos, Desc: x.Index.Descending()}}, Stable: true}
+			}
+		}
+		return Props{Stable: onePartition(x.Table, x.Part)}
+	case *FilterNode:
+		return PropsOf(x.Input)
+	case *LimitNode:
+		return PropsOf(x.Input)
+	case *ProjectNode:
+		p := PropsOf(x.Input)
+		order := p.Order
+		p.Order = nil
+	keys:
+		for _, k := range order {
+			for i, e := range x.Exprs {
+				if ref, ok := e.(*expr.ColRef); ok && ref.Col == k.Col {
+					p.Order = append(p.Order, exec.SortKey{Col: i, Desc: k.Desc})
+					continue keys
 				}
 			}
+			break // the rows are sorted on the keys projected so far
 		}
-		return Ordering{}, false
-	case *FilterNode:
-		return OrderingOf(x.Input)
-	case *LimitNode:
-		return OrderingOf(x.Input)
-	case *ProjectNode:
-		ord, ok := OrderingOf(x.Input)
-		if !ok {
-			return Ordering{}, false
-		}
-		for i, e := range x.Exprs {
-			if ref, isRef := e.(*expr.ColRef); isRef && ref.Col == ord.Col {
-				return Ordering{Col: i, Desc: ord.Desc}, true
-			}
-		}
-		return Ordering{}, false
+		return p
 	case *SortNode:
-		if len(x.Keys) > 0 {
-			return Ordering{Col: x.Keys[0].Col, Desc: x.Keys[0].Desc}, true
-		}
-		return Ordering{}, false
+		return Props{Order: x.Keys, Stable: PropsOf(x.Input).Stable}
 	case *UnionNode:
-		if x.Merge && len(x.Keys) > 0 {
-			return Ordering{Col: x.Keys[0].Col, Desc: x.Keys[0].Desc}, true
+		// A plain Union becomes an Exchange at parallelism > 1.
+		if !x.Merge {
+			return Props{}
 		}
-		return Ordering{}, false
+		p := Props{Order: x.Keys, Stable: true}
+		for _, in := range x.Inputs {
+			p.Stable = p.Stable && PropsOf(in).Stable
+		}
+		return p
 	case *JoinNode:
+		p := Props{Stable: PropsOf(x.Left).Stable && PropsOf(x.Right).Stable}
 		if x.Method == JoinMerge {
-			return Ordering{Col: x.LeftKey}, true
+			p.Order = []exec.SortKey{{Col: x.LeftKey}}
 		}
-		return Ordering{}, false
+		return p
+	case *AggregateNode:
+		// One row, or groups numbered in first-occurrence order over
+		// pipelines merged in child order.
+		_, fixed := pipelines(x.Input)
+		return Props{Stable: len(x.GroupCols) == 0 || fixed}
 	default:
-		return Ordering{}, false
+		return Props{}
 	}
+}
+
+// onePartition reports whether a scan of partition part (-1: all) of t
+// reads a single partition, which no Exchange reorders.
+func onePartition(t *storage.Table, part int) bool {
+	return part >= 0 || t.NumPartitions() == 1
+}
+
+// pipelines is the one predicate behind splitPipelines and a grouped
+// aggregate's Stable. splits reports whether n decomposes into
+// per-partition pipelines: a scan whose partitions need no ordered merge, a
+// Filter or Project over such an input, or a plain Union, whose branches
+// each contribute their pipelines or else themselves as one. fixed reports
+// whether the rows reach those pipelines in the same order on every run,
+// so that ParallelAgg, which merges its partials in pipeline order, emits
+// its groups in one order; for an n that does not split it is n's Stable.
+func pipelines(n Node) (splits, fixed bool) {
+	switch x := n.(type) {
+	case *ScanNode, *PatchScanNode:
+		return len(PropsOf(n).Order) == 0, true
+	case *FilterNode, *ProjectNode:
+		return pipelines(inputOf(n))
+	case *UnionNode:
+		if !x.Merge {
+			fixed = true
+			for _, in := range x.Inputs {
+				_, f := pipelines(in)
+				fixed = fixed && f
+			}
+			return true, fixed
+		}
+	}
+	return false, PropsOf(n).Stable
+}
+
+// sortedOn reports whether n's rows are sorted ascending on column col.
+func sortedOn(n Node, col int) bool {
+	p := PropsOf(n)
+	return len(p.Order) > 0 && p.Order[0] == exec.SortKey{Col: col}
 }
 
 // EstimateRows returns a rough output cardinality used for join build-side

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -102,51 +103,142 @@ func optimize(t *testing.T, fx *fixture, n Node) Node {
 
 func factScan(fx *fixture) *ScanNode { return NewScanNode(fx.fact, []int{0, 1}) }
 
+// propsCase is one node and what PropsOf must claim of it: its row order
+// (Order) and whether that order is the same on every run (Stable).
+type propsCase struct {
+	name   string
+	n      Node
+	order  []exec.SortKey
+	stable bool
+}
+
+func checkProps(t *testing.T, cases []propsCase) {
+	t.Helper()
+	for _, c := range cases {
+		p := PropsOf(c.n)
+		if !slices.Equal(p.Order, c.order) || p.Stable != c.stable {
+			t.Errorf("%s: PropsOf = %+v, want order %v stable %v\n%s", c.name, p, c.order, c.stable, Explain(c.n))
+		}
+	}
+}
+
+// propsTree builds the plan nodes the PropsOf tests are made of.
+type propsTree struct {
+	t  *testing.T
+	fx *fixture
+}
+
+func (b propsTree) dim() Node  { return NewScanNode(b.fx.dim, []int{0, 1}) } // SORTKEY pk, one partition
+func (b propsTree) fact() Node { return factScan(b.fx) }                     // two partitions, unsorted
+
+func (b propsTree) patched(ix *patch.Index, mode exec.SelectMode, ordered bool) Node {
+	return NewPatchScanNode(b.fx.fact, []int{0, 1}, ix, mode, ordered)
+}
+
+func (b propsTree) orderedExcl() Node { return b.patched(b.fx.nsc, exec.ExcludePatches, true) }
+
+func (b propsTree) filter(in Node) Node {
+	return NewFilterNode(in, expr.NewLiteral(vector.BoolValue(true)))
+}
+
+func (b propsTree) project(in Node, cols ...int) Node {
+	exprs, names := make([]expr.Expr, len(cols)), make([]string, len(cols))
+	for i, c := range cols {
+		exprs[i], names[i] = expr.NewColRef(c, vector.Int64, "c"), "c"
+	}
+	p, err := NewProjectNode(in, exprs, names)
+	if err != nil {
+		b.t.Fatal(err)
+	}
+	return p
+}
+
+func (b propsTree) union(merge bool, keys []exec.SortKey, in ...Node) Node {
+	u, err := NewUnionNode(merge, keys, in...)
+	if err != nil {
+		b.t.Fatal(err)
+	}
+	return u
+}
+
+func (b propsTree) join(method JoinMethod, l, r Node) Node {
+	j, err := NewJoinNode(l, r, 0, 0)
+	if err != nil {
+		b.t.Fatal(err)
+	}
+	j.Method = method
+	return j
+}
+
+func (b propsTree) agg(in Node, groups ...int) Node {
+	a, err := NewAggregateNode(in, groups, []exec.AggSpec{{Func: exec.CountStar, Col: -1}}, []string{"n"})
+	if err != nil {
+		b.t.Fatal(err)
+	}
+	return a
+}
+
+func keys(k ...exec.SortKey) []exec.SortKey { return k }
+
+var asc0, asc1, desc1 = exec.SortKey{Col: 0}, exec.SortKey{Col: 1}, exec.SortKey{Col: 1, Desc: true}
+
 func TestOrderingOfScanWithSortKey(t *testing.T) {
 	fx := newFixture(t)
-	ord, ok := OrderingOf(NewScanNode(fx.dim, []int{0, 1}))
-	if !ok || ord.Col != 0 || ord.Desc {
-		t.Errorf("ordering = %+v, %v", ord, ok)
-	}
-	// Scan without the sort key column: no ordering.
-	if _, ok := OrderingOf(NewScanNode(fx.dim, []int{1})); ok {
-		t.Error("ordering without the key column")
-	}
-	// Unsorted table: no ordering.
-	if _, ok := OrderingOf(factScan(fx)); ok {
-		t.Error("fact table is not declared sorted")
-	}
+	b := propsTree{t, fx}
+	checkProps(t, []propsCase{
+		{"SORTKEY scan", b.dim(), keys(asc0), true},
+		{"SORTKEY scan without the key column", NewScanNode(fx.dim, []int{1}), nil, true},
+		{"multi-partition scan", b.fact(), nil, false},
+		{"one partition of a scan", &ScanNode{Table: fx.fact, Cols: []int{0, 1}, Part: 1}, nil, true},
+	})
 }
 
 func TestOrderingOfPatchScan(t *testing.T) {
 	fx := newFixture(t)
-	ps := NewPatchScanNode(fx.fact, []int{0, 1}, fx.nsc, exec.ExcludePatches, true)
-	ord, ok := OrderingOf(ps)
-	if !ok || ord.Col != 0 {
-		t.Errorf("patch scan ordering = %+v, %v", ord, ok)
-	}
-	// use_patches never claims ordering.
-	if _, ok := OrderingOf(NewPatchScanNode(fx.fact, []int{0, 1}, fx.nsc, exec.UsePatches, false)); ok {
-		t.Error("use_patches must not be ordered")
-	}
-	// Filter preserves, projection remaps.
-	f := NewFilterNode(ps, expr.NewLiteral(vector.BoolValue(true)))
-	if _, ok := OrderingOf(f); !ok {
-		t.Error("filter should preserve ordering")
-	}
-	proj, err := NewProjectNode(f, []expr.Expr{expr.NewColRef(0, vector.Int64, "k")}, []string{"k"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ord, ok = OrderingOf(proj)
-	if !ok || ord.Col != 0 {
-		t.Error("projection should remap ordering")
-	}
-	// Projection dropping the ordered column loses ordering.
-	proj2, _ := NewProjectNode(f, []expr.Expr{expr.NewColRef(1, vector.Int64, "v")}, []string{"v"})
-	if _, ok := OrderingOf(proj2); ok {
-		t.Error("dropping the ordered column must lose ordering")
-	}
+	b := propsTree{t, fx}
+	checkProps(t, []propsCase{
+		{"ordered exclude NSC scan", b.orderedExcl(), keys(asc0), true},
+		{"unordered exclude NSC scan", b.patched(fx.nsc, exec.ExcludePatches, false), nil, false},
+		{"ordered use NSC scan", b.patched(fx.nsc, exec.UsePatches, true), nil, false},
+		{"unordered use NSC scan", b.patched(fx.nsc, exec.UsePatches, false), nil, false},
+		{"ordered exclude NUC scan", b.patched(fx.nuc, exec.ExcludePatches, true), nil, false},
+		{"filter", b.filter(b.orderedExcl()), keys(asc0), true},
+		{"project remaps the order", b.project(b.orderedExcl(), 1, 0), keys(asc1), true},
+		{"project keeps the projected key prefix", b.project(NewSortNode(b.dim(), keys(asc1, asc0)), 1), keys(asc0), true},
+		{"project dropping the first key", b.project(NewSortNode(b.dim(), keys(asc1, asc0)), 0), nil, true},
+	})
+}
+
+func TestOrderingOfOtherNodes(t *testing.T) {
+	b := propsTree{t, newFixture(t)}
+	checkProps(t, []propsCase{
+		{"sort over a multi-partition scan", NewSortNode(b.fact(), keys(desc1)), keys(desc1), false},
+		{"sort over a one-partition scan", NewSortNode(b.dim(), keys(asc1, asc0)), keys(asc1, asc0), true},
+		{"merge union", b.union(true, keys(asc0), b.orderedExcl(), b.orderedExcl()), keys(asc0), true},
+		{"merge union over an unstable input", b.union(true, keys(asc0), b.orderedExcl(), NewSortNode(b.fact(), keys(asc0))), keys(asc0), false},
+		{"plain union", b.union(false, nil, b.dim(), b.dim()), nil, false},
+		{"merge join", b.join(JoinMerge, b.dim(), b.orderedExcl()), keys(asc0), true},
+		{"merge join over an unstable input", b.join(JoinMerge, b.dim(), b.fact()), keys(asc0), false},
+		{"hash join", b.join(JoinHash, b.dim(), b.dim()), nil, true},
+		{"hash join over an unstable input", b.join(JoinHash, b.dim(), b.fact()), nil, false},
+		{"limit", NewLimitNode(b.dim(), 5), keys(asc0), true},
+	})
+}
+
+// TestPropsOf covers the aggregate: a grouped aggregate emits groups in an
+// order that is stable only when its input's is.
+func TestPropsOf(t *testing.T) {
+	fx := newFixture(t)
+	b := propsTree{t, fx}
+	checkProps(t, []propsCase{
+		{"grouped aggregate over a scan", b.agg(b.filter(b.fact()), 1), nil, true},
+		{"grouped aggregate over a plain union", b.agg(b.union(false, nil, b.fact(), b.patched(fx.nuc, exec.UsePatches, false)), 1), nil, true},
+		{"grouped aggregate over a join", b.agg(b.join(JoinHash, b.dim(), b.fact()), 0), nil, false},
+		{"grouped aggregate over a union with a join", b.agg(b.union(false, nil, b.fact(), b.project(b.join(JoinHash, b.dim(), b.fact()), 0, 2)), 0), nil, false},
+		{"grouped aggregate over a sort", b.agg(NewSortNode(b.fact(), keys(asc0)), 0), nil, false},
+		{"global aggregate over a scan", b.agg(b.fact()), nil, true},
+		{"global aggregate over a join", b.agg(b.join(JoinHash, b.dim(), b.fact())), nil, true},
+	})
 }
 
 func TestEstimateRows(t *testing.T) {

@@ -471,7 +471,7 @@ func (o *Optimizer) tryJoinRewrite(j *JoinNode, mirrored bool) (Node, bool, erro
 			// Shadow-account only when the rest of the shape would have
 			// allowed the rewrite (chain inner, sorted outer).
 			if leaf, _, ok := matchChain(inner); ok {
-				if ord, sorted := OrderingOf(outer); sorted && ord.Col == outerKey && !ord.Desc {
+				if sortedOn(outer, outerKey) {
 					o.noteShadow(inner, innerKey, "nsc", "join",
 						ShadowJoinSavings(int64(leaf.Table.NumRows())))
 				}
@@ -484,8 +484,7 @@ func (o *Optimizer) tryJoinRewrite(j *JoinNode, mirrored bool) (Node, bool, erro
 		return nil, false, nil
 	}
 	// The outer side must be sorted ascending on its join key.
-	ord, sorted := OrderingOf(outer)
-	if !sorted || ord.Col != outerKey || ord.Desc {
+	if !sortedOn(outer, outerKey) {
 		return nil, false, nil
 	}
 	mkJoin := func(inner Node, method JoinMethod) (*JoinNode, error) {

@@ -18,6 +18,9 @@ type Int64Table struct {
 	slots []uint32
 	keys  []int64
 	shift uint // 64 - log2(len(slots)): the hash keeps the product's top bits
+	// hole is the id skipID gave away (-1: none): keys holds a placeholder
+	// there that no slot points to.
+	hole int32
 	// homes is InsertBatch's and LookupBatch's chunk of home slots, kept
 	// here so a call on a short run of keys does not zero a fresh array.
 	homes [insertChunk]uint32
@@ -38,7 +41,7 @@ const insertChunk = 256
 // NewInt64Table returns an empty table sized so that capacity distinct keys
 // fit without growing (load factor at most one half).
 func NewInt64Table(capacity int) *Int64Table {
-	t := &Int64Table{keys: make([]int64, 0, capacity)}
+	t := &Int64Table{keys: make([]int64, 0, capacity), hole: -1}
 	t.reserve(max(capacity, 4))
 	return t
 }
@@ -51,14 +54,22 @@ func ShardOfInt64(key int64, shards int) int {
 	return int(uint64(low) * uint64(shards) >> 32)
 }
 
-// Len returns the number of distinct keys inserted, which is also the next
-// id to be assigned.
+// Len returns the number of ids given out, which is also the next id to be
+// assigned.
 func (t *Int64Table) Len() int { return len(t.keys) }
 
-// Keys returns the inserted keys in id order: Keys()[id] is the key of id.
-// The slice is the table's own and valid until the next insert; callers
-// must not modify it.
+// Keys returns the inserted keys in id order: Keys()[id] is the key of id
+// (a placeholder at the id skipID gave away). The slice is the table's own
+// and valid until the next insert; callers must not modify it.
 func (t *Int64Table) Keys() []int64 { return t.keys }
+
+// skipID gives the next id to a key the table does not hold, once: no key
+// finds it, and later keys number on after it.
+func (t *Int64Table) skipID() int32 {
+	t.hole = int32(len(t.keys))
+	t.keys = append(t.keys, 0)
+	return t.hole
+}
 
 // home returns the slot key hashes to.
 func (t *Int64Table) home(key int64) uint64 { return uint64(key) * hashMul >> t.shift }
@@ -76,6 +87,9 @@ func (t *Int64Table) reserve(n int) {
 	t.slots = make([]uint32, 1<<logSlots)
 	t.shift = 64 - logSlots
 	for id, key := range t.keys {
+		if id == int(t.hole) {
+			continue
+		}
 		slot, _ := t.find(key, t.home(key))
 		t.slots[slot] = uint32(id) + 1
 	}

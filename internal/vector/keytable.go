@@ -20,9 +20,9 @@ import (
 // The table holds at most math.MaxInt32 keys and is not safe for concurrent
 // use.
 type KeyTable struct {
-	// One Int64/Date column: ints numbers the non-NULL keys. The NULL key
-	// takes the id at its own first occurrence, nullID (-1 before it), and
-	// every key ints numbered at or after nullID sits one id later.
+	// One Int64/Date column: ints numbers the keys. The NULL key takes the
+	// id at its own first occurrence, nullID (-1 before it), which ints
+	// skips.
 	ints   *Int64Table
 	nullID int32
 
@@ -60,9 +60,6 @@ func (t *KeyTable) Len() int {
 	if t.ints == nil {
 		return t.n
 	}
-	if t.nullID >= 0 {
-		return t.ints.Len() + 1
-	}
 	return t.ints.Len()
 }
 
@@ -85,12 +82,11 @@ func (t *KeyTable) InsertBatch(cols []*Vector, n int, ids []int32) {
 			}
 		}
 		t.ints.InsertBatch(v.I64[lo:hi], ids[lo:hi])
-		t.shiftPastNull(ids[lo:hi])
 		if hi == n {
 			return
 		}
 		if t.nullID < 0 {
-			t.nullID = int32(t.ints.Len())
+			t.nullID = t.ints.skipID()
 		}
 		ids[hi] = t.nullID
 		lo = hi + 1
@@ -106,23 +102,9 @@ func (t *KeyTable) LookupBatch(cols []*Vector, n int, ids []int32) {
 	}
 	v := cols[0]
 	t.ints.LookupBatch(v.I64[:n], ids)
-	t.shiftPastNull(ids[:n])
 	for i := 0; v.Nulls != nil && i < n; i++ {
 		if v.Nulls[i] {
 			ids[i] = t.nullID
-		}
-	}
-}
-
-// shiftPastNull turns ints ids into table ids: those at or after the NULL
-// key's id move one up.
-func (t *KeyTable) shiftPastNull(ids []int32) {
-	if t.nullID < 0 {
-		return
-	}
-	for i, id := range ids {
-		if id >= t.nullID {
-			ids[i] = id + 1
 		}
 	}
 }
@@ -136,14 +118,11 @@ func (t *KeyTable) AppendKeys(out []*Vector, from, to int) {
 		}
 		return
 	}
-	keys, null := t.ints.Keys(), int(t.nullID)
+	keys := t.ints.Keys()
 	for id := from; id < to; id++ {
-		switch {
-		case id == null:
+		if id == int(t.nullID) {
 			out[0].AppendNull()
-		case null >= 0 && id > null:
-			out[0].AppendInt64(keys[id-1])
-		default:
+		} else {
 			out[0].AppendInt64(keys[id])
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"patchindex/internal/patch"
+	"patchindex/internal/plan"
 )
 
 var workerLineRe = regexp.MustCompile(`\[worker (\d+)\] \(morsels=(\d+) rows=(\d+) batches=(\d+)`)
@@ -277,6 +278,68 @@ func TestParallelInsertVisibility(t *testing.T) {
 		res := mustExec(t, e, "SELECT COUNT(*) FROM t")
 		if got := res.Rows[0][0].I64; got != int64(total) {
 			t.Fatalf("round %d: COUNT(*) = %d, want %d", i, got, total)
+		}
+	}
+}
+
+// TestStablePlansRepeat: every query whose plan plan.PropsOf calls stable
+// returns byte-identical rows at parallelism 1, 2, 4 and 8, ten runs each;
+// each query's expected Stable pins which shapes the props claim.
+func TestStablePlansRepeat(t *testing.T) {
+	e, err := New(Config{DefaultPartitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	loadExceptionTable(t, e, "data", 20000, 4, 0.05, 42)
+	loadExceptionTable(t, e, "one", 3000, 1, 0.05, 5)
+	mustExec(t, e, "CREATE TABLE dims (k BIGINT, tag VARCHAR)")
+	var rows []string
+	for i := 0; i < 60; i++ {
+		rows = append(rows, fmt.Sprintf("(%d, 't%d')", i*37, i%7))
+	}
+	mustExec(t, e, "INSERT INTO dims VALUES "+strings.Join(rows, ", "))
+	for _, ddl := range forcedIndexes {
+		mustExec(t, e, ddl)
+	}
+	mustExec(t, e, "CREATE PATCHINDEX ON one(s) SORTED THRESHOLD 1.0 FORCE")
+	for _, c := range []struct {
+		q      string
+		stable bool
+	}{
+		{"SELECT u FROM data WHERE s < 5000", false},
+		{"SELECT payload, COUNT(*), MIN(u) FROM data GROUP BY payload", true},
+		{"SELECT u, COUNT(*) FROM data WHERE u < 3000 GROUP BY u", true},
+		{"SELECT DISTINCT u FROM data WHERE u < 3000", false}, // NUC rewrite: a plain Union
+		{"SELECT COUNT(DISTINCT u) FROM data", true},
+		{"SELECT s FROM data ORDER BY s LIMIT 100", false}, // NSC rewrite over four partitions
+		{"SELECT payload, COUNT(*) FROM data GROUP BY payload ORDER BY payload", true},
+		{"SELECT tag, COUNT(*) FROM dims JOIN data ON dims.k = data.u GROUP BY tag", false},
+		{"SELECT COUNT(*), SUM(u) FROM dims JOIN data ON dims.k = data.u", true},
+		{"SELECT tag, COUNT(*), MAX(k) FROM dims GROUP BY tag", true},
+		{"SELECT s, u FROM one ORDER BY s", true}, // NSC rewrite over one partition
+		{"SELECT u FROM one WHERE s > 100", true},
+	} {
+		if got := plan.PropsOf(planOf(t, e, c.q, ExecOptions{})).Stable; got != c.stable {
+			t.Errorf("%s: Stable = %v, want %v", c.q, got, c.stable)
+		}
+		if !c.stable {
+			continue
+		}
+		want := ""
+		for _, par := range []int{1, 2, 4, 8} {
+			for run := 0; run < 10; run++ {
+				res, err := e.ExecWith(c.q, ExecOptions{Parallelism: par})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := diffRender(res, true)
+				if want == "" {
+					want = got
+				} else if diff := diffCheck(want, got); diff != "" {
+					t.Fatalf("%s at parallelism %d, run %d: a stable plan's rows changed\n%s", c.q, par, run, diff)
+				}
+			}
 		}
 	}
 }

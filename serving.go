@@ -127,13 +127,12 @@ type resultStamp struct {
 }
 
 // resultStamp decides cacheability and snapshots the referenced tables'
-// version stamps. Only statements with deterministic output order qualify:
-// sorted output or a single-row global aggregate. Anything else (bare
-// scans, grouped aggregates, limits over unordered input) could legally
-// return rows in a different order on re-execution, so a cached copy would
-// not be byte-identical to a fresh one.
+// version stamps. Only plans whose row order plan.PropsOf calls Stable
+// qualify: any other plan could legally return its rows in a different
+// order on re-execution, so a cached copy would not be byte-identical to a
+// fresh one.
 func (e *Engine) resultStamp(s *sql.SelectStmt, node plan.Node, opts ExecOptions) resultStamp {
-	if !deterministicOrder(node) {
+	if !plan.PropsOf(node).Stable {
 		return resultStamp{}
 	}
 	tables := selectTables(s, nil)
@@ -155,30 +154,6 @@ func (e *Engine) resultStamp(s *sql.SelectStmt, node plan.Node, opts ExecOptions
 		versions = append(versions, t.Version())
 	}
 	return resultStamp{ok: true, key: e.resultOptsKey(opts), versions: versions}
-}
-
-// deterministicOrder reports whether the plan's output order is a function
-// of table contents alone (no scan-order or parallelism dependence).
-func deterministicOrder(node plan.Node) bool {
-	switch n := node.(type) {
-	case *plan.SortNode:
-		return true
-	case *plan.AggregateNode:
-		// A global aggregate returns exactly one row. Grouped output is not
-		// cached: groups emit in first-occurrence order, and a parallel
-		// build gathers a join's scan partitions through an Exchange
-		// (plan/build.go gather), so a GROUP BY over a join sees its rows,
-		// and numbers its groups, in arrival order, which can differ
-		// between runs. A NUC-rewritten DISTINCT is a UnionNode, which the
-		// default rejects.
-		return len(n.GroupCols) == 0
-	case *plan.ProjectNode:
-		return deterministicOrder(n.Input)
-	case *plan.LimitNode:
-		return deterministicOrder(n.Input)
-	default:
-		return false
-	}
 }
 
 func (e *Engine) lookupCachedResult(ctx context.Context, query string, stamp resultStamp) (*Result, bool) {

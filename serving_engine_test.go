@@ -130,42 +130,59 @@ func TestResultCacheInvalidatesOnAppend(t *testing.T) {
 	}
 }
 
-// TestResultCacheSkipsNondeterministicOrder: bare scans may legally return
-// rows in different orders, so they must bypass the result cache.
+// TestResultCacheSkipsNondeterministicOrder: the result cache holds
+// exactly the plans plan.PropsOf calls stable, and a hit is byte-identical
+// to a fresh run at the same parallelism. Props are a property of the
+// logical plan, so a query hits at every parallelism or at none.
 func TestResultCacheSkipsNondeterministicOrder(t *testing.T) {
-	e := newServingEngine(t)
-	loadExceptionTable(t, e, "data", 1000, 2, 0.0, 7)
-	q := "SELECT u FROM data WHERE s < 50"
-	mustExec(t, e, q)
-	mustExec(t, e, q)
-	if hits := counter(e, "serving.result_cache.hits"); hits != 0 {
-		t.Fatalf("unordered scan must not be result-cached (hits=%d)", hits)
+	cached := newServingEngine(t)
+	fresh, err := New(Config{DefaultPartitions: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// An ORDER BY variant is deterministic and caches.
-	qo := q + " ORDER BY u"
-	a := fmt.Sprint(mustExec(t, e, qo).Rows)
-	b := fmt.Sprint(mustExec(t, e, qo).Rows)
-	if a != b {
-		t.Fatalf("cached ordered result differs: %s vs %s", b, a)
+	t.Cleanup(func() { fresh.Close() })
+	for _, e := range []*Engine{cached, fresh} {
+		loadExceptionTable(t, e, "data", 1000, 2, 0.0, 7)
+		mustExec(t, e, "CREATE TABLE names (k BIGINT, n VARCHAR)")
+		mustExec(t, e, "INSERT INTO names VALUES (1, 'a'), (2, 'b'), (1, 'c'), (3, 'a'), (20, 'd'), (7, 'b')")
 	}
-	if hits := counter(e, "serving.result_cache.hits"); hits != 1 {
-		t.Fatalf("ordered scan should result-cache (hits=%d)", hits)
-	}
-
-	// Grouped results are never cached: a GROUP BY over a join groups rows
-	// in Exchange arrival order, and every GROUP BY shares its plan node.
-	g := newServingEngine(t)
-	mustExec(t, g, "CREATE TABLE names (k BIGINT, n VARCHAR)")
-	mustExec(t, g, "INSERT INTO names VALUES (1, 'a'), (2, 'b'), (1, 'c'), (3, 'a')")
-	for _, q := range []string{
-		"SELECT k, COUNT(*) FROM names GROUP BY k",
-		"SELECT DISTINCT n FROM names",
+	for _, c := range []struct {
+		q    string
+		hits int64
+	}{
+		// Two partitions: an Exchange at parallelism > 1.
+		{"SELECT u FROM data WHERE s < 50", 0},
+		// Partials merged in partition order: one group order.
+		{"SELECT payload, COUNT(*) FROM data WHERE s < 500 GROUP BY payload", 1},
+		{"SELECT DISTINCT n FROM names", 1},
+		// The join's inputs arrive through Exchanges: groups numbered in
+		// arrival order.
+		{"SELECT n, COUNT(*) FROM names JOIN data ON names.k = data.u GROUP BY n", 0},
+		{"SELECT k, COUNT(*) FROM names GROUP BY k ORDER BY k", 1},
 	} {
-		mustExec(t, g, q)
-		mustExec(t, g, q)
-	}
-	if hits := counter(g, "serving.result_cache.hits"); hits != 0 {
-		t.Fatalf("grouped results must not be result-cached (hits=%d)", hits)
+		for _, par := range []int{1, 4} {
+			opts := ExecOptions{Parallelism: par}
+			before := counter(cached, "serving.result_cache.hits")
+			var res *Result
+			for i := 0; i < 2; i++ {
+				if res, err = cached.ExecWith(c.q, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if hits := counter(cached, "serving.result_cache.hits") - before; hits != c.hits {
+				t.Errorf("%s at parallelism %d: %d result-cache hits, want %d", c.q, par, hits, c.hits)
+			}
+			if c.hits == 0 {
+				continue
+			}
+			want, err := fresh.ExecWith(c.q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := diffCheck(diffRender(want, true), diffRender(res, true)); diff != "" {
+				t.Errorf("%s at parallelism %d: the hit differs from a fresh run\n%s", c.q, par, diff)
+			}
+		}
 	}
 }
 
