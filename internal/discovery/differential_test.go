@@ -182,7 +182,7 @@ func TestDifferentialDiscovery(t *testing.T) {
 		r := r
 		t.Run(r.name, func(t *testing.T) {
 			wantNUC := refNUC(r.cols)
-			for _, workers := range []int{1, 2, 8} {
+			for _, workers := range []int{1, 2, 4, 8} {
 				if got, err := nucPatches(r.cols, workers); err != nil || !samePatches(got, wantNUC) {
 					t.Fatalf("nucPatches, %d workers: differs from the reference", workers)
 				}
@@ -221,7 +221,7 @@ func TestDifferentialDiscovery(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for _, parallelism := range []int{1, 2, 8} {
+			for _, parallelism := range []int{1, 2, 4, 8} {
 				for _, kind := range []patch.Kind{patch.Identifier, patch.Bitmap} {
 					opts := BuildOptions{Kind: kind, Threshold: 1, Parallelism: parallelism}
 					ix, err := BuildIndex(tab, "c", patch.NearlyUnique, opts)

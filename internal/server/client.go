@@ -13,11 +13,13 @@ import (
 )
 
 // Client is a synchronous wire-protocol client. One request is in flight at
-// a time (calls serialize on an internal mutex); QueryContext additionally
-// sends a cancel request when its context ends mid-query.
+// a time (calls serialize on an internal mutex), and each call reads its own
+// response; QueryContext additionally sends a cancel request when its
+// context ends mid-query.
 type Client struct {
 	conn      net.Conn
-	br        *bufio.Reader
+	w         *protocol.Writer
+	rd        *protocol.Reader
 	mu        sync.Mutex
 	nextID    uint64
 	sessionID uint64
@@ -76,13 +78,13 @@ func Dial(addr string) (*Client, error) {
 		conn.Close()
 		return nil, err
 	}
-	br := bufio.NewReader(conn)
-	hello, err := protocol.ReadResponse(br)
+	rd := protocol.NewReader(bufio.NewReader(conn))
+	hello, err := rd.ReadResponse()
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("server handshake: %w", err)
 	}
-	return &Client{conn: conn, br: br, sessionID: hello.SessionID}, nil
+	return &Client{conn: conn, w: protocol.NewWriter(conn), rd: rd, sessionID: hello.SessionID}, nil
 }
 
 // SessionID returns the server-assigned session id.
@@ -107,50 +109,34 @@ func (c *Client) QueryContext(ctx context.Context, sqlText string) (*ClientResul
 	defer c.mu.Unlock()
 	c.nextID++
 	id := c.nextID
-	if err := protocol.WriteMessage(c.conn, &protocol.Request{
+	if err := c.w.WriteRequest(&protocol.Request{
 		ID: id, Type: protocol.TypeQuery, SQL: sqlText, Trace: c.trace,
 	}); err != nil {
 		return nil, err
 	}
-
-	respCh := make(chan *protocol.Response, 4)
-	errCh := make(chan error, 1)
-	go func() {
-		for {
-			resp, err := protocol.ReadResponse(c.br)
-			if err != nil {
-				errCh <- err
-				return
+	if ctx.Done() != nil {
+		// The cancel goes out from the AfterFunc's goroutine; the call
+		// waits for it, so it never lands after the next request.
+		c.nextID++
+		cancelReq := &protocol.Request{ID: c.nextID, Type: protocol.TypeCancel, CancelID: id}
+		sent := make(chan struct{})
+		stop := context.AfterFunc(ctx, func() {
+			// A failed write means a broken connection, which the read
+			// below reports.
+			_ = c.w.WriteRequest(cancelReq)
+			close(sent)
+		})
+		defer func() {
+			if !stop() {
+				<-sent
 			}
-			respCh <- resp
-			if resp.ID == id {
-				return
-			}
-		}
-	}()
-
-	ctxDone := ctx.Done()
-	for {
-		select {
-		case err := <-errCh:
-			return nil, err
-		case resp := <-respCh:
-			if resp.ID != id {
-				continue // ack for our cancel request
-			}
-			return toResult(resp)
-		case <-ctxDone:
-			// Ask the server to abort, then keep waiting for its answer so
-			// the stream stays in sync.
-			c.nextID++
-			if err := protocol.WriteMessage(c.conn, &protocol.Request{
-				ID: c.nextID, Type: protocol.TypeCancel, CancelID: id,
-			}); err != nil {
-				return nil, err
-			}
-			ctxDone = nil
-		}
+		}()
 	}
+	resp, err := c.await(id)
+	if err != nil {
+		return nil, err
+	}
+	return toResult(resp)
 }
 
 // Set updates session settings (timeout_ms, max_rows, disable_rewrites).
@@ -186,10 +172,10 @@ func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextID++
-	_ = protocol.WriteMessage(c.conn, &protocol.Request{ID: c.nextID, Type: protocol.TypeClose})
+	_ = c.w.WriteRequest(&protocol.Request{ID: c.nextID, Type: protocol.TypeClose})
 	// Best effort: read the goodbye so the server sees a clean close.
 	_ = c.conn.SetReadDeadline(time.Now().Add(time.Second))
-	_, _ = protocol.ReadResponse(c.br)
+	_, _ = c.rd.ReadResponse()
 	return c.conn.Close()
 }
 
@@ -199,16 +185,19 @@ func (c *Client) roundTrip(req *protocol.Request) (*protocol.Response, error) {
 	defer c.mu.Unlock()
 	c.nextID++
 	req.ID = c.nextID
-	if err := protocol.WriteMessage(c.conn, req); err != nil {
+	if err := c.w.WriteRequest(req); err != nil {
 		return nil, err
 	}
+	return c.await(req.ID)
+}
+
+// await reads responses up to the one for request id, skipping the answers
+// to earlier cancel requests. c.mu is held.
+func (c *Client) await(id uint64) (*protocol.Response, error) {
 	for {
-		resp, err := protocol.ReadResponse(c.br)
-		if err != nil {
-			return nil, err
-		}
-		if resp.ID == req.ID {
-			return resp, nil
+		resp, err := c.rd.ReadResponse()
+		if err != nil || resp.ID == id {
+			return resp, err
 		}
 	}
 }

@@ -1,12 +1,12 @@
 // Package server is the concurrent SQL front-end of the patchindex engine:
-// a TCP server speaking the length-prefixed JSON protocol of
+// a TCP server speaking the length-prefixed binary protocol of
 // internal/server/protocol, with per-connection sessions, a bounded worker
 // pool with admission control (queueing and load shedding), query
 // cancellation by timeout, client request, or disconnect, and graceful
 // shutdown that drains in-flight queries.
 //
 // The same TCP port also serves plain HTTP: the first bytes of each
-// connection are sniffed — protocol connections start with the "PIDX1\n"
+// connection are sniffed — protocol connections start with the "PIDX2\n"
 // magic, everything else is handed to an HTTP mux exposing /metrics,
 // /stats (with per-index PatchIndex health), /healthz, the query history
 // at /queries, Chrome-exportable traces at /trace/<id>, and (opt-in)
@@ -115,6 +115,11 @@ type Server struct {
 	hQuery         *obs.Histogram
 	mHTTPRequests  *obs.Counter
 	mProtoRequests *obs.Counter
+	mPanics        *obs.Counter
+
+	// beforeExec, when set (by tests only), runs on the session goroutine
+	// just before each statement executes.
+	beforeExec func(ctx context.Context, sql string)
 }
 
 // New validates the config and creates a server (not yet listening).
@@ -156,6 +161,7 @@ func New(cfg Config) (*Server, error) {
 	s.hQuery = r.Histogram("server_query_nanos")
 	s.mHTTPRequests = r.Counter("server_http_requests_total")
 	s.mProtoRequests = r.Counter("server_requests_total")
+	s.mPanics = r.Counter("server_statement_panics_total")
 	// Per-tenant result-cache budgets flow from the QoS policy into the
 	// engine's cache (sessions wire unlisted tenants lazily on \set tenant).
 	if cfg.QoS != nil {
@@ -211,7 +217,8 @@ func (s *Server) acceptLoop() {
 }
 
 // sniff peeks at the first bytes of a connection: the protocol magic routes
-// it to a session, anything else is handed to the HTTP server.
+// it to a session, anything else is handed to the HTTP server. A connection
+// that opens like the magic but is another protocol version's is closed.
 func (s *Server) sniff(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))

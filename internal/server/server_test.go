@@ -34,6 +34,13 @@ func newTestEngine(t *testing.T) *patchindex.Engine {
 // cleanup.
 func startServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
+	return startHooked(t, cfg, nil)
+}
+
+// startHooked is startServer with a beforeExec hook, set before any session
+// can read it.
+func startHooked(t *testing.T, cfg Config, hook func(ctx context.Context, sql string)) *Server {
+	t.Helper()
 	cfg.Addr = "127.0.0.1:0"
 	if cfg.Engine == nil {
 		cfg.Engine = newTestEngine(t)
@@ -42,6 +49,7 @@ func startServer(t *testing.T, cfg Config) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.beforeExec = hook
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -474,10 +482,10 @@ func TestServerDisconnectCancelsQuery(t *testing.T) {
 	if _, err := conn.Write([]byte(protocol.Magic)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := protocol.ReadResponse(conn); err != nil { // hello
+	if _, err := protocol.NewReader(conn).ReadResponse(); err != nil { // hello
 		t.Fatal(err)
 	}
-	if err := protocol.WriteMessage(conn, &protocol.Request{ID: 1, Type: protocol.TypeQuery, SQL: slowQuery}); err != nil {
+	if err := protocol.NewWriter(conn).WriteRequest(&protocol.Request{ID: 1, Type: protocol.TypeQuery, SQL: slowQuery}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "query to start", func() bool { return s.inFlight.Load() > 0 })

@@ -5,26 +5,34 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"net"
+	"runtime/debug"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"patchindex"
 	"patchindex/internal/server/protocol"
 	"patchindex/internal/serving"
+	"patchindex/internal/vector"
 )
 
 // stmtCacheCap bounds the per-session prepared-statement cache (FIFO
 // eviction).
 const stmtCacheCap = 64
 
-// session is the per-connection state of one wire-protocol client.
+// session is the per-connection state of one wire-protocol client. Its
+// requests are handled one at a time on the session goroutine, statements
+// included; a reader goroutine feeds them through a queue and handles
+// cancel requests and disconnects itself, so it is never blocked behind a
+// running statement.
 type session struct {
 	srv    *Server
 	id     uint64
-	conn   net.Conn
-	remote string // client remote address, annotates traces and slow-query log
+	w      *protocol.Writer // shared by both goroutines: one lock, one Write a message
+	remote string           // client remote address, annotates traces and slow-query log
 
 	// Settings, adjustable via "set" requests.
 	timeout         time.Duration // per-query deadline; 0 = none
@@ -36,6 +44,27 @@ type session struct {
 	// Prepared-statement cache: SQL text → parsed statement, FIFO-evicted.
 	cache      map[string]*patchindex.Prepared
 	cacheOrder []string
+
+	// mu guards what the reader and the session goroutine share: the
+	// requests read but not yet handled (queue[head:], in arrival order),
+	// whether the reader has stopped, and the statement in flight: the
+	// query next last returned, until next is called again.
+	mu       sync.Mutex
+	queue    []queued
+	head     int
+	closed   bool
+	running  bool               // a statement is in flight
+	runID    uint64             // its id
+	canceled bool               // a cancel request named it
+	cancelFn context.CancelFunc // cancels it; nil until its context exists
+	wake     chan struct{}      // capacity 1: the queue or closed changed
+}
+
+// queued is a request waiting for the session goroutine.
+type queued struct {
+	req *protocol.Request
+	// canceled: a cancel request named this query before it started.
+	canceled bool
 }
 
 // serveSession runs the request loop for one protocol connection. The magic
@@ -52,63 +81,139 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader) {
 	sess := &session{
 		srv:     s,
 		id:      s.nextSession.Add(1),
-		conn:    conn,
+		w:       protocol.NewWriter(conn),
 		remote:  conn.RemoteAddr().String(),
 		timeout: s.cfg.DefaultTimeout,
 		maxRows: s.cfg.DefaultMaxRows,
 		tenant:  serving.DefaultTenant,
 		cache:   map[string]*patchindex.Prepared{},
+		wake:    make(chan struct{}, 1),
 	}
 	// Hello: tells the client its session id and tenant. Clients move to a
 	// tenant with the Tenant request field or `\set tenant`.
-	if err := protocol.WriteMessage(conn, &protocol.Response{
+	if !sess.write(&protocol.Response{
 		SessionID: sess.id, Tenant: sess.tenant, Message: "patchindex server ready",
-	}); err != nil {
+	}) {
 		return
 	}
 
-	// A dedicated goroutine reads requests so the main loop can watch for
-	// cancel requests and disconnects while a query executes. done makes the
-	// reader exit when the session ends for any other reason.
-	done := make(chan struct{})
-	defer close(done)
-	reqCh := make(chan *protocol.Request)
-	readErr := make(chan error, 1)
+	readerDone := make(chan struct{})
 	go func() {
-		for {
-			req, err := protocol.ReadRequest(br)
-			if err != nil {
-				readErr <- err
-				return
-			}
-			select {
-			case reqCh <- req:
-			case <-done:
-				return
-			}
-		}
+		defer close(readerDone)
+		sess.read(protocol.NewReader(br))
+	}()
+	// Closing the connection ends the reader; the session waits for it.
+	defer func() {
+		conn.Close()
+		<-readerDone
 	}()
 
 	for {
-		select {
-		case <-s.baseCtx.Done():
-			_ = protocol.WriteMessage(conn, &protocol.Response{
-				Error: errShuttingDown.Error(), Code: protocol.CodeShutdown,
-			})
+		q, ok := sess.next()
+		if !ok || !sess.handle(q) {
 			return
-		case <-readErr:
-			return // client went away
-		case req := <-reqCh:
-			if !sess.handle(req, reqCh, readErr) {
-				return
+		}
+	}
+}
+
+// read is the reader goroutine: it queues every request but a cancel,
+// which it answers itself, and on a read error (the client went away)
+// cancels the statement in flight and closes the queue.
+func (sess *session) read(rd *protocol.Reader) {
+	for {
+		req, err := rd.ReadRequest()
+		sess.mu.Lock()
+		if err != nil {
+			sess.closed = true
+			if sess.cancelFn != nil {
+				sess.cancelFn()
 			}
+			sess.mu.Unlock()
+			sess.signal()
+			return
+		}
+		sess.srv.mProtoRequests.Inc()
+		if req.Type == protocol.TypeCancel {
+			msg := "no query in flight"
+			if sess.cancelQuery(req.CancelID) {
+				msg = "cancel requested"
+			}
+			sess.mu.Unlock()
+			sess.write(&protocol.Response{ID: req.ID, Message: msg})
+			continue
+		}
+		sess.queue = append(sess.queue, queued{req: req})
+		sess.mu.Unlock()
+		sess.signal()
+	}
+}
+
+// cancelQuery cancels the statement in flight, or else marks the first
+// queued query, whose id is id (any id when it is 0); false when none is.
+// A statement whose context does not exist yet is canceled by runQuery as
+// soon as it does. sess.mu is held.
+func (sess *session) cancelQuery(id uint64) bool {
+	if sess.running && (id == 0 || id == sess.runID) {
+		sess.canceled = true
+		if sess.cancelFn != nil {
+			sess.cancelFn()
+		}
+		return true
+	}
+	for i := sess.head; i < len(sess.queue); i++ {
+		if q := &sess.queue[i]; q.req.Type == protocol.TypeQuery && (id == 0 || id == q.req.ID) {
+			q.canceled = true
+			return true
+		}
+	}
+	return false
+}
+
+// signal wakes the session goroutine if it waits in next.
+func (sess *session) signal() {
+	select {
+	case sess.wake <- struct{}{}:
+	default:
+	}
+}
+
+// next waits for the next queued request; false ends the session, because
+// the client went away or the server is shutting down. The request handled
+// before is no longer in flight; a query it returns is, with the cancel
+// that named it while it was queued.
+func (sess *session) next() (queued, bool) {
+	for {
+		sess.mu.Lock()
+		sess.running, sess.canceled, sess.cancelFn = false, false, nil
+		if sess.closed {
+			sess.mu.Unlock()
+			return queued{}, false
+		}
+		if sess.head < len(sess.queue) {
+			q := sess.queue[sess.head]
+			sess.queue[sess.head] = queued{}
+			if sess.head++; sess.head == len(sess.queue) {
+				sess.queue, sess.head = sess.queue[:0], 0
+			}
+			if q.req.Type == protocol.TypeQuery {
+				sess.running, sess.runID, sess.canceled = true, q.req.ID, q.canceled
+			}
+			sess.mu.Unlock()
+			return q, true
+		}
+		sess.mu.Unlock()
+		select {
+		case <-sess.wake:
+		case <-sess.srv.baseCtx.Done():
+			sess.write(&protocol.Response{Error: errShuttingDown.Error(), Code: protocol.CodeShutdown})
+			return queued{}, false
 		}
 	}
 }
 
 // handle dispatches one request; false ends the session.
-func (sess *session) handle(req *protocol.Request, reqCh chan *protocol.Request, readErr chan error) bool {
-	sess.srv.mProtoRequests.Inc()
+func (sess *session) handle(q queued) bool {
+	req := q.req
 	// A tenant riding any request moves the session (the wire-level
 	// equivalent of `\set tenant`); a bad id fails the request.
 	if req.Tenant != "" {
@@ -118,17 +223,13 @@ func (sess *session) handle(req *protocol.Request, reqCh chan *protocol.Request,
 	}
 	switch req.Type {
 	case protocol.TypeQuery:
-		return sess.runQuery(req, reqCh, readErr)
+		return sess.runQuery(req)
 	case protocol.TypeSet:
 		return sess.write(sess.applySettings(req))
 	case protocol.TypePing:
 		return sess.write(&protocol.Response{ID: req.ID, Message: "pong"})
-	case protocol.TypeCancel:
-		// Nothing in flight on this session (in-flight cancels are handled
-		// inside runQuery).
-		return sess.write(&protocol.Response{ID: req.ID, Message: "no query in flight"})
 	case protocol.TypeClose:
-		_ = protocol.WriteMessage(sess.conn, &protocol.Response{ID: req.ID, Message: "bye"})
+		sess.write(&protocol.Response{ID: req.ID, Message: "bye"})
 		return false
 	default:
 		return sess.write(&protocol.Response{
@@ -138,10 +239,9 @@ func (sess *session) handle(req *protocol.Request, reqCh chan *protocol.Request,
 }
 
 // runQuery executes one SQL statement under admission control and the
-// session's timeout, watching for cancel requests and disconnects while it
-// runs. Requests other than cancel that arrive mid-query are processed in
-// arrival order once the query finishes.
-func (sess *session) runQuery(req *protocol.Request, reqCh chan *protocol.Request, readErr chan error) bool {
+// session's timeout. It is the statement in flight for the reader's cancel
+// and disconnect handling.
+func (sess *session) runQuery(req *protocol.Request) bool {
 	s := sess.srv
 	s.mQueries.Inc()
 
@@ -156,9 +256,9 @@ func (sess *session) runQuery(req *protocol.Request, reqCh chan *protocol.Reques
 			ID: req.ID, Error: errShuttingDown.Error(), Code: protocol.CodeShutdown,
 		})
 	}
-	// Held until the response is written (and any piggybacked requests are
-	// handled), so a graceful shutdown cannot close the connection between
-	// query completion and the result reaching the client.
+	// Held until the response is written, so a graceful shutdown cannot
+	// close the connection between query completion and the result reaching
+	// the client.
 	defer s.queryWG.Done()
 
 	var qctx context.Context
@@ -168,73 +268,40 @@ func (sess *session) runQuery(req *protocol.Request, reqCh chan *protocol.Reques
 	} else {
 		qctx, cancel = context.WithCancel(s.baseCtx)
 	}
+	defer cancel()
+	sess.mu.Lock()
+	if sess.canceled || sess.closed { // named by a cancel already, or the client left
+		cancel()
+	}
+	sess.cancelFn = cancel
+	sess.mu.Unlock()
 
-	type outcome struct {
-		resp *protocol.Response
-		err  error
+	s.inFlight.Add(1)
+	s.gInFlight.Add(1)
+	resp, err := sess.execute(qctx, req)
+	s.inFlight.Add(-1)
+	s.gInFlight.Add(-1)
+	if err != nil {
+		resp = errorResponse(s, req.ID, err)
 	}
-	resCh := make(chan outcome, 1)
-	go func() {
-		s.inFlight.Add(1)
-		s.gInFlight.Add(1)
-		defer func() {
-			s.inFlight.Add(-1)
-			s.gInFlight.Add(-1)
-		}()
-		resp, err := sess.execute(qctx, req)
-		resCh <- outcome{resp, err}
-	}()
-
-	var pending []*protocol.Request
-	var res outcome
-wait:
-	for {
-		select {
-		case res = <-resCh:
-			break wait
-		case other := <-reqCh:
-			if other.Type == protocol.TypeCancel && (other.CancelID == 0 || other.CancelID == req.ID) {
-				cancel()
-				if !sess.write(&protocol.Response{ID: other.ID, Message: "cancel requested"}) {
-					// Keep draining resCh below even if the write failed.
-					res = <-resCh
-					cancel()
-					return false
-				}
-				continue
-			}
-			pending = append(pending, other)
-		case <-readErr:
-			// Client disconnected mid-query: cancel and wait for the executor
-			// goroutine so the slot is released before the session dies.
-			cancel()
-			<-resCh
-			return false
-		}
-	}
-	cancel()
-
-	if res.err != nil {
-		if !sess.write(errorResponse(s, req.ID, res.err)) {
-			return false
-		}
-	} else {
-		if !sess.write(res.resp) {
-			return false
-		}
-	}
-	for _, p := range pending {
-		if !sess.handle(p, reqCh, readErr) {
-			return false
-		}
-	}
-	return true
+	return sess.write(resp)
 }
 
 // execute admits (tenant QoS first, then the global queue), prepares
 // (with the session cache), and runs one query.
-func (sess *session) execute(ctx context.Context, req *protocol.Request) (*protocol.Response, error) {
+//
+// It is the panic barrier of a statement: a panic on the session goroutine
+// becomes an internal error for this statement alone. The recover is
+// deferred first, so it runs after the admission and QoS releases.
+func (sess *session) execute(ctx context.Context, req *protocol.Request) (resp *protocol.Response, err error) {
 	s := sess.srv
+	defer func() {
+		if p := recover(); p != nil {
+			s.mPanics.Inc()
+			log.Printf("server: session %d: statement panicked: %v\n%s", sess.id, p, debug.Stack())
+			resp, err = nil, fmt.Errorf("internal error: %v", p)
+		}
+	}()
 	// Tenant QoS gates before the global queue: a rate-limited or
 	// at-capacity tenant is shed immediately and never occupies a queue
 	// slot another tenant could use.
@@ -255,6 +322,9 @@ func (sess *session) execute(ctx context.Context, req *protocol.Request) (*proto
 	prep, err := sess.prepare(req.SQL)
 	if err != nil {
 		return nil, err
+	}
+	if s.beforeExec != nil {
+		s.beforeExec(ctx, req.SQL)
 	}
 	start := time.Now()
 	res, err := s.eng.ExecPreparedContext(ctx, prep, patchindex.ExecOptions{
@@ -296,7 +366,8 @@ func (sess *session) prepare(sqlText string) (*patchindex.Prepared, error) {
 }
 
 // render converts an engine result into a wire response, applying the
-// session's max_rows clip.
+// session's max_rows clip. The writer renders the rows' values straight
+// into the frame.
 func (sess *session) render(id uint64, res *patchindex.Result) *protocol.Response {
 	resp := &protocol.Response{
 		ID:         id,
@@ -310,16 +381,18 @@ func (sess *session) render(id uint64, res *patchindex.Result) *protocol.Respons
 		rows = rows[:sess.maxRows]
 		resp.Truncated = true
 	}
-	resp.Rows = make([][]string, len(rows))
-	for i, row := range rows {
-		out := make([]string, len(row))
-		for j, v := range row {
-			out[j] = v.String()
-		}
-		resp.Rows[i] = out
+	if len(rows) > 0 {
+		resp.Cells = valueRows(rows)
 	}
 	return resp
 }
+
+// valueRows are result rows as the wire encoder reads them.
+type valueRows [][]vector.Value
+
+func (r valueRows) Len() int                               { return len(r) }
+func (r valueRows) Width(i int) int                        { return len(r[i]) }
+func (r valueRows) AppendCell(dst []byte, i, j int) []byte { return r[i][j].AppendTo(dst) }
 
 // applySettings updates session settings from a "set" request.
 func (sess *session) applySettings(req *protocol.Request) *protocol.Response {
@@ -383,9 +456,14 @@ func (sess *session) setTenant(id string) error {
 	return nil
 }
 
-// write sends one response; false means the connection is dead.
+// write sends one response; false means the connection is dead. A result
+// too large for one frame is answered with an error instead.
 func (sess *session) write(resp *protocol.Response) bool {
-	return protocol.WriteMessage(sess.conn, resp) == nil
+	err := sess.w.WriteResponse(resp)
+	if errors.Is(err, protocol.ErrTooLarge) {
+		err = sess.w.WriteResponse(&protocol.Response{ID: resp.ID, Error: err.Error(), Code: protocol.CodeError})
+	}
+	return err == nil
 }
 
 // errorResponse maps an execution error to a coded wire response, updating

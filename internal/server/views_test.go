@@ -89,15 +89,16 @@ func TestRemovedRequestTypesAreUnknown(t *testing.T) {
 	if _, err := conn.Write([]byte(protocol.Magic)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := protocol.ReadResponse(conn); err != nil { // hello
+	rd, w := protocol.NewReader(conn), protocol.NewWriter(conn)
+	if _, err := rd.ReadResponse(); err != nil { // hello
 		t.Fatal(err)
 	}
 	for i, typ := range []string{"stats", "queries", "workload", "indexes", "tuner", "alerts", protocol.TypePing} {
 		id := uint64(i + 1)
-		if err := protocol.WriteMessage(conn, &protocol.Request{ID: id, Type: typ}); err != nil {
+		if err := w.WriteRequest(&protocol.Request{ID: id, Type: typ}); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := protocol.ReadResponse(conn)
+		resp, err := rd.ReadResponse()
 		if err != nil {
 			t.Fatal(err)
 		}

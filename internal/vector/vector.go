@@ -762,25 +762,31 @@ func (a Value) Equal(b Value) bool {
 
 // String renders the value for result display.
 func (a Value) String() string {
+	if a.Typ == String && !a.Null {
+		return a.Str
+	}
+	var buf [32]byte
+	return string(a.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the text String renders to dst.
+func (a Value) AppendTo(dst []byte) []byte {
 	if a.Null {
-		return "NULL"
+		return append(dst, "NULL"...)
 	}
 	switch a.Typ {
 	case Int64:
-		return strconv.FormatInt(a.I64, 10)
+		return strconv.AppendInt(dst, a.I64, 10)
 	case Date:
-		return time.Unix(a.I64*86400, 0).UTC().Format("2006-01-02")
+		return time.Unix(a.I64*86400, 0).UTC().AppendFormat(dst, "2006-01-02")
 	case Float64:
-		return strconv.FormatFloat(a.F64, 'g', -1, 64)
+		return strconv.AppendFloat(dst, a.F64, 'g', -1, 64)
 	case String:
-		return a.Str
+		return append(dst, a.Str...)
 	case Bool:
-		if a.B {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(dst, a.B)
 	default:
-		return "?"
+		return append(dst, '?')
 	}
 }
 
