@@ -9,7 +9,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"patchindex/internal/morsel"
 	"patchindex/internal/vector"
 )
 
@@ -168,5 +170,43 @@ func TestExecContextCanceled(t *testing.T) {
 	res := mustExec(t, e, "SELECT COUNT(*) FROM c")
 	if res.Rows[0][0].I64 != 2 {
 		t.Fatalf("engine unusable after canceled query: %v", res.Rows)
+	}
+}
+
+// TestStatementPanicReleasesLatches: a panic inside a statement fails that
+// statement alone with an *InternalError and releases its latches, so the
+// next writer of the table is not blocked and sees a working engine.
+func TestStatementPanicReleasesLatches(t *testing.T) {
+	e := newTestEngine(t)
+	mustExec(t, e, "CREATE TABLE t (v BIGINT)")
+	const boom = "SELECT v FROM t"
+	e.beforeRun = func(query string) {
+		if query == boom {
+			panic("test panic")
+		}
+	}
+	_, err := e.Exec(boom)
+	var ie *morsel.InternalError
+	if !errors.As(err, &ie) || ie.Value != "test panic" || !strings.Contains(string(ie.Stack), "TestStatementPanicReleasesLatches") {
+		t.Fatalf("panicking SELECT returned %v, want an *InternalError with the panic's stack", err)
+	}
+	if got := e.Metrics().Counter("engine_statement_panics_total").Value(); got != 1 {
+		t.Fatalf("engine_statement_panics_total = %d, want 1", got)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.Exec("INSERT INTO t VALUES (1)")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("INSERT still blocked after 1s: the panicking SELECT kept its latch on t")
+	}
+	if res := mustExec(t, e, "SELECT COUNT(*) FROM t"); res.Rows[0][0].I64 != 1 {
+		t.Fatalf("COUNT(*) after the INSERT = %v, want 1", res.Rows)
 	}
 }

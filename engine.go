@@ -15,6 +15,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -29,6 +30,7 @@ import (
 	"patchindex/internal/discovery"
 	"patchindex/internal/exec"
 	"patchindex/internal/maintain"
+	"patchindex/internal/morsel"
 	"patchindex/internal/obs"
 	"patchindex/internal/patch"
 	"patchindex/internal/plan"
@@ -221,6 +223,7 @@ type Engine struct {
 	mStatements  *obs.Counter
 	mQueries     *obs.Counter
 	mSlowQueries *obs.Counter
+	mPanics      *obs.Counter
 	mRewFired    *obs.Counter
 	mRewRejected *obs.Counter
 	hQuery       *obs.Histogram
@@ -247,6 +250,9 @@ type Engine struct {
 	// executed, when set, is handed every SELECT's operator tree after it
 	// ran; tests read the operators' stats through it.
 	executed func(exec.Operator)
+	// beforeRun, when set (by tests only), runs once a statement holds its
+	// latches, just before it executes.
+	beforeRun func(query string)
 }
 
 // New creates an engine. With cfg.DataDir set it opens (or creates) the data
@@ -288,6 +294,7 @@ func New(cfg Config) (*Engine, error) {
 	e.mStatements = e.metrics.Counter("statements_total")
 	e.mQueries = e.metrics.Counter("queries_total")
 	e.mSlowQueries = e.metrics.Counter("slow_queries_total")
+	e.mPanics = e.metrics.Counter("engine_statement_panics_total")
 	e.mRewFired = e.metrics.Counter("rewrites_fired_total")
 	e.mRewRejected = e.metrics.Counter("rewrites_rejected_total")
 	e.hQuery = e.metrics.Histogram("query_nanos")
@@ -515,19 +522,13 @@ func (e *Engine) execPrepared(ctx context.Context, query string, stmt sql.Statem
 		ctx = obs.ContextWithStmtObs(ctx, so)
 	}
 	start := time.Now()
-	release := e.latchStmt(stmt)
-	var res *Result
-	var rows int
-	var err error
-	if s, ok := stmt.(*sql.SelectStmt); ok {
-		var run selectRun
-		run, err = e.runSelect(ctx, query, s, opts, sk)
-		res, rows = run.res, run.rows
-	} else if res, err = e.execStmt(ctx, query, stmt, opts); res != nil {
-		rows = len(res.Rows)
-	}
-	release()
+	res, rows, err := e.runLatched(ctx, query, stmt, opts, sk)
 	elapsed := time.Since(start)
+	var ie *morsel.InternalError
+	if errors.As(err, &ie) {
+		e.mPanics.Inc()
+		e.logf("statement panicked: %v: %s\n%s", ie.Value, query, ie.Stack)
+	}
 	e.mStatements.Inc()
 	e.hQuery.Observe(elapsed)
 	var fp uint64
@@ -545,6 +546,28 @@ func (e *Engine) execPrepared(ctx context.Context, query string, stmt sql.Statem
 		}
 	}
 	e.noteSlow(query, elapsed, opts, at.ID(), fp)
+	return res, rows, err
+}
+
+// runLatched runs one statement under its table latches. It is the engine's
+// panic barrier: a panic anywhere below, on this goroutine or (through
+// morsel.ForEach) on a worker, fails the statement with an *InternalError
+// after the operators' deferred Close has returned their pins and spill
+// files, and the latches are released on every path.
+func (e *Engine) runLatched(ctx context.Context, query string, stmt sql.Statement, opts ExecOptions, sk sink) (res *Result, rows int, err error) {
+	release := e.latchStmt(stmt)
+	defer release()
+	defer morsel.Catch(&err)
+	if e.beforeRun != nil {
+		e.beforeRun(query)
+	}
+	if s, ok := stmt.(*sql.SelectStmt); ok {
+		run, err := e.runSelect(ctx, query, s, opts, sk)
+		return run.res, run.rows, err
+	}
+	if res, err = e.execStmt(ctx, query, stmt, opts); res != nil {
+		rows = len(res.Rows)
+	}
 	return res, rows, err
 }
 
@@ -577,10 +600,16 @@ func (e *Engine) noteSlow(query string, elapsed time.Duration, opts ExecOptions,
 			time.Duration(q.P95Nanos).Round(time.Microsecond),
 			time.Duration(q.P99Nanos).Round(time.Microsecond))
 	}
+	e.logf("slow query (%s)%s: %s\n",
+		elapsed.Round(time.Microsecond), tags.String(), strings.Join(strings.Fields(query), " "))
+}
+
+// logf writes one line to the slow-query log, the engine's operational
+// channel.
+func (e *Engine) logf(format string, args ...any) {
 	e.slowMu.Lock()
 	defer e.slowMu.Unlock()
-	fmt.Fprintf(e.slowLog, "slow query (%s)%s: %s\n",
-		elapsed.Round(time.Microsecond), tags.String(), strings.Join(strings.Fields(query), " "))
+	fmt.Fprintf(e.slowLog, format, args...)
 }
 
 // latch returns the reader/writer latch of a table, creating it on first
@@ -1447,6 +1476,9 @@ func (e *Engine) appendLatched(table string, part int, cols []*vector.Vector) er
 			indexes = append(indexes, ix)
 		}
 	}
+	if err := checkSortKey(t, part, cols); err != nil {
+		return err
+	}
 	e.maintMu.Lock()
 	defer e.maintMu.Unlock()
 	set := e.maintainers[table]
@@ -1461,4 +1493,54 @@ func (e *Engine) appendLatched(table string, part int, cols []*vector.Vector) er
 		return err
 	}
 	return e.logAppend(table, part, cols)
+}
+
+// SortKeyError is the error of an append that would leave a partition of a
+// SORTKEY table unsorted; nothing of it was stored in that partition.
+type SortKeyError struct {
+	Table, Column string
+	Partition     int
+	Row           int          // the partition row id the offending row would have taken
+	Value         vector.Value // its key
+}
+
+// Error renders the violation.
+func (e *SortKeyError) Error() string {
+	return fmt.Sprintf("patchindex: table %s partition %d: row %d (%s = %s) breaks SORTKEY %s: keys must not decrease, and NULLs only come first",
+		e.Table, e.Partition, e.Row, e.Column, e.Value, e.Column)
+}
+
+// checkSortKey keeps a SORTKEY claim true (plan.PropsOf trusts it): it
+// returns a *SortKeyError for the first key of cols that would leave the
+// partition unsorted under vector.Compare, so a NULL (which sorts first) may
+// not follow a non-NULL key. A sorted partition's last non-NULL key is its
+// zone-map maximum, so no stored row is read. A malformed append is left to
+// storage.Table.AppendColumns to reject.
+func checkSortKey(t *storage.Table, part int, cols []*vector.Vector) error {
+	key := t.Schema().ColumnIndex(t.SortKey())
+	if key < 0 || key >= len(cols) || part < 0 || part >= t.NumPartitions() {
+		return nil
+	}
+	z, v, i := t.ZoneMap(part, key), cols[key], 0
+	if n := v.Len(); (v.Typ == vector.Int64 || v.Typ == vector.Date) && !v.HasNulls() {
+		last := int64(math.MinInt64)
+		if z.Valid {
+			last = z.Max.I64
+		}
+		for ; i < n && v.I64[i] >= last; i++ {
+			last = v.I64[i]
+		}
+	} else {
+		last := vector.NullValue(v.Typ) // an empty or all-NULL partition takes any key
+		if z.Valid {
+			last = z.Max
+		}
+		for ; i < n && v.Value(i).Compare(last) >= 0; i++ {
+			last = v.Value(i)
+		}
+	}
+	if i == v.Len() {
+		return nil
+	}
+	return &SortKeyError{Table: t.Name(), Column: t.SortKey(), Partition: part, Row: z.Rows + i, Value: v.Value(i)}
 }

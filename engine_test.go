@@ -1,6 +1,7 @@
 package patchindex
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -351,5 +352,43 @@ func TestDrainWithRunsExecLifecycle(t *testing.T) {
 	}
 	if drain != exec {
 		t.Fatalf("DrainWith accounts %+v, Exec %+v", drain, exec)
+	}
+}
+
+// TestSortKeyRejectsUnsortedAppend: a SORTKEY is a claim the planner trusts
+// (a scan of the table feeds a MergeJoin unsorted), so a write that would
+// break it fails with a *SortKeyError and stores nothing in that partition.
+func TestSortKeyRejectsUnsortedAppend(t *testing.T) {
+	e := newTestEngine(t)
+	mustExec(t, e, "CREATE TABLE d (dk BIGINT) PARTITIONS 1 SORTKEY dk")
+	mustExec(t, e, "CREATE TABLE f (fk BIGINT) PARTITIONS 1")
+	count := func(q string) int64 {
+		t.Helper()
+		return mustExec(t, e, q).Rows[0][0].I64
+	}
+	reject := func(q string, row int, val vector.Value) {
+		t.Helper()
+		before := count("SELECT COUNT(*) FROM d")
+		_, err := e.Exec(q)
+		var ske *SortKeyError
+		if !errors.As(err, &ske) || ske.Table != "d" || ske.Column != "dk" || ske.Partition != 0 || ske.Row != row || ske.Value != val {
+			t.Fatalf("%s: err = %v, want a *SortKeyError at row %d value %v", q, err, row, val)
+		}
+		if after := count("SELECT COUNT(*) FROM d"); after != before {
+			t.Fatalf("%s: rejected write stored %d rows", q, after-before)
+		}
+	}
+	reject("INSERT INTO d VALUES (5), (1), (3), (2), (4)", 1, vector.IntValue(1))
+	mustExec(t, e, "INSERT INTO d VALUES (NULL), (1), (2), (3)")
+	reject("INSERT INTO d VALUES (2)", 4, vector.IntValue(2))                // below the partition's last key
+	reject("INSERT INTO d VALUES (NULL)", 4, vector.NullValue(vector.Int64)) // NULLs sort first
+	mustExec(t, e, "INSERT INTO d VALUES (3), (4), (5)")                     // equal keys keep the order
+
+	// The reproduction that used to fail with "MergeJoin: merge join input
+	// not sorted within batch": the NSC rewrite joins d by merge.
+	mustExec(t, e, "INSERT INTO f VALUES (1), (2), (3), (4), (5), (2)")
+	mustExec(t, e, "CREATE PATCHINDEX ON f(fk) SORTED THRESHOLD 0.5")
+	if got := count("SELECT COUNT(*) FROM d JOIN f ON dk = fk"); got != 7 {
+		t.Fatalf("join count = %d, want 7", got)
 	}
 }

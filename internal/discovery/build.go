@@ -1,11 +1,10 @@
 package discovery
 
 import (
+	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"patchindex/internal/morsel"
 	"patchindex/internal/patch"
 	"patchindex/internal/storage"
 	"patchindex/internal/vector"
@@ -24,52 +23,9 @@ type BuildOptions struct {
 	// Force creates the index even if the threshold is exceeded.
 	Force bool
 	// Parallelism bounds the worker pool used for per-partition discovery
-	// and patch-set construction (capped at runtime.GOMAXPROCS(0) and the
-	// partition count). <= 1 runs serially.
+	// and patch-set construction (capped by morsel.Workers at
+	// runtime.GOMAXPROCS(0) and the partition count). <= 1 runs serially.
 	Parallelism int
-}
-
-// buildWorkers resolves the worker count for nParts partitions.
-func (o BuildOptions) buildWorkers(nParts int) int {
-	w := o.Parallelism
-	if max := runtime.GOMAXPROCS(0); w > max {
-		w = max
-	}
-	if w > nParts {
-		w = nParts
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// forEachPartition runs f(p) for every partition on up to workers
-// goroutines, each claiming partitions from a shared counter (the same
-// morsel scheme as the executor's Exchange). workers <= 1 runs inline.
-func forEachPartition(nParts, workers int, f func(p int)) {
-	if workers <= 1 {
-		for p := 0; p < nParts; p++ {
-			f(p)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				p := int(next.Add(1) - 1)
-				if p >= nParts {
-					return
-				}
-				f(p)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // ThresholdError reports that a column does not qualify as a NUC/NSC under
@@ -110,14 +66,12 @@ func BuildIndex(table *storage.Table, column string, c patch.Constraint, opts Bu
 	ix.SetDescending(opts.Descending)
 
 	nParts := table.NumPartitions()
-	workers := opts.buildWorkers(nParts)
+	workers := morsel.Workers(max(opts.Parallelism, 1), nParts)
 	cols := make([]*vector.Vector, nParts)
-	rows := make([]int, nParts)
 	totalRows := 0
 	for p := range cols {
 		cols[p] = table.Partition(p).Column(colIdx)
-		rows[p] = cols[p].Len()
-		totalRows += rows[p]
+		totalRows += cols[p].Len()
 	}
 	var perPart [][]uint64
 	switch c {
@@ -125,18 +79,20 @@ func BuildIndex(table *storage.Table, column string, c patch.Constraint, opts Bu
 		// NSC discovery is partition-local (Section VI-A2), so the longest
 		// sorted subsequence of each partition is an independent morsel.
 		perPart = make([][]uint64, nParts)
-		forEachPartition(nParts, workers, func(p int) {
+		err = morsel.ForEach(context.TODO(), nParts, workers, func(_, p int) error {
 			perPart[p] = DiscoverNSC(cols[p], opts.Descending).Patches
+			return nil
 		})
 	case patch.NearlyUnique:
 		// NUC duplicate detection is global: the grouping subquery of the
 		// discovery SQL spans the table, then "each partition's PatchIndex
 		// receives all tuple identifiers for its responsible partition".
-		if perPart, err = nucPatches(cols, workers); err != nil {
-			return nil, err
-		}
+		perPart, err = nucPatches(cols, workers)
 	default:
 		return nil, fmt.Errorf("discovery: unknown constraint %v", c)
+	}
+	if err != nil {
+		return nil, err
 	}
 	totalPatches := 0
 	for _, patches := range perPart {
@@ -153,7 +109,10 @@ func BuildIndex(table *storage.Table, column string, c patch.Constraint, opts Bu
 			Rate: rate, Threshold: opts.Threshold,
 		}
 	}
-	if err := ix.SetPartitions(perPart, rows, workers); err != nil {
+	// The combine step: one morsel builds one partition's physical patch set.
+	if err := morsel.ForEach(context.TODO(), nParts, workers, func(_, p int) error {
+		return ix.SetPartition(p, perPart[p], cols[p].Len())
+	}); err != nil {
 		return nil, err
 	}
 	return ix, nil

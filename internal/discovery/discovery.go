@@ -7,11 +7,13 @@
 package discovery
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
 
+	"patchindex/internal/morsel"
 	"patchindex/internal/vector"
 )
 
@@ -78,9 +80,11 @@ func nucPatches(cols []*vector.Vector, workers int) ([][]uint64, error) {
 		workers = 1 // only integer keys are sharded (vector.ShardOfInt64)
 	}
 	dup := make([]bool, base[len(cols)])
-	markDuplicates(cols, base, dup, workers)
+	if err := markDuplicates(cols, base, dup, workers); err != nil {
+		return nil, err
+	}
 	out := make([][]uint64, len(cols))
-	forEachPartition(len(cols), workers, func(c int) {
+	err := morsel.ForEach(context.TODO(), len(cols), workers, func(_, c int) error {
 		col := cols[c]
 		var patches []uint64
 		for i, isDup := range dup[base[c]:base[c+1]] {
@@ -89,8 +93,9 @@ func nucPatches(cols []*vector.Vector, workers int) ([][]uint64, error) {
 			}
 		}
 		out[c] = patches
+		return nil
 	})
-	return out, nil
+	return out, err
 }
 
 // markDuplicates sets dup[r] for every row r (numbered through base) whose
@@ -100,7 +105,7 @@ func nucPatches(cols []*vector.Vector, workers int) ([][]uint64, error) {
 // of other shards, and is the only writer of the flags of the rows whose
 // keys it owns, so the workers share no mutable state and nothing is merged
 // afterwards.
-func markDuplicates(cols []*vector.Vector, base []int, dup []bool, workers int) {
+func markDuplicates(cols []*vector.Vector, base []int, dup []bool, workers int) error {
 	capacity := len(dup)
 	if workers > 1 {
 		// An eighth of slack over an even split absorbs shard imbalance;
@@ -108,7 +113,7 @@ func markDuplicates(cols []*vector.Vector, base []int, dup []bool, workers int) 
 		capacity = (capacity/workers + 1) * 9 / 8
 	}
 	types := []vector.Type{cols[0].Typ}
-	forEachPartition(workers, workers, func(shard int) {
+	return morsel.ForEach(context.TODO(), workers, workers, func(_, shard int) error {
 		table := vector.NewKeyTable(types, capacity)
 		first := make([]uint32, 0, capacity) // first[id]: first row holding the key
 		// A chunk's keys: a view of the column when every row is taken,
@@ -147,6 +152,7 @@ func markDuplicates(cols []*vector.Vector, base []int, dup []bool, workers int) 
 				}
 			}
 		}
+		return nil
 	})
 }
 

@@ -3,9 +3,8 @@ package exec
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
+	"patchindex/internal/morsel"
 	"patchindex/internal/obs"
 	"patchindex/internal/vector"
 )
@@ -64,15 +63,16 @@ func (a AggSpec) ResultType(input []vector.Type) vector.Type {
 // distinct-rewrite of the paper avoids for the non-patch part of the data.
 //
 // Each input is aggregated into its own partial, and Open merges the
-// partials in child-index order before Next emits results. One input runs
-// inline on the caller's goroutine (the serial plan); several run on a
-// bounded worker pool, one morsel per input (the morsel-driven parallel
-// plan). The child-order merge is what keeps parallel aggregation
-// deterministic: each partial preserves its input's first-occurrence group
-// order, so merging partial 0, then 1, ... reproduces exactly the group
-// insertion order of one input over Union(child 0, child 1, ...). Partials
-// of COUNT(DISTINCT) carry their distinct values, not resolved counts, so
-// duplicates across inputs collapse correctly at merge time.
+// partials in child-index order before Next emits results. The inputs are
+// the morsels of one morsel.ForEach: one input runs inline on the caller's
+// goroutine (the serial plan); several run on a bounded worker pool (the
+// morsel-driven parallel plan). The child-order merge is what keeps
+// parallel aggregation deterministic: each partial preserves its input's
+// first-occurrence group order, so merging partial 0, then 1, ...
+// reproduces exactly the group insertion order of one input over
+// Union(child 0, child 1, ...). Partials of COUNT(DISTINCT) carry their
+// distinct values, not resolved counts, so duplicates across inputs
+// collapse correctly at merge time.
 type HashAgg struct {
 	opStats
 	children   []Operator
@@ -125,7 +125,7 @@ func NewParallelAgg(degree int, groupCols []int, aggs []AggSpec, children ...Ope
 // ParallelAgg with pipeline count and worker bound over several.
 func (h *HashAgg) Name() string {
 	if len(h.children) > 1 {
-		return fmt.Sprintf("ParallelAgg(%d, dop=%d)", len(h.children), effectiveDegree(h.degree, len(h.children)))
+		return fmt.Sprintf("ParallelAgg(%d, dop=%d)", len(h.children), morsel.Workers(h.degree, len(h.children)))
 	}
 	if len(h.aggs) == 0 {
 		return "Distinct"
@@ -174,21 +174,33 @@ func (h *HashAgg) Open(ctx context.Context) error {
 
 func (h *HashAgg) open(ctx context.Context) error {
 	h.result, h.groups, h.outPos, h.opened = nil, 0, 0, true
-	var partials []aggPartial
-	if len(h.children) == 1 {
-		if err := h.children[0].Open(ctx); err != nil {
+	if len(h.children) > 1 {
+		h.workers = make([]obs.WorkerStats, morsel.Workers(h.degree, len(h.children)))
+	}
+	partials := make([]aggPartial, len(h.children))
+	err := morsel.ForEach(ctx, len(h.children), len(h.workers), func(w, i int) error {
+		ws := &obs.WorkerStats{} // a serial aggregation reports no workers
+		if h.workers != nil {
+			ws = &h.workers[w]
+		}
+		defer ws.AddTime(h.clock())
+		ws.Morsels++
+		child, p := h.children[i], h.newPartial()
+		if err := child.Open(ctx); err != nil {
 			return err
 		}
-		p, err := h.drain(h.children[0], nil)
-		if err != nil {
-			return errOp(h, err)
+		for {
+			b, err := child.Next()
+			if err != nil || b == nil {
+				partials[i] = p
+				return err
+			}
+			ws.AddBatch(b.Len()) // input rows: a worker's product is state
+			p.add(b)
 		}
-		partials = []aggPartial{p}
-	} else {
-		var err error
-		if partials, err = h.runWorkers(ctx); err != nil {
-			return err
-		}
+	})
+	if err != nil {
+		return errOp(h, err)
 	}
 	h.result = partials[0]
 	for _, p := range partials[1:] {
@@ -196,70 +208,6 @@ func (h *HashAgg) open(ctx context.Context) error {
 	}
 	h.groups = h.result.finish()
 	return nil
-}
-
-// runWorkers aggregates each input into a partial on a bounded worker pool.
-func (h *HashAgg) runWorkers(ctx context.Context) ([]aggPartial, error) {
-	n := effectiveDegree(h.degree, len(h.children))
-	h.workers = make([]obs.WorkerStats, n)
-	partials := make([]aggPartial, len(h.children))
-	errs := make([]error, len(h.children))
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(ws *obs.WorkerStats) {
-			defer wg.Done()
-			for {
-				if failed.Load() || ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1) - 1)
-				if i >= len(h.children) {
-					return
-				}
-				start := h.clock()
-				ws.Morsels++
-				err := h.children[i].Open(ctx)
-				if err == nil {
-					partials[i], err = h.drain(h.children[i], ws)
-				}
-				ws.AddTime(start)
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
-			}
-		}(&h.workers[w])
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, errOp(h, e)
-		}
-	}
-	return partials, ctx.Err()
-}
-
-// drain aggregates one opened input into a fresh partial. ws, when non-nil,
-// counts the batches and rows the input produced.
-func (h *HashAgg) drain(child Operator, ws *obs.WorkerStats) (aggPartial, error) {
-	p := h.newPartial()
-	for {
-		b, err := child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return p, nil
-		}
-		if ws != nil {
-			ws.AddBatch(b.Len())
-		}
-		p.add(b)
-	}
 }
 
 // Next emits result groups in merged first-occurrence order.

@@ -2,11 +2,10 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"patchindex/internal/morsel"
 	"patchindex/internal/obs"
 	"patchindex/internal/vector"
 )
@@ -19,16 +18,19 @@ import (
 // each child is one *morsel*: a worker claims it, drives it from Open to end
 // of stream, and moves on to the next unclaimed child.
 //
-// The worker pool is bounded by the configured degree (capped at
-// runtime.GOMAXPROCS(0) and at the child count), so a 24-partition scan on
-// an 8-core box runs 8 workers that each process ~3 partitions, instead of
-// 24 goroutines thrashing the scheduler. Row order across children is
-// non-deterministic; order-sensitive plans keep their serial MergeUnion.
+// The worker pool is morsel.ForEach, bounded by morsel.Workers (the
+// configured degree capped at runtime.GOMAXPROCS(0) and at the child
+// count), so a 24-partition scan on an 8-core box runs 8 workers that each
+// process ~3 partitions, instead of 24 goroutines thrashing the scheduler.
+// Row order across children is non-deterministic; order-sensitive plans
+// keep their serial MergeUnion.
 //
 // Each worker records its own obs.WorkerStats (morsels driven, batches/rows
-// produced, wall time). Workers are joined in Close, which establishes the
-// happens-before edge that makes child OpStats and WorkerStats safe to read
-// for EXPLAIN ANALYZE and trace rendering.
+// produced, wall time). A failed or panicking morsel stops the pool claiming
+// more, and its error reaches Next once the running morsels have finished.
+// Workers are joined in Close, which establishes the happens-before edge
+// that makes child OpStats and WorkerStats safe to read for EXPLAIN ANALYZE
+// and trace rendering.
 //
 // Cancellation: every child checks the context once per batch in Next, and
 // the hand-off channel send also watches the context, so a cancelled query
@@ -40,10 +42,7 @@ type Exchange struct {
 	types    []vector.Type
 
 	ch      chan parallelItem
-	done    chan struct{}
-	wg      sync.WaitGroup
-	started bool
-	next    atomic.Int64
+	done    chan struct{} // closed by Close to stop the workers; nil when not open
 	workers []obs.WorkerStats
 }
 
@@ -64,24 +63,6 @@ func cloneBatch(b *vector.Batch) *vector.Batch {
 	return out
 }
 
-// effectiveDegree clamps a requested degree to [1, GOMAXPROCS] and to the
-// number of available morsels.
-func effectiveDegree(degree, morsels int) int {
-	if degree <= 0 {
-		degree = runtime.GOMAXPROCS(0)
-	}
-	if max := runtime.GOMAXPROCS(0); degree > max {
-		degree = max
-	}
-	if degree > morsels {
-		degree = morsels
-	}
-	if degree < 1 {
-		degree = 1
-	}
-	return degree
-}
-
 // NewExchange creates an exchange over schema-compatible children with at
 // most degree workers (degree <= 0 means runtime.GOMAXPROCS(0)).
 func NewExchange(degree int, children ...Operator) (*Exchange, error) {
@@ -99,7 +80,7 @@ func NewExchange(degree int, children ...Operator) (*Exchange, error) {
 
 // Name returns the operator name with morsel count and worker bound.
 func (x *Exchange) Name() string {
-	return fmt.Sprintf("Exchange(%d, dop=%d)", len(x.children), effectiveDegree(x.degree, len(x.children)))
+	return fmt.Sprintf("Exchange(%d, dop=%d)", len(x.children), morsel.Workers(x.degree, len(x.children)))
 }
 
 // Types returns the common child types.
@@ -124,70 +105,48 @@ func (x *Exchange) ExtraStats() []obs.KV {
 	}
 }
 
-// Open starts the bounded worker pool. Workers claim child pipelines from a
-// shared counter and drive each to completion; opening is lazy, so a child
-// whose worker never reaches it (error or cancellation upstream) is opened
-// never rather than eagerly.
+// Open starts the bounded worker pool: one goroutine runs morsel.ForEach
+// over the child pipelines, forwards its error and closes the hand-off
+// channel. Opening is lazy, so a child whose worker never reaches it (error
+// or cancellation upstream) is opened never rather than eagerly.
 func (x *Exchange) Open(ctx context.Context) error {
 	x.bindCtx(ctx)
-	n := effectiveDegree(x.degree, len(x.children))
+	n := morsel.Workers(x.degree, len(x.children))
 	x.ch = make(chan parallelItem, 2*n)
 	x.done = make(chan struct{})
-	x.next.Store(0)
 	x.workers = make([]obs.WorkerStats, n)
-	x.started = true
-	for w := 0; w < n; w++ {
-		x.wg.Add(1)
-		go x.worker(ctx, &x.workers[w])
-	}
 	go func() {
-		x.wg.Wait()
+		if err := morsel.ForEach(x.ctx, len(x.children), n, x.drive); err != nil {
+			x.send(parallelItem{err: err})
+		}
 		close(x.ch)
 	}()
 	return nil
 }
 
-// worker claims and drives morsels until none remain, an error occurs, or
-// the query is cancelled.
-func (x *Exchange) worker(ctx context.Context, ws *obs.WorkerStats) {
-	defer x.wg.Done()
-	for {
-		if ctx != nil && ctx.Err() != nil {
-			return
-		}
-		i := int(x.next.Add(1) - 1)
-		if i >= len(x.children) {
-			return
-		}
-		if !x.drive(ctx, x.children[i], ws) {
-			return
-		}
-	}
-}
+// errClosed stops a worker whose batch could not be handed over: the
+// exchange was closed or the query cancelled, so nobody reads the error.
+var errClosed = errors.New("exchange closed")
 
-// drive runs one morsel pipeline to completion, forwarding its batches.
-// It returns false when the worker should stop (error sent or cancelled).
-func (x *Exchange) drive(ctx context.Context, op Operator, ws *obs.WorkerStats) bool {
+// drive runs morsel i to completion on worker w, forwarding its batches.
+func (x *Exchange) drive(w, i int) error {
+	ws := &x.workers[w]
 	defer ws.AddTime(x.clock())
 	ws.Morsels++
-	if err := op.Open(ctx); err != nil {
-		x.send(parallelItem{err: err})
-		return false
+	op := x.children[i]
+	if err := op.Open(x.ctx); err != nil {
+		return err
 	}
 	for {
 		b, err := op.Next()
-		if err != nil {
-			x.send(parallelItem{err: err})
-			return false
-		}
-		if b == nil {
-			return true
+		if err != nil || b == nil {
+			return err
 		}
 		// Batches are only valid until the producer's next Next() call, but
 		// the channel buffers them — deep-copy before enqueueing.
 		ws.AddBatch(b.Len())
 		if !x.send(parallelItem{batch: cloneBatch(b)}) {
-			return false
+			return errClosed
 		}
 	}
 }
@@ -195,16 +154,12 @@ func (x *Exchange) drive(ctx context.Context, op Operator, ws *obs.WorkerStats) 
 // send hands one item to the consumer, giving up when the exchange is closed
 // or the query is cancelled so no worker blocks forever.
 func (x *Exchange) send(it parallelItem) bool {
-	var cancel <-chan struct{}
-	if x.ctx != nil {
-		cancel = x.ctx.Done()
-	}
 	select {
 	case x.ch <- it:
 		return true
 	case <-x.done:
 		return false
-	case <-cancel:
+	case <-x.ctx.Done():
 		return false
 	}
 }
@@ -225,13 +180,15 @@ func (x *Exchange) nextItem() (*vector.Batch, error) {
 	return nil, nil
 }
 
-// Close stops the workers (joining them, so child and worker stats become
-// safe to read) and closes all children — including those never claimed.
+// Close stops the workers and joins them by draining the hand-off channel
+// until ForEach has returned and closed it, so child and worker stats become
+// safe to read; then it closes all children — including those never claimed.
 func (x *Exchange) Close() error {
-	if x.started {
+	if x.done != nil {
 		close(x.done)
-		x.wg.Wait()
-		x.started = false
+		for range x.ch {
+		}
+		x.done = nil
 	}
 	var first error
 	for _, c := range x.children {

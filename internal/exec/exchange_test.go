@@ -632,30 +632,13 @@ func TestParallelAggWorkerStats(t *testing.T) {
 	}
 }
 
-func TestEffectiveDegree(t *testing.T) {
-	cases := []struct{ degree, morsels, wantMax int }{
-		{4, 2, 2},  // capped by morsel count
-		{1, 10, 1}, // explicit serial
-		{-1, 0, 1}, // degenerate: at least one worker
-	}
-	for _, c := range cases {
-		got := effectiveDegree(c.degree, c.morsels)
-		if got > c.wantMax || got < 1 {
-			t.Errorf("effectiveDegree(%d, %d) = %d, want in [1,%d]", c.degree, c.morsels, got, c.wantMax)
-		}
-	}
-	if got := effectiveDegree(0, 1000); got < 1 {
-		t.Errorf("effectiveDegree(0, 1000) = %d", got)
-	}
-}
-
 // TestExchangeName pins the EXPLAIN rendering of the operator header.
 func TestExchangeName(t *testing.T) {
 	x, err := NewExchange(1, newMemOp([]vector.Type{vector.Int64}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := fmt.Sprintf("Exchange(1, dop=%d)", effectiveDegree(1, 1)); x.Name() != want {
+	if want := "Exchange(1, dop=1)"; x.Name() != want {
 		t.Errorf("Name = %q, want %q", x.Name(), want)
 	}
 }

@@ -160,10 +160,10 @@ func Collect(op Operator) ([][]vector.Value, error) {
 
 // CollectContext is Collect under a cancellable context.
 func CollectContext(ctx context.Context, op Operator) ([][]vector.Value, error) {
+	defer op.Close() // also after a failed or panicking Open
 	if err := op.Open(ctx); err != nil {
 		return nil, err
 	}
-	defer op.Close()
 	var rows [][]vector.Value
 	for {
 		b, err := op.Next()
@@ -186,10 +186,10 @@ func Drain(op Operator) (int, error) {
 
 // DrainContext is Drain under a cancellable context.
 func DrainContext(ctx context.Context, op Operator) (int, error) {
+	defer op.Close() // also after a failed or panicking Open
 	if err := op.Open(ctx); err != nil {
 		return 0, err
 	}
-	defer op.Close()
 	n := 0
 	for {
 		b, err := op.Next()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Constraint is the kind of approximate constraint a PatchIndex maintains.
@@ -122,52 +121,6 @@ func (ix *Index) SetPartition(part int, ids []uint64, numRows int) error {
 	ix.mu.Lock()
 	ix.sets[part] = s
 	ix.mu.Unlock()
-	return nil
-}
-
-// SetPartitions attaches the patch sets of all partitions, building the
-// physical representations (identifier lists or bitmaps) on up to workers
-// goroutines — the combine step of a parallel CREATE PATCHINDEX. perPart[p]
-// must be sorted unique local row ids for partition p; rows[p] is that
-// partition's size. With workers <= 1 it degenerates to a serial loop.
-func (ix *Index) SetPartitions(perPart [][]uint64, rows []int, workers int) error {
-	if len(perPart) != len(ix.sets) || len(rows) != len(ix.sets) {
-		return fmt.Errorf("patch: index %s.%s: SetPartitions needs %d partitions, got %d/%d",
-			ix.table, ix.column, len(ix.sets), len(perPart), len(rows))
-	}
-	if workers > len(perPart) {
-		workers = len(perPart)
-	}
-	if workers <= 1 {
-		for p := range perPart {
-			if err := ix.SetPartition(p, perPart[p], rows[p]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, len(perPart))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				p := int(next.Add(1) - 1)
-				if p >= len(perPart) {
-					return
-				}
-				errs[p] = ix.SetPartition(p, perPart[p], rows[p])
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

@@ -290,9 +290,11 @@ func (sess *session) runQuery(req *protocol.Request) bool {
 // execute admits (tenant QoS first, then the global queue), prepares
 // (with the session cache), and runs one query.
 //
-// It is the panic barrier of a statement: a panic on the session goroutine
-// becomes an internal error for this statement alone. The recover is
-// deferred first, so it runs after the admission and QoS releases.
+// The engine recovers its own panics into *morsel.InternalError (see
+// Engine.runLatched); the recover here is the net for the server-side code
+// around it (QoS, admission, render, the beforeExec hook): such a panic
+// becomes an internal error for this statement alone. It is deferred first,
+// so it runs after the admission and QoS releases.
 func (sess *session) execute(ctx context.Context, req *protocol.Request) (resp *protocol.Response, err error) {
 	s := sess.srv
 	defer func() {

@@ -525,9 +525,7 @@ func (e *Engine) StartCheckpointer(interval time.Duration) (stop func()) {
 				return
 			case <-t.C:
 				if _, err := e.Checkpoint(); err != nil {
-					e.slowMu.Lock()
-					fmt.Fprintf(e.slowLog, "checkpoint error: %v\n", err)
-					e.slowMu.Unlock()
+					e.logf("checkpoint error: %v\n", err)
 				}
 			}
 		}
