@@ -3,6 +3,7 @@ package patchindex
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io/fs"
 	"math/rand"
@@ -739,4 +740,82 @@ func TestTunerDifferentialIdentical(t *testing.T) {
 			t.Errorf("%s: tuner never created an index during the workload: %+v", de.at, st)
 		}
 	}
+}
+
+// TestDifferentialSortKeyRejects: a SORTKEY table takes an in-order append
+// and then rejects, on every engine, one that would unsort a partition: a
+// key below the maximum the first append raised (on durable engines,
+// folded into a zone map read from a segment) and a NULL after non-NULL
+// keys. The rejected rows never show in a query, the merge join over the
+// sort key included.
+func TestDifferentialSortKeyRejects(t *testing.T) {
+	t.Parallel()
+	const n = 3000
+	load := func(t *testing.T, e *Engine) {
+		mustExec(t, e, "CREATE TABLE dk (k BIGINT, v BIGINT) PARTITIONS 2 SORTKEY k")
+		mustExec(t, e, "CREATE TABLE fk (k BIGINT) PARTITIONS 2")
+		for part := 0; part < 2; part++ {
+			k, v, f := vector.New(vector.Int64, n), vector.New(vector.Int64, n), make([]int64, n)
+			for i := 0; i < n; i++ {
+				if part == 1 && i == 0 {
+					k.AppendNull()
+				} else {
+					k.AppendInt64(int64(2*i + part))
+				}
+				v.AppendInt64(int64(i % 7))
+				f[i] = int64(part*n + i)
+				if i%40 == 0 {
+					f[i] = int64(i % 300) // the NSC index's patches
+				}
+			}
+			for table, cols := range map[string][]*vector.Vector{"dk": {k, v}, "fk": {vector.NewFromInt64(f)}} {
+				if err := e.LoadColumns(table, part, cols); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	appendKeys := func(keys ...vector.Value) []*vector.Vector {
+		k, v := vector.New(vector.Int64, len(keys)), vector.New(vector.Int64, len(keys))
+		for _, key := range keys {
+			if err := k.AppendValue(key); err != nil {
+				t.Fatal(err)
+			}
+			v.AppendInt64(1)
+		}
+		return []*vector.Vector{k, v}
+	}
+	inOrder := func(t *testing.T, de *diffEngine) {
+		cols := appendKeys(vector.IntValue(2*n), vector.IntValue(2*n+1), vector.IntValue(2*n+1), vector.IntValue(2*n+5))
+		if err := de.Append("dk", 0, cols); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rejected := func(t *testing.T, de *diffEngine) {
+		count := func() int64 { return mustExec(t, de.Engine, "SELECT COUNT(*) FROM dk").Rows[0][0].I64 }
+		before := count()
+		for _, c := range []struct {
+			part int
+			key  vector.Value
+		}{{0, vector.IntValue(2*n + 3)}, {1, vector.NullValue(vector.Int64)}} {
+			err := de.Append("dk", c.part, appendKeys(c.key))
+			var ske *SortKeyError
+			if !errors.As(err, &ske) || ske.Partition != c.part || ske.Value != c.key {
+				t.Fatalf("%s: append of %v to partition %d: err = %v, want a *SortKeyError", de.at, c.key, c.part, err)
+			}
+		}
+		if after := count(); after != before {
+			t.Fatalf("%s: rejected appends stored %d rows", de.at, after-before)
+		}
+	}
+	diffMatrix(t, diffSuite{
+		load: load, indexes: []string{"CREATE PATCHINDEX ON fk(k) SORTED THRESHOLD 1.0 FORCE"}, rounds: 3,
+		round: func(r int) (diffStep, []string) {
+			return []diffStep{nil, inOrder, rejected}[r], []string{
+				"SELECT COUNT(*), MIN(k), MAX(k), SUM(v) FROM dk",
+				fmt.Sprintf("SELECT k, v FROM dk WHERE k >= %d ORDER BY k", 2*n-20),
+				"SELECT COUNT(*), SUM(v) FROM dk JOIN fk ON dk.k = fk.k",
+			}
+		},
+	})
 }

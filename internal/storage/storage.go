@@ -9,6 +9,7 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -81,40 +82,130 @@ type columnData struct {
 	refbit atomic.Bool
 }
 
-func (c *columnData) updateSMA(row int) {
-	blk := row / BlockSize
-	for len(c.smas) <= blk {
+// foldSMAs folds the rows of src, which AppendColumns stores from partition
+// row start on, into the block SMAs and the zone entry: one typed loop per
+// block, in row order. Each min/max is seeded from its current state and
+// replaced only on a strict < or >, exactly as comparing each cell as a
+// vector.Value would, so the entries come out identical for every chunking
+// of the same rows: ties keep the first value (-0 and +0 tie), and a float
+// NaN never replaces a bound, but one that comes first pins its block's and
+// zone's min and max.
+func (c *columnData) foldSMAs(src *vector.Vector, start int) {
+	n := src.Len()
+	if n == 0 {
+		return
+	}
+	for last := (start + n - 1) / BlockSize; len(c.smas) <= last; {
 		c.smas = append(c.smas, sma{})
 	}
-	s := &c.smas[blk]
-	vec := c.vec.Load()
-	if vec.IsNull(row) {
-		s.hasNull = true
-		c.zone.hasNull = true
-		return
+	switch t := src.Typ; t {
+	case vector.Int64, vector.Date:
+		foldBlocks(c, src.I64[:n], src.Nulls, start,
+			func(v vector.Value) int64 { return v.I64 },
+			func(x int64) vector.Value { return vector.Value{Typ: t, I64: x} })
+	case vector.Float64:
+		foldBlocks(c, src.F64[:n], src.Nulls, start,
+			func(v vector.Value) float64 { return v.F64 },
+			func(x float64) vector.Value { return vector.FloatValue(x) })
+	case vector.String:
+		foldBlocks(c, src.Str[:n], src.Nulls, start,
+			func(v vector.Value) string { return v.Str },
+			func(x string) vector.Value { return vector.StringValue(x) })
+	case vector.Bool: // false < true, as 0 < 1
+		bits := make([]uint8, n)
+		for i, b := range src.B[:n] {
+			if b {
+				bits[i] = 1
+			}
+		}
+		foldBlocks(c, bits, src.Nulls, start,
+			func(v vector.Value) uint8 {
+				if v.B {
+					return 1
+				}
+				return 0
+			},
+			func(x uint8) vector.Value { return vector.BoolValue(x != 0) })
 	}
-	v := vec.Value(row)
+}
+
+// minMax is a running min/max of typed values; valid once it holds one.
+type minMax[T cmp.Ordered] struct {
+	min, max T
+	valid    bool
+}
+
+// seedOf is s's min/max read through unbox, the slot the column's type uses.
+func seedOf[T cmp.Ordered](s *sma, unbox func(vector.Value) T) minMax[T] {
 	if !s.valid {
-		s.min, s.max, s.valid = v, v, true
-	} else {
-		if v.Compare(s.min) < 0 {
-			s.min = v
+		return minMax[T]{}
+	}
+	return minMax[T]{min: unbox(s.min), max: unbox(s.max), valid: true}
+}
+
+// store writes m back into s, boxing each bound as Vector.Value would.
+func (m minMax[T]) store(s *sma, box func(T) vector.Value) {
+	if m.valid {
+		s.min, s.max, s.valid = box(m.min), box(m.max), true
+	}
+}
+
+// foldBlocks folds vals (partition rows start.., NULL where nulls, which is
+// nil or as long as vals) into c's block SMAs and zone entry.
+func foldBlocks[T cmp.Ordered](c *columnData, vals []T, nulls []bool, start int, unbox func(vector.Value) T, box func(T) vector.Value) {
+	z := seedOf(&c.zone, unbox)
+	for lo := 0; lo < len(vals); {
+		blk := (start + lo) / BlockSize
+		hi := min(len(vals), (blk+1)*BlockSize-start)
+		s := &c.smas[blk]
+		b := seedOf(s, unbox)
+		var blkNulls []bool
+		if nulls != nil {
+			blkNulls = nulls[lo:hi]
 		}
-		if v.Compare(s.max) > 0 {
-			s.max = v
+		if fold(vals[lo:hi], blkNulls, &b, &z) {
+			s.hasNull, c.zone.hasNull = true, true
+		}
+		b.store(s, box)
+		lo = hi
+	}
+	z.store(&c.zone, box)
+}
+
+// fold widens b and z by vals in row order, skipping the rows nulls marks
+// (nulls is nil or as long as vals), and reports whether it skipped any.
+func fold[T cmp.Ordered](vals []T, nulls []bool, b, z *minMax[T]) (sawNull bool) {
+	bmin, bmax, bv := b.min, b.max, b.valid
+	zmin, zmax, zv := z.min, z.max, z.valid
+	for i, x := range vals {
+		if nulls != nil && nulls[i] {
+			sawNull = true
+			continue
+		}
+		if !bv {
+			bmin, bmax, bv = x, x, true
+		} else {
+			if x < bmin {
+				bmin = x
+			}
+			if x > bmax {
+				bmax = x
+			}
+		}
+		if !zv {
+			zmin, zmax, zv = x, x, true
+		} else {
+			if x < zmin {
+				zmin = x
+			}
+			if x > zmax {
+				zmax = x
+			}
 		}
 	}
-	z := &c.zone
-	if !z.valid {
-		z.min, z.max, z.valid = v, v, true
-		return
-	}
-	if v.Compare(z.min) < 0 {
-		z.min = v
-	}
-	if v.Compare(z.max) > 0 {
-		z.max = v
-	}
+	*b = minMax[T]{bmin, bmax, bv}
+	*z = minMax[T]{zmin, zmax, zv}
+	return sawNull
 }
 
 // Partition is one horizontal slice of a table. Row ids inside a partition
@@ -292,11 +383,8 @@ func (t *Table) AppendColumns(part int, cols []*vector.Vector) error {
 	}
 	for c, v := range cols {
 		dst := p.cols[c]
-		vec := dst.vec.Load()
-		for i := 0; i < n; i++ {
-			vec.Append(v, i)
-			dst.updateSMA(p.nrows + i)
-		}
+		dst.foldSMAs(v, p.nrows)
+		dst.vec.Load().AppendRange(v, 0, n)
 	}
 	p.nrows += n
 	p.staleRows += n

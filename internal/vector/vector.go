@@ -463,9 +463,7 @@ func (v *Vector) AppendRange(src *Vector, lo, hi int) {
 	case src.Nulls == nil && v.Nulls == nil:
 		// no masks involved
 	case src.Nulls == nil:
-		for i := 0; i < n; i++ {
-			v.Nulls = append(v.Nulls, false)
-		}
+		v.Nulls = appendRepeat(v.Nulls, false, n)
 	default:
 		v.ensureNullsUpTo(v.n - n)
 		v.Nulls = append(v.Nulls, src.Nulls[lo:hi]...)
@@ -534,9 +532,7 @@ func (v *Vector) AppendExcept(src *Vector, skip []int, n int) {
 	case src.Nulls == nil && v.Nulls == nil:
 		// no masks involved
 	case src.Nulls == nil:
-		for i := 0; i < kept; i++ {
-			v.Nulls = append(v.Nulls, false)
-		}
+		v.Nulls = appendRepeat(v.Nulls, false, kept)
 	default:
 		v.ensureNullsUpTo(v.n - kept)
 		v.Nulls = appendExcept(v.Nulls, src.Nulls[:n], skip)
@@ -563,8 +559,8 @@ func (v *Vector) ensureNullsUpTo(n int) {
 	if v.Nulls == nil {
 		v.Nulls = make([]bool, 0, v.n)
 	}
-	for len(v.Nulls) < n {
-		v.Nulls = append(v.Nulls, false)
+	if len(v.Nulls) < n {
+		v.Nulls = appendRepeat(v.Nulls, false, n-len(v.Nulls))
 	}
 }
 
